@@ -1,14 +1,11 @@
 """Compensated accumulators for long-running sums.
 
-Running sums over 1e7+ tiny increments lose the algebraic identities the
-rest of the library checks (trapezoidal weight identity, online/offline
-agreement), so every long accumulation goes through Neumaier-compensated
-adds instead of bare ``+=``.
+Running sums over 1e7+ tiny increments lose the online/offline agreement
+the rest of the library checks, so every long accumulation goes through
+Neumaier-compensated adds instead of bare ``+=``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -58,19 +55,3 @@ class VectorKahan:
     def value(self) -> np.ndarray:
         return self.total + self.carry
 
-
-def compensated_extend(values: np.ndarray, total: float, carry: float) -> tuple[np.ndarray, float, float]:
-    """Prefix sums of ``values`` continuing from a compensated running total.
-
-    Within the block a plain ``cumsum`` is used (error ~ len(values)*eps per
-    block); the carried total stays compensated across blocks via ``fsum``.
-    Returns the prefix array and the updated (total, carry) pair.
-    """
-    prefix = np.cumsum(values) + (total + carry)
-    block = math.fsum(values)
-    t = total + block
-    if abs(total) >= abs(block):
-        carry += (total - t) + block
-    else:
-        carry += (block - t) + total
-    return prefix, t, carry

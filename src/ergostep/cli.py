@@ -100,8 +100,6 @@ def _load_config(args: argparse.Namespace, defaults: dict[str, str] | None = Non
     over = _overrides(args)
     if "seed" not in base and "seed" not in over and "ERGODIC_SEED" in os.environ:
         over["seed"] = os.environ["ERGODIC_SEED"]
-    if args.threads is None and "threads" not in base:
-        over["threads"] = str(os.cpu_count() or 1)
     # subcommand defaults apply only where neither config nor flags spoke
     for key, value in (defaults or {}).items():
         if key not in base and key not in over:

@@ -318,7 +318,8 @@ def _run_blocks(config: ExperimentConfig, make_measures, checkpoints,
     """Run all replications in thread-partitioned vectorized blocks.
 
     ``make_measures(block_size)`` builds the per-block measure dict.
-    Returns (recorders in replication order, excluded pairs, final states).
+    Returns (recorders in replication order, excluded pairs, indices of the
+    kept replications); more than 5% excluded raises ``ExperimentError``.
     """
     model = config.model()
     steps = config.steps()
@@ -345,12 +346,12 @@ def _run_blocks(config: ExperimentConfig, make_measures, checkpoints,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_one, offsets))
 
-    excluded = []
-    finals = []
-    for _, res in results:
-        excluded.extend(res.excluded)
-        finals.append(res.final_states)
-    return [rec for rec, _ in results], excluded, np.concatenate(finals, axis=0)
+    excluded = [pair for _, res in results for pair in res.excluded]
+    if len(excluded) > 0.05 * r_total:
+        raise ExperimentError(f"{len(excluded)} of {r_total} replications diverged: {excluded}")
+    dropped = {rep for rep, _ in excluded}
+    keep = np.array([r for r in range(r_total) if r not in dropped], dtype=int)
+    return [rec for rec, _ in results], excluded, keep
 
 
 def _merge_snapshots(recorders, checkpoints):
@@ -402,7 +403,9 @@ class CltReport:
 def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     """R independent trajectories; at each checkpoint n the normalized
     statistic H_n / (C sqrt(Gamma_n)) * nu_n(Af) per replication, plus the
-    variance/shift predictions of the matching limit law."""
+    variance/shift predictions of the matching limit law.  With a burn-in b
+    every sum runs over k in (b, n]: H_n - H_b, Gamma_n - Gamma_b and the
+    auxiliary H_n - H_b replace the full sums."""
     if config.replications < 2:
         raise ConfigError("CLT experiments need at least two replications")
     model = config.model()
@@ -446,14 +449,8 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         clock.register("Vf", vf_fn)
         return {"main": main, "clock": clock}
 
-    recorders, excluded, _finals = _run_blocks(config, make_measures, checkpoints)
+    recorders, excluded, keep = _run_blocks(config, make_measures, checkpoints)
     snaps = _merge_snapshots(recorders, checkpoints)
-    if len(excluded) > 0.05 * config.replications:
-        raise ExperimentError(
-            f"{len(excluded)} of {config.replications} replications diverged: {excluded}"
-        )
-    keep = np.array([r for r in range(config.replications)
-                     if r not in {rep for rep, _ in excluded}], dtype=int)
 
     aux = order_weights(steps, q)
     weights = config.weights(steps)
@@ -473,15 +470,17 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
                                                  mean=0.0, std=math.sqrt(law.moments[2]))
     ergodic_m = None
 
+    b = config.burn_in
     for c in checkpoints:
-        h_n = weights.big_h(c)
-        g_n = steps.big_gamma(c)
+        h_n = weights.big_h(c) - weights.big_h(b)
+        g_n = steps.big_gamma(c) - steps.big_gamma(b)
+        aux_n = aux.big_h(c) - aux.big_h(b)
         if decision.regime == "C_bias":
-            norm = h_n / (config.weight_c * aux.big_h(c))
+            norm = h_n / (config.weight_c * aux_n)
         else:
             norm = h_n / (config.weight_c * math.sqrt(g_n))
         normalizers[c] = norm
-        l_hats[c] = math.sqrt(g_n) / aux.big_h(c)
+        l_hats[c] = math.sqrt(g_n) / aux_n
         vals = snaps[c]["main"]["Af"][keep]
         statistics[c] = norm * vals
         if decision.regime == "B_mixed":
@@ -583,15 +582,9 @@ def run_ergodic_experiment(config: ExperimentConfig, want_w1: bool | None = None
         main.register("f", _observable_fn(f))
         return {"main": main}
 
-    recorders, excluded, _ = _run_blocks(config, make_measures, checkpoints,
-                                         snapshot_buffer="main" if want_w1 else None)
+    recorders, excluded, keep = _run_blocks(config, make_measures, checkpoints,
+                                            snapshot_buffer="main" if want_w1 else None)
     snaps = _merge_snapshots(recorders, checkpoints)
-    if len(excluded) > 0.05 * config.replications:
-        raise ExperimentError(
-            f"{len(excluded)} of {config.replications} replications diverged: {excluded}"
-        )
-    keep = np.array([r for r in range(config.replications)
-                     if r not in {rep for rep, _ in excluded}], dtype=int)
     values = {int(c): snaps[c]["main"]["f"][keep] for c in checkpoints}
     w1 = None
     mean_w1 = None
@@ -677,14 +670,8 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
         main.register("Af", _observable_fn(af))
         return {"main": main}
 
-    recorders, excluded, _ = _run_blocks(config, make_measures, checkpoints)
+    recorders, excluded, keep = _run_blocks(config, make_measures, checkpoints)
     snaps = _merge_snapshots(recorders, checkpoints)
-    if len(excluded) > 0.05 * config.replications:
-        raise ExperimentError(
-            f"{len(excluded)} of {config.replications} replications diverged: {excluded}"
-        )
-    keep = np.array([r for r in range(config.replications)
-                     if r not in {rep for rep, _ in excluded}], dtype=int)
     points = []
     for c in checkpoints:
         vals = snaps[c]["main"]["Af"][keep]

@@ -1,25 +1,49 @@
-"""Step and weight sequences with cached partial sums.
+"""Step and weight sequences with closed-form partial sums.
 
-A simulation advances n monotonically, so partial sums are cached
-incrementally: ``gamma``/``big_gamma``/``eta``/``big_h`` are O(1) amortized
-during a forward run, and random access past the cache extends it in blocks.
-Caches are replaced atomically, so concurrent readers always see a complete
-array; copies of a schedule produce identical values for identical
-parameters.
+Power-law steps have Gamma_n = gamma1 * S(xi, n) and ``power`` weights have
+H_n = gamma1^r * S(xi*r, n), where S(s, n) = sum_{k<=n} k^(-s); constant
+steps give n * gamma1 and n * gamma1^r.  Proportional and trapezoidal H_n
+are exact identities in Gamma_n.  ``_power_sum`` adds the first ``_HEAD``
+terms with ``math.fsum`` and the rest by an Euler-Maclaurin tail, so every
+partial sum costs the same small, fixed work and memory at any n, and the
+schedules hold no state beyond their parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .accum import compensated_extend
-
-_BLOCK = 1 << 16
-
 STEP_KINDS = ("power_law", "constant")
 WEIGHT_KINDS = ("proportional", "trapezoidal", "power")
+
+# terms summed exactly; past it the Euler-Maclaurin remainder is below 1e-27
+_HEAD = 1024
+# B_2j / (2j)! for j = 1..4
+_EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
+
+
+def _power_sum(s: float, n: int) -> float:
+    """S(s, n) = sum_{k=1}^{n} k^(-s) for n >= 0."""
+    head = math.fsum(np.arange(1.0, min(n, _HEAD) + 1.0) ** -s)
+    if n <= _HEAD:
+        return head
+    # integral of x^(-s) over [K, n], written to stay accurate as s -> 1
+    log_ratio = math.log1p((n - _HEAD) / _HEAD)
+    if s == 1.0:
+        integral = log_ratio
+    else:
+        integral = _HEAD ** (1.0 - s) * math.expm1((1.0 - s) * log_ratio) / (1.0 - s)
+    terms = [head, integral, (n ** -s - _HEAD ** -s) / 2.0]
+    # odd derivatives f^(2j-1)(x) = -s(s+1)...(s+2j-2) x^(-s-2j+1)
+    rising = s
+    for j, coeff in enumerate(_EM_COEFFS, 1):
+        e = s + 2 * j - 1
+        terms.append(-coeff * rising * (n ** -e - _HEAD ** -e))
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -36,7 +60,6 @@ class StepSchedule:
     kind: str
     gamma1: float
     xi: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in STEP_KINDS:
@@ -45,9 +68,6 @@ class StepSchedule:
             raise ValueError("gamma1 must be positive")
         if self.kind == "power_law" and not 0.0 < self.xi < 1.0:
             raise ValueError("power_law exponent xi must lie in (0, 1)")
-        # big_gamma[k] = Gamma_k for k = 0..m; grown in blocks
-        self._cache["big_gamma"] = np.zeros(1)
-        self._cache["carry"] = (0.0, 0.0)
 
     def gamma(self, n: int) -> float:
         """gamma_n for n >= 1 (gamma_0 exists only as the trapezoidal convention)."""
@@ -68,26 +88,9 @@ class StepSchedule:
         """Gamma_n = sum_{k<=n} gamma_k, with Gamma_0 = 0."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        self._ensure(n)
-        return float(self._cache["big_gamma"][n])
-
-    def _ensure(self, n: int) -> None:
-        cached = self._cache["big_gamma"]
-        m = len(cached) - 1
-        if n <= m:
-            return
-        total, carry = self._cache["carry"]
-        parts = [cached]
-        while m < n:
-            # block boundaries are fixed multiples of _BLOCK, so the cached
-            # values are independent of the request pattern
-            stop = (m // _BLOCK + 1) * _BLOCK
-            block = self.gamma_block(m + 1, stop + 1)
-            prefix, total, carry = compensated_extend(block, total, carry)
-            parts.append(prefix)
-            m = stop
-        self._cache["big_gamma"] = np.concatenate(parts)
-        self._cache["carry"] = (total, carry)
+        if self.kind == "constant":
+            return n * self.gamma1
+        return self.gamma1 * _power_sum(self.xi, n)
 
     def sup_gamma(self) -> float:
         return self.gamma1
@@ -123,15 +126,12 @@ class WeightSchedule:
     reference: StepSchedule
     c: float = 1.0
     r: float = 1.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind != "power" and not self.c > 0:
             raise ValueError("weight constant c must be positive")
-        self._cache["big_h"] = np.zeros(1)
-        self._cache["carry"] = (0.0, 0.0)
 
     def eta(self, n: int) -> float:
         if n < 1:
@@ -168,24 +168,9 @@ class WeightSchedule:
             if n == 0:
                 return 0.0
             return self.c * (g.big_gamma(n) + g.big_gamma(n - 1)) / 2.0
-        self._ensure(n)
-        return float(self._cache["big_h"][n])
-
-    def _ensure(self, n: int) -> None:
-        cached = self._cache["big_h"]
-        m = len(cached) - 1
-        if n <= m:
-            return
-        total, carry = self._cache["carry"]
-        parts = [cached]
-        while m < n:
-            stop = (m // _BLOCK + 1) * _BLOCK
-            block = self.eta_block(m + 1, stop + 1)
-            prefix, total, carry = compensated_extend(block, total, carry)
-            parts.append(prefix)
-            m = stop
-        self._cache["big_h"] = np.concatenate(parts)
-        self._cache["carry"] = (total, carry)
+        if g.kind == "constant":
+            return n * g.gamma1 ** self.r
+        return g.gamma1 ** self.r * _power_sum(g.xi * self.r, n)
 
     def to_config(self) -> dict[str, str]:
         out = {"weight.kind": self.kind, "weight.c": repr(self.c)}

@@ -72,6 +72,15 @@ def test_clt_subcommand_runs(capsys, tmp_path):
     assert len(lines) == 1 + 2 * 4
 
 
+def test_clt_threads_default_is_one(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "clt", "--n-steps", "400", "--replications", "2",
+                         "--checkpoints", "400", "--format", "json",
+                         "--output-dir", str(tmp_path))
+    assert code == 0
+    payload = json.loads((tmp_path / "clt.json").read_text())
+    assert payload["config"]["threads"] == 1
+
+
 def test_rate_defaults_and_assert(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "rate", "--model", "ou1d", "--xi", "0.333",
                            "--assert", "--seed", "20260809",

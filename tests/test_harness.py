@@ -318,6 +318,43 @@ def test_burn_in_matches_offline_slice():
     assert burned.values[2000][0] == pytest.approx(offline, rel=1e-12)
 
 
+def test_clt_burn_in_statistic_sums_past_burn_in():
+    from ergostep.model import generator_observable
+    from ergostep.schedules import order_weights
+    from ergostep.schemes import simulate
+
+    b, n = 500, 2000
+    cfg = ExperimentConfig(scheme="euler", weight_c=2.5, n_steps=n, replications=3,
+                           seed=17, checkpoints=(1000, n), burn_in=b)
+    rep = run_clt_experiment(cfg)
+    assert rep.regime == "B_mixed"
+
+    # offline oracle from serial trajectories, summing over k in (b, n]
+    model = cfg.model()
+    af = generator_observable(model, cfg.observable(model))
+    steps = cfg.steps()
+    etas = cfg.weights().eta_block(1, n + 1)
+    clock = math.fsum(steps.gamma(k) for k in range(b + 1, n + 1))
+    aux = order_weights(steps, 1)
+    aux_sum = math.fsum(aux.eta(k) for k in range(b + 1, n + 1))
+    class Log:
+        def __init__(self):
+            self.blocks = []
+
+        def observe_block(self, k0, states):
+            self.blocks.append(states.copy())
+
+    for r in range(3):
+        log = Log()
+        simulate("euler", model, steps, cfg.innovation(model), n, 0.0,
+                 rng_seed=17, sinks=[log], replication=r)
+        xs = np.concatenate(log.blocks)
+        total = math.fsum(etas[b:] * af.fn(xs[b:]))
+        want = total / (2.5 * math.sqrt(clock))
+        assert rep.statistics[n][r] == pytest.approx(want, rel=1e-12)
+    assert rep.l_hat[n] == pytest.approx(math.sqrt(clock) / aux_sum, rel=1e-12)
+
+
 def test_burn_in_checkpoint_validation():
     cfg = ExperimentConfig(n_steps=1000, replications=2, checkpoints=(100, 1000), burn_in=200)
     with pytest.raises(ConfigError, match="burn-in"):

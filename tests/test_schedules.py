@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,3 +183,29 @@ def test_partial_sum_matches_fsum(xi, gamma1, n):
     steps = StepSchedule("power_law", gamma1, xi)
     direct = math.fsum(steps.gamma(k) for k in range(1, n + 1))
     assert steps.big_gamma(n) == pytest.approx(direct, rel=1e-13)
+
+
+# (xi, r) pairs put s = xi * r below 1, near 1, at 1 and above 1
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 10**6])
+@pytest.mark.parametrize("xi,r", [(0.1, 1.0), (1.0 / 3.0, 2.0), (0.6, 1.0),
+                                  (0.5, 1.99998), (0.5, 2.0), (0.4, 3.0), (0.9, 3.0)])
+def test_closed_form_partial_sums_match_fsum(xi, r, n):
+    steps = StepSchedule("power_law", 0.7, xi)
+    w = WeightSchedule("power", steps, r=r)
+    want_g = math.fsum(steps.gamma_block(1, n + 1))
+    want_h = math.fsum(w.eta_block(1, n + 1))
+    assert abs(steps.big_gamma(n) - want_g) <= 1e-13 * want_g
+    assert abs(w.big_h(n) - want_h) <= 1e-13 * want_h
+
+
+def test_partial_sums_need_no_memory_in_n():
+    steps = StepSchedule("power_law", 1.0, 1.0 / 3.0)
+    aux = order_weights(steps, 2)
+    tracemalloc.start()
+    try:
+        steps.big_gamma(10**7)
+        aux.big_h(10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
