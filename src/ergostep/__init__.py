@@ -77,7 +77,6 @@ from .model import (
     m2_talay,
     m2_tilde,
     sigma_tilde,
-    talay_coupling,
     vf_operator,
 )
 from .schedules import StepSchedule, WeightSchedule, order_weights, variance_clock
@@ -85,12 +84,8 @@ from .schemes import (
     BatchResult,
     DivergenceError,
     SchemeState,
-    euler_step,
-    sample_innovation,
     simulate,
     simulate_batch,
-    talay_increments,
-    talay_step,
     trajectory_generators,
 )
 

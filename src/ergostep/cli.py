@@ -4,8 +4,15 @@ Subcommands: ``simulate`` (one-trajectory ergodic trace), ``clt``
 (normalized-statistic report), ``rate`` (log-log rate regression), ``probe``
 (hypothesis diagnostics), ``wasserstein`` (distance trace to the catalog
 invariant law).  ``--assert`` turns each report's tolerance into the exit
-code so the experiments double as reproduction scripts: 0 pass, 1 fail,
-2 usage or configuration error.
+code so the experiments double as reproduction scripts.  Exit codes:
+
+  0  success (with ``--assert``: every tolerance met)
+  1  the experiment failed: a tolerance missed under ``--assert``, a
+     diverged trajectory, or an experiment error
+  2  usage or configuration error: a bad flag or config value, or any
+     other value the library rejects with ``ValueError``
+  3  internal error (any other exception), a bug in ergostep; ``-v``
+     prints the traceback
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ import json
 import math
 import os
 import sys
+import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,41 +123,12 @@ def _default_trace_checkpoints(config: ExperimentConfig) -> ExperimentConfig:
     grid = tuple(int(g) for g in grid if g <= config.n_steps)
     if not grid or grid[-1] != config.n_steps:
         grid = grid + (config.n_steps,)
-    return ExperimentConfig.from_mapping(
-        {**{k: v for k, v in _config_to_mapping(config).items()},
-         "checkpoints": ",".join(str(g) for g in grid)})
-
-
-def _config_to_mapping(config: ExperimentConfig) -> dict[str, str]:
-    out = {
-        "model.id": config.model_id,
-        "scheme": config.scheme,
-        "innovation": config.innovation_kind,
-        "f": config.observable_name,
-        "step.kind": config.step_kind,
-        "step.gamma1": repr(config.gamma1),
-        "step.xi": repr(config.xi),
-        "weight.kind": config.weight_kind,
-        "weight.c": repr(config.weight_c),
-        "weight.r": repr(config.weight_r),
-        "n_steps": str(config.n_steps),
-        "replications": str(config.replications),
-        "seed": str(config.seed),
-        "x0": repr(config.x0),
-        "buffer_capacity": str(config.buffer_capacity),
-        "burn_in": str(config.burn_in),
-        "threads": str(config.threads),
-    }
-    for k, v in config.model_params.items():
-        out[f"model.{k}"] = repr(v)
-    if config.checkpoints:
-        out["checkpoints"] = ",".join(str(c) for c in config.checkpoints)
-    return out
+    return replace(config, checkpoints=grid)
 
 
 def _cmd_simulate(args) -> int:
     config = _default_trace_checkpoints(_load_config(args))
-    config = ExperimentConfig.from_mapping({**_config_to_mapping(config), "replications": "1"})
+    config = replace(config, replications=1)
     report = run_ergodic_experiment(config, want_w1=False)
     out = args.output_dir / f"simulate.{args.format}"
     emit(report, args.format, out)
@@ -218,7 +198,9 @@ def _cmd_probe(args) -> int:
     mm = moment_match_report(innovation, up_to_order=min(2 * q + 1, 6))
     mm_ok = mm.matched_through() >= 2 * q + 1 if innovation.kind != "gaussian" else True
 
-    lyap = quadratic_lyapunov(alpha=2.0, beta=4.0)
+    # V = 1 + |x|^2 on the catalog OU (theta = 1, sigma = sqrt(2)) has
+    # AV = 2 + 2d - 2V, so beta = 2 + 2d is the tight constant at alpha = 2
+    lyap = quadratic_lyapunov(alpha=2.0, beta=2.0 + 2.0 * model.dim)
     rc = recursive_control_probe(config.scheme, model, lyap, gamma=probe_gamma,
                                  quadrature=Enumerate())
     payload = {
@@ -246,8 +228,7 @@ def _cmd_probe(args) -> int:
 def _cmd_wasserstein(args) -> int:
     config = _default_trace_checkpoints(_load_config(args))
     if config.buffer_capacity <= 0:
-        config = ExperimentConfig.from_mapping(
-            {**_config_to_mapping(config), "buffer_capacity": "20000"})
+        config = replace(config, buffer_capacity=20000)
     report = run_ergodic_experiment(config, want_w1=True)
     out = args.output_dir / f"wasserstein.{args.format}"
     emit(report, args.format, out)
@@ -288,15 +269,17 @@ def main(argv=None) -> int:
     try:
         args.output_dir.mkdir(parents=True, exist_ok=True)
         return args.fn(args)
-    except ConfigError as err:
+    except ValueError as err:  # ConfigError, and every value the library rejects
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ExperimentError, InternalInconsistencyError, DivergenceError) as err:
         print(f"experiment failed: {err}", file=sys.stderr)
         return 1
-    except Exception as err:  # never a traceback on bad input
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except Exception as err:  # anything else is a bug in ergostep
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        if args.verbose:
+            traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,6 +1,10 @@
 """Numeric probes for the standing hypotheses: discrete-time Lyapunov
 mean reversion, innovation moment matching, and one-step weak order.
 
+The weak-order and mean-reversion probes take their one-step expectations
+over ``schemes.make_stepper``, the kernel the simulation driver runs, and
+raise ``DivergenceError`` when such an expectation is not finite.
+
 Probes are pure functions of their inputs; reports are assembled in grid
 order, so identical inputs produce identical reports.
 """
@@ -15,18 +19,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .innovations import InnovationDist, assemble_w, gaussian_moment, joint_outcomes
+from .innovations import InnovationDist, gaussian_moment
 from .model import (
     DiffusionModel,
     Enumerate,
     LyapunovSpec,
-    MonteCarlo,
     Observable,
     Quadrature,
+    _expect,
     generator_apply,
     generator_observable,
 )
-from .schemes import euler_step, talay_step
+from .schemes import DivergenceError, make_stepper
 
 PASS_TOL_ABS = 1e-8
 PASS_TOL_REL = 0.02
@@ -83,41 +87,6 @@ def default_grid(dim: int, radius: float = 5.0, points_per_axis: int = 21,
 # recursive control
 
 
-def _one_step_expectation(scheme: str, model: DiffusionModel, g, grid: np.ndarray,
-                          gamma: float, innovation: InnovationDist,
-                          quadrature: Quadrature):
-    """E[g(X_gamma) | X_0 = x] over the grid; returns (values, stderr)."""
-    def apply_step(u, kap):
-        if scheme == "euler":
-            y = euler_step(model, grid, gamma, u)
-        else:
-            y = talay_step(model, grid, gamma, u, assemble_w(u, kap if kap.size else None))
-        return np.asarray(g(y), dtype=np.float64)
-
-    if isinstance(quadrature, Enumerate):
-        total = 0.0
-        for u, kap, p in joint_outcomes(innovation, with_kappa=(scheme == "talay2")):
-            total = total + p * apply_step(u, kap)
-        return total, np.zeros(grid.shape[0])
-    if not isinstance(quadrature, MonteCarlo):
-        raise TypeError(f"unknown quadrature {quadrature!r}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(quadrature.seed)))
-    from .innovations import sample_kappa
-
-    n = quadrature.samples
-    acc = np.zeros(grid.shape[0])
-    acc2 = np.zeros(grid.shape[0])
-    for _ in range(n):
-        u = innovation.sample(rng)
-        kap = sample_kappa(rng, innovation.dimension)
-        v = apply_step(u, kap)
-        acc += v
-        acc2 += v * v
-    mean = acc / n
-    var = np.maximum(acc2 / n - mean**2, 0.0) * n / max(n - 1, 1)
-    return mean, np.sqrt(var / n)
-
-
 def lambda_p_grid_max(lyapunov: LyapunovSpec, grid: np.ndarray) -> float:
     """Grid maximum of the clamped top eigenvalue of
     D^2 V + 2 (p - 1) grad V grad V^T / V (a grid max, not a supremum)."""
@@ -160,7 +129,11 @@ def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: Lyapun
     v = np.asarray(lyapunov.v(grid), dtype=np.float64)
     rhs = lyapunov.psi(v) / v * lyapunov.p * (lyapunov.beta - lyapunov.alpha * lyapunov.phi(v))
     scale = lyapunov.psi(v) / v * lyapunov.p * (abs(lyapunov.beta) + lyapunov.alpha * lyapunov.phi(v))
-    ev, se = _one_step_expectation(scheme, model, psi_v, grid, gamma, innovation, quadrature)
+    step = make_stepper(scheme, model)
+    ev, se = _expect(lambda u, kap: psi_v(step(grid, gamma, u, kap)), model, innovation,
+                     quadrature, with_kappa=scheme == "talay2", x=grid)
+    if not np.all(np.isfinite(ev)):
+        raise DivergenceError(None)
     pseudo = (ev - psi_v(grid)) / gamma
     margins = rhs - pseudo
     tol = np.maximum(PASS_TOL_ABS, PASS_TOL_REL * scale)
@@ -268,27 +241,27 @@ def weak_order_probe(scheme: str, model: DiffusionModel, f: Observable, x,
     the O(gamma^(q+1)) remainder."""
     if innovation.support1d() is None:
         raise ValueError("weak order probe needs a finite-support innovation")
+    if any(gamma <= 0 for gamma in gammas):
+        raise ValueError("step size must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     need = 2 if scheme == "euler" else 4
     if f.max_order < need:
         raise ValueError(f"insufficient observable order: need {need}")
+    step = make_stepper(scheme, model)
     af = generator_apply(model, f, x)
     target0 = np.asarray(f.fn(x), dtype=np.float64) + 0.0
     if scheme == "talay2":
         a2f = generator_apply(model, generator_observable(model, f), x)
     errs = []
     for gamma in gammas:
-        total = 0.0
-        for u, kap, p in joint_outcomes(innovation, with_kappa=(scheme == "talay2")):
-            if scheme == "euler":
-                y = euler_step(model, x, gamma, u)
-            else:
-                y = talay_step(model, x, gamma, u, assemble_w(u, kap if kap.size else None))
-            total = total + p * np.asarray(f.fn(y), dtype=np.float64)
+        mean, _ = _expect(lambda u, kap: np.asarray(f.fn(step(x, gamma, u, kap)), dtype=np.float64),
+                          model, innovation, Enumerate(), with_kappa=scheme == "talay2", x=x)
+        if not np.isfinite(mean):
+            raise DivergenceError(None)
         target = target0 + gamma * af
         if scheme == "talay2":
             target = target + 0.5 * gamma * gamma * a2f
-        errs.append(float(total - target))
+        errs.append(float(mean - target))
     ratios = tuple(errs[i] / errs[i + 1] if errs[i + 1] != 0 else math.inf
                    for i in range(len(errs) - 1))
     return WeakOrderResult(gammas=tuple(float(g) for g in gammas),

@@ -336,11 +336,15 @@ def vf_operator(model: DiffusionModel, f: Observable, x: np.ndarray):
     return np.einsum("...n,...n->...", st_grad, st_grad)
 
 
-def sigma_tilde(model: DiffusionModel, x: np.ndarray) -> np.ndarray:
+def sigma_tilde(model: DiffusionModel, x: np.ndarray, hessian_weight: float = 1.0) -> np.ndarray:
     """Columnwise coupling field, shape (..., d, N):
 
         sigma_tilde_i = (Db) sigma_i + (D sigma_i) b
-                        + sum_{l,j} (sigma sigma^T)_{l,j} d2_{l,j} sigma_i
+                        + w sum_{l,j} (sigma sigma^T)_{l,j} d2_{l,j} sigma_i
+
+    with Hessian weight w = ``hessian_weight``.  The defect operators use
+    w = 1; the gamma^{3/2} U increment of the weak-order-two step is
+    1/2 sigma_tilde at w = 1/2, the weights one-step weak order two pins.
     """
     x = np.asarray(x, dtype=np.float64)
     s = model.sigma(x)
@@ -350,29 +354,7 @@ def sigma_tilde(model: DiffusionModel, x: np.ndarray) -> np.ndarray:
     a = np.einsum("...in,...jn->...ij", s, s)
     out = np.einsum("...ij,...jn->...in", db, s)
     out = out + np.einsum("...inj,...j->...in", ds, model.b(x))
-    out = out + np.einsum("...inlj,...lj->...in", d2s, a)
-    return out
-
-
-def talay_coupling(model: DiffusionModel, x: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of the gamma^{3/2} U increment of the
-    weak-order-two step:
-
-        1/2 (Db) sigma_i + 1/2 (D sigma_i) b
-        + 1/4 sum_{l,j} (sigma sigma^T)_{l,j} d2_{l,j} sigma_i
-
-    One-step weak order two pins these weights (the Hessian contraction
-    carries half the weight it has in ``sigma_tilde``).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    s = model.sigma(x)
-    db = model.drift_jacobian(x)
-    ds = model.diffusion_jacobian(x)
-    d2s = model.diffusion_hessian(x)
-    a = np.einsum("...in,...jn->...ij", s, s)
-    out = 0.5 * np.einsum("...ij,...jn->...in", db, s)
-    out = out + 0.5 * np.einsum("...inj,...j->...in", ds, model.b(x))
-    out = out + 0.25 * np.einsum("...inlj,...lj->...in", d2s, a)
+    out = out + hessian_weight * np.einsum("...inlj,...lj->...in", d2s, a)
     return out
 
 
@@ -400,11 +382,12 @@ def levy_weighted_coupling(model: DiffusionModel, x: np.ndarray, w: np.ndarray) 
 
 def _expect(fn, model: DiffusionModel, innovation: InnovationDist, quadrature: Quadrature,
             with_kappa: bool, x: np.ndarray):
-    """E[fn(u, kappa)] by enumeration or Monte Carlo.
+    """E[fn(u, kappa)] per state of ``x``, by enumeration or Monte Carlo.
 
-    ``fn`` maps one (u, kappa) draw to a value batched like ``x``; the Monte
-    Carlo path instead feeds it a sample-batched state, so it needs ``x``
-    unbatched and evaluates all draws in one vectorized pass.
+    ``fn`` maps one (u, kappa) draw to a value batched like ``x``.  The
+    Monte Carlo path feeds it every draw at once along a new leading axis
+    that broadcasts against the batch axes of ``x``, and reduces over that
+    axis only, so mean and stderr carry the batch shape of ``x``.
     """
     if isinstance(quadrature, Enumerate):
         total = 0.0
@@ -413,15 +396,15 @@ def _expect(fn, model: DiffusionModel, innovation: InnovationDist, quadrature: Q
         return total, 0.0
     if not isinstance(quadrature, MonteCarlo):
         raise TypeError(f"unknown quadrature {quadrature!r}")
-    if np.asarray(x).ndim > 1:
-        raise ValueError("Monte Carlo quadrature supports a single state at a time")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(quadrature.seed)))
     n = quadrature.samples
     us = innovation.sample(rng, size=n)
     kaps = sample_kappa(rng, innovation.dimension, size=n) if with_kappa else np.zeros((n, 0))
-    vals = np.asarray(fn(us, kaps), dtype=np.float64)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    lead = (n,) + (1,) * (np.ndim(x) - 1)
+    vals = np.asarray(fn(us.reshape(lead + us.shape[-1:]), kaps.reshape(lead + kaps.shape[-1:])),
+                      dtype=np.float64)
+    mean = vals.mean(axis=0)
+    stderr = vals.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.full(mean.shape, np.inf)
     return mean, stderr
 
 
@@ -537,7 +520,7 @@ def m2_talay(model: DiffusionModel, f: Observable, x: np.ndarray,
     part1 = m1_talay(model, af, x, innovation, quadrature)
     part2 = m2_tilde(model, f, x, innovation, quadrature)
     return OperatorValue(part1.value + part2.value,
-                         math.hypot(part1.stderr, part2.stderr))
+                         np.hypot(part1.stderr, part2.stderr))
 
 
 # ---------------------------------------------------------------------------

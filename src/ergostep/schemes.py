@@ -1,21 +1,28 @@
-"""One-step transition kernels and the decreasing-step simulation driver.
+"""The step kernel of each scheme and the decreasing-step simulation driver.
 
-Two kernels are provided:
+``make_stepper(scheme, model)`` is the only step kernel.  The simulation
+driver runs it, and the weak-order and mean-reversion probes of
+``diagnostics`` take their one-step expectations over it, so the kernel the
+probes verify is the kernel the driver simulates.  Two schemes:
 
   ``euler``   x + gamma b + sqrt(gamma) sigma U
   ``talay2``  x + sqrt(gamma) sigma U
                 + gamma (b + 1/2 (D sigma; sigma W^T))
-                + gamma^{3/2} C(x) U + 1/2 gamma^2 Ab
+                + gamma^{3/2} 1/2 sigma_tilde(x) U + 1/2 gamma^2 Ab
 
 where W is the symmetric sign-compensated surrogate for the Brownian
-iterated integrals and C(x) is the coupling matrix of
-``model.talay_coupling``.  The 1/2 weights on the three correction
-increments are forced by the one-step weak-order-two expansion
+iterated integrals and sigma_tilde is ``model.sigma_tilde`` with the
+diffusion-Hessian contraction at weight 1/2.  The 1/2 weights on the three
+correction increments are forced by the one-step weak-order-two expansion
 E[f(X_gamma)] = f + gamma Af + gamma^2/2 A^2 f + O(gamma^3), which the
 test suite checks by exhaustive enumeration.  With the symmetric +-1/2
 sign surrogate this expansion is exact through gamma^2 in dimension one
 and for diagonal noise; non-commuting multi-dimensional diffusions retain
 a small second-order defect from the surrogate's off-diagonal covariance.
+
+For d = N = 1 each scheme has a hand-expanded scalar branch with the same
+increments; it skips the einsum contractions, which cost more than the
+arithmetic they do at that size.
 
 Each trajectory owns two counter-based Philox streams keyed by
 (master_seed, replication_index): one for innovation draws, one for the
@@ -83,63 +90,19 @@ def trajectory_generators(master_seed: int, replication: int = 0):
     return u, k
 
 
-def sample_innovation(dist: InnovationDist, rng: np.random.Generator) -> np.ndarray:
-    """One innovation draw (vector of length N)."""
-    return dist.sample(rng)
-
-
 # ---------------------------------------------------------------------------
-# one-step kernels
-
-
-def euler_step(model: DiffusionModel, x: np.ndarray, gamma: float, u: np.ndarray) -> np.ndarray:
-    """x + gamma b(x) + sqrt(gamma) sigma(x) u."""
-    if gamma <= 0:
-        raise ValueError("step size must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    su = np.einsum("...in,...n->...i", model.sigma(x), u)
-    out = x + gamma * model.b(x) + math.sqrt(gamma) * su
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(None)
-    return out
-
-
-def talay_increments(model: DiffusionModel, x: np.ndarray, gamma: float,
-                     u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The five increments of the weak-order-two step, in the order
-    diffusion, drift, surrogate coupling, gamma^{3/2} correction, gamma^2
-    drift-generator correction.  Their sum is the full step displacement."""
-    if gamma <= 0:
-        raise ValueError("step size must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    su = np.einsum("...in,...n->...i", model.sigma(x), u)
-    d1 = math.sqrt(gamma) * su
-    d2 = gamma * model.b(x)
-    d3 = 0.5 * gamma * model_ops.levy_weighted_coupling(model, x, w)
-    d4 = gamma**1.5 * np.einsum("...in,...n->...i", model_ops.talay_coupling(model, x), u)
-    d5 = 0.5 * gamma**2 * model_ops.drift_generator(model, x)
-    return d1, d2, d3, d4, d5
-
-
-def talay_step(model: DiffusionModel, x: np.ndarray, gamma: float,
-               u: np.ndarray, w) -> np.ndarray:
-    """One weak-order-two step; ``w`` is a LevyAreaSurrogate or its matrix."""
-    wm = w.w if hasattr(w, "w") else w
-    x = np.asarray(x, dtype=np.float64)
-    out = x + sum(talay_increments(model, x, gamma, u, wm))
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(None)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# compiled steppers (fast paths used by the driver; same arithmetic)
+# step kernel
 
 
 def make_stepper(scheme: str, model: DiffusionModel):
     """Bind a step kernel to a model.  Returns step(x, gamma, u, kappa) with
-    no divergence checks (the driver guards per block)."""
+    no divergence checks (the driver guards per block, the probes check
+    their expectations).
+
+    x has shape (..., d), u (..., N) and kappa (..., N(N-1)/2) or None when
+    N = 1 or the scheme is euler; leading axes broadcast, so one call steps
+    a batch of states, a batch of draws, or both.
+    """
     if scheme not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme {scheme!r}")
     d, n = model.dim, model.noise_dim
@@ -178,8 +141,13 @@ def make_stepper(scheme: str, model: DiffusionModel):
             return out[..., None]
     else:
         def step(x, gamma, u, kappa):
-            w = assemble_w(u, kappa)
-            return x + sum(talay_increments(model, x, gamma, u, w))
+            su = np.einsum("...in,...n->...i", model.sigma(x), u)
+            theta = model_ops.levy_weighted_coupling(model, x, assemble_w(u, kappa))
+            coup = 0.5 * model_ops.sigma_tilde(model, x, hessian_weight=0.5)
+            return (x + math.sqrt(gamma) * su
+                    + gamma * (model.b(x) + 0.5 * theta)
+                    + gamma**1.5 * np.einsum("...in,...n->...i", coup, u)
+                    + 0.5 * gamma**2 * model_ops.drift_generator(model, x))
     return step
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+from ergostep import cli
 from ergostep.cli import main
 
 
@@ -100,6 +101,14 @@ def test_probe_subcommand(capsys, tmp_path):
     assert payload["moment_match"]["matched_through"] >= 5
 
 
+def test_probe_ou_nd_passes(capsys, tmp_path):
+    # the Lyapunov constant beta = 2 + 2d tracks AV = 2 + 2d - 2V in d = 2
+    code, out, _ = run_cli(capsys, "probe", "--model", "ou_nd", "--scheme", "euler",
+                           "--f", "x1^2", "--assert", "--output-dir", str(tmp_path))
+    assert code == 0
+    assert "recursive control pass" in out
+
+
 def test_wasserstein_subcommand(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "wasserstein", "--n-steps", "4000",
                            "--replications", "4", "--seed", "1",
@@ -119,3 +128,24 @@ def test_experiment_failure_exit_one(capsys, tmp_path):
                            "--checkpoints", "200", "--output-dir", str(tmp_path))
     assert code == 2
     assert "order" in err
+
+
+def test_rejected_value_exit_two(capsys, tmp_path):
+    # StepSchedule rejects xi outside (0, 1) with a plain ValueError
+    code, _, err = run_cli(capsys, "clt", "--xi", "1.5", "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "xi" in err
+
+
+def test_internal_error_exit_three(capsys, tmp_path, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_clt", broken)
+    code, _, err = run_cli(capsys, "clt", "--output-dir", str(tmp_path))
+    assert code == 3
+    assert "internal error" in err and "boom" in err
+    assert "Traceback" not in err
+    code, _, err = run_cli(capsys, "clt", "-v", "--output-dir", str(tmp_path))
+    assert code == 3
+    assert "Traceback" in err

@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 
 from conftest import poly1d_model
-from ergostep.catalog import monomial1d, ou1d, quadratic_lyapunov
+from ergostep.catalog import coordinate_monomial, model_from_config, monomial1d, ou1d, quadratic_lyapunov
 from ergostep.diagnostics import (
     default_grid,
     moment_match_report,
     recursive_control_probe,
     weak_order_probe,
 )
-from ergostep.innovations import InnovationDist
-from ergostep.model import MonteCarlo, linear_combination
+from ergostep.innovations import InnovationDist, joint_outcomes
+from ergostep.model import MonteCarlo, generator_apply, generator_observable, linear_combination
+from ergostep.schemes import DivergenceError, make_stepper
 
 OU = ou1d(1.0, math.sqrt(2.0))
+OU_ND2 = model_from_config({"model.id": "ou_nd", "model.dim": 2.0})
 TP = InnovationDist("three_point", 1)
 GRID = np.linspace(-5.0, 5.0, 21)[:, None]
 
@@ -54,6 +56,13 @@ def test_recursive_control_frozen_dynamics(zero_model):
     v = 1.0 + GRID[:, 0] ** 2
     rhs = 10.0 - 1.0 * v
     assert np.allclose(report.margins, rhs, rtol=0, atol=1e-12)
+
+
+def test_recursive_control_divergence_raises():
+    cubic = poly1d_model([0.0, 0.0, 0.0, 1.0], [0.0])  # b = x^3 overflows at 1e120
+    with pytest.raises(DivergenceError):
+        recursive_control_probe("euler", cubic, quadratic_lyapunov(alpha=2.0, beta=4.0),
+                                gamma=0.1, grid=np.array([[1e120]]))
 
 
 def test_recursive_control_monte_carlo_inconclusive():
@@ -154,6 +163,44 @@ def test_weak_order_needs_finite_support():
     with pytest.raises(ValueError):
         weak_order_probe("euler", OU, monomial1d(4), np.array([1.0]),
                          [0.1], InnovationDist("gaussian", 1))
+
+
+def test_weak_order_rejects_nonpositive_gamma():
+    for scheme in ("euler", "talay2"):
+        for gamma in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                weak_order_probe(scheme, OU, monomial1d(4), np.array([0.0]), [gamma], TP)
+
+
+def test_weak_order_divergence_raises():
+    cubic = poly1d_model([0.0, 0.0, 0.0, 1.0], [0.0])
+    with pytest.raises(DivergenceError):
+        weak_order_probe("euler", cubic, monomial1d(4), np.array([1e120]), [0.1], TP)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "talay2"])
+@pytest.mark.parametrize("model,x0", [(OU, [0.5]), (OU_ND2, [0.5, -0.4])], ids=["ou1d", "ou_nd2"])
+def test_probe_one_step_mean_is_driver_kernel_mean(model, x0, scheme):
+    # The probe reports mean - target; mean and target agree to within a
+    # factor two, so the subtraction is exact and equal errors mean equal
+    # one-step means.  With g = x_i, the probe's mean must be the driver
+    # kernel's enumerated mean bit for bit (1-d talay2 at x = 0.5,
+    # gamma = 2^-6 once differed in the last bit).
+    gamma = 2.0**-6
+    x0 = np.array(x0)
+    inn = InnovationDist("three_point", model.noise_dim)
+    step = make_stepper(scheme, model)
+    mean = 0.0
+    for u, kap, p in joint_outcomes(inn, with_kappa=scheme == "talay2"):
+        mean = mean + p * step(x0, gamma, u, kap)
+    for i in range(model.dim):
+        f = coordinate_monomial(np.eye(model.dim, dtype=int)[i])
+        target = f.fn(x0) + gamma * generator_apply(model, f, x0)
+        if scheme == "talay2":
+            target = target + 0.5 * gamma * gamma * generator_apply(
+                model, generator_observable(model, f), x0)
+        res = weak_order_probe(scheme, model, f, x0, [gamma], inn)
+        assert res.errors[0] == float(mean[i] - target)
 
 
 def test_weak_order_deterministic():

@@ -17,7 +17,7 @@ from ergostep.innovations import (
     kappa_outcomes,
     sample_kappa,
 )
-from ergostep.schemes import sample_innovation, trajectory_generators
+from ergostep.schemes import trajectory_generators
 
 SQ3 = math.sqrt(3.0)
 
@@ -87,7 +87,7 @@ def test_sample_determinism():
 def test_sample_innovation_shape():
     dist = InnovationDist("gaussian", 3)
     rng, _ = trajectory_generators(0, 0)
-    assert sample_innovation(dist, rng).shape == (3,)
+    assert dist.sample(rng).shape == (3,)
 
 
 def test_surrogate_example_n2():

@@ -23,7 +23,6 @@ from ergostep.model import (
     m1_talay,
     m2_talay,
     sigma_tilde,
-    talay_coupling,
     vf_operator,
 )
 
@@ -100,8 +99,9 @@ def test_sigma_tilde_fd_fallback_matches_analytic():
 
 def test_talay_coupling_halves_hessian_weight():
     m = poly1d_model([0.0], [0.0, 0.0, 1.0])
-    # sigma_tilde has (sigma sigma^T : D^2 sigma); the step coupling carries 1/4
-    assert talay_coupling(m, x(1.0))[0, 0] == pytest.approx(0.5, rel=1e-13)
+    # sigma_tilde has (sigma sigma^T : D^2 sigma); the step coupling,
+    # 1/2 sigma_tilde at Hessian weight 1/2, carries 1/4
+    assert 0.5 * sigma_tilde(m, x(1.0), hessian_weight=0.5)[0, 0] == pytest.approx(0.5, rel=1e-13)
     assert sigma_tilde(m, x(1.0))[0, 0] == pytest.approx(2.0, rel=1e-13)
 
 
@@ -190,6 +190,20 @@ def test_mc_quadrature_within_four_se_of_enumeration():
     en2 = m2_talay(OU, f, x(0.7), TP).value
     mc2 = m2_talay(OU, f, x(0.7), TP, MonteCarlo(10**6, seed=12))
     assert abs(mc2.value - en2) <= 4.0 * mc2.stderr
+
+
+@pytest.mark.parametrize("op", [m1_talay, m2_talay])
+def test_mc_quadrature_serves_a_grid_of_states(op):
+    # the draws are shared across states and reduced per state, so each
+    # grid row matches the single-state estimate from the same seed
+    f = monomial1d(6)
+    grid = np.array([[-0.8], [0.3], [1.3]])
+    mc = op(OU, f, grid, TP, MonteCarlo(4000, seed=5))
+    assert mc.value.shape == (3,) and mc.stderr.shape == (3,)
+    for i, row in enumerate(grid):
+        one = op(OU, f, row, TP, MonteCarlo(4000, seed=5))
+        assert mc.value[i] == pytest.approx(one.value, rel=1e-12)
+        assert mc.stderr[i] == pytest.approx(one.stderr, rel=1e-9)
 
 
 def test_mc_zero_samples_rejected():

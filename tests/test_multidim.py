@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ergostep.catalog import coordinate_monomial, ou_nd
-from ergostep.innovations import InnovationDist, assemble_w, joint_outcomes
+from ergostep.innovations import InnovationDist, joint_outcomes
 from ergostep.model import (
     DiffusionModel,
     directional_fd,
@@ -25,7 +25,7 @@ from ergostep.model import (
     vf_operator,
 )
 from ergostep.diagnostics import weak_order_probe
-from ergostep.schemes import euler_step, simulate, talay_step
+from ergostep.schemes import make_stepper, simulate
 from ergostep.schedules import StepSchedule
 
 THETA = np.array([[1.0, 0.5], [0.0, 2.0]])
@@ -129,10 +129,10 @@ def test_talay_2d_surrogate_centering_in_mean():
     # drift expansion: E[X_gamma] = x + gamma b + gamma^2/2 Ab
     model = _diag_poly_2d()
     g = 2.0**-6
+    step = make_stepper("talay2", model)
     total = np.zeros(2)
     for u, kap, p in joint_outcomes(TP2, with_kappa=True):
-        total = total + p * talay_step(model, np.array([0.5, -0.4]), g, u,
-                                       assemble_w(u, kap))
+        total = total + p * step(np.array([0.5, -0.4]), g, u, kap)
     from ergostep.model import drift_generator
 
     x0 = np.array([0.5, -0.4])

@@ -8,17 +8,10 @@ import pytest
 from conftest import poly1d_model
 from ergostep.catalog import monomial1d, ou1d, ou_nd
 from ergostep.empirical import WeightedEmpiricalMeasure
-from ergostep.innovations import InnovationDist, assemble_w, joint_outcomes
+from ergostep.innovations import InnovationDist, joint_outcomes
 from ergostep.model import generator_apply, generator_observable
 from ergostep.schedules import StepSchedule, WeightSchedule
-from ergostep.schemes import (
-    DivergenceError,
-    euler_step,
-    simulate,
-    simulate_batch,
-    talay_increments,
-    talay_step,
-)
+from ergostep.schemes import DivergenceError, make_stepper, simulate, simulate_batch
 
 OU = ou1d(1.0, math.sqrt(2.0))
 TP = InnovationDist("three_point", 1)
@@ -33,25 +26,24 @@ def x(v):
 
 
 def test_euler_step_deterministic():
-    out = euler_step(OU, x(1.0), 0.1, np.zeros(1))
+    out = make_stepper("euler", OU)(x(1.0), 0.1, np.zeros(1), None)
     assert out[0] == pytest.approx(0.9, abs=1e-16)
 
 
 def test_euler_step_diffusion_only():
-    out = euler_step(OU, x(0.0), 0.01, np.ones(1))
+    out = make_stepper("euler", OU)(x(0.0), 0.01, np.ones(1), None)
     assert out[0] == pytest.approx(0.1 * math.sqrt(2.0), rel=1e-15)
 
 
 def test_euler_step_frozen_model(zero_model):
-    out = euler_step(zero_model, x(0.7), 0.5, np.ones(1))
+    out = make_stepper("euler", zero_model)(x(0.7), 0.5, np.ones(1), None)
     assert out[0] == 0.7
 
 
 def test_talay_step_ou_at_origin():
     # drift, surrogate, and drift-generator increments vanish at x = 0;
     # the gamma^{3/2} correction carries half the coupling field
-    w = assemble_w(np.ones(1), None)
-    out = talay_step(OU, x(0.0), 0.01, np.ones(1), w)
+    out = make_stepper("talay2", OU)(x(0.0), 0.01, np.ones(1), None)
     expected = 0.1 * math.sqrt(2.0) + 0.01**1.5 * 0.5 * (-math.sqrt(2.0))
     assert out[0] == pytest.approx(expected, rel=1e-14)
     assert out[0] == pytest.approx(0.0995 * math.sqrt(2.0), rel=1e-12)
@@ -59,39 +51,16 @@ def test_talay_step_ou_at_origin():
 
 def test_talay_step_constant_coefficients_zero_noise():
     m = poly1d_model([0.8], [1.1])
-    w = assemble_w(np.zeros(1), None)
-    out = talay_step(m, x(2.0), 0.05, np.zeros(1), w)
+    out = make_stepper("talay2", m)(x(2.0), 0.05, np.zeros(1), None)
     # Ab = 0 and D sigma = 0: only the drift increment survives
     assert out[0] == pytest.approx(2.0 + 0.05 * 0.8, rel=1e-15)
 
 
 def test_talay_step_linear_diffusion():
     m = poly1d_model([0.0], [0.0, 1.0])  # b = 0, sigma(x) = x
-    u = np.ones(1)
-    w = assemble_w(u, None)  # u^2 - 1 = 0
-    out = talay_step(m, x(1.0), 0.01, u, w)
-    # W = 0 kills the coupling increment; sigma''=0 and b=0 kill the rest
+    out = make_stepper("talay2", m)(x(1.0), 0.01, np.ones(1), None)
+    # W = u^2 - 1 = 0 kills the coupling increment; sigma''=0 and b=0 kill the rest
     assert out[0] == pytest.approx(1.0 + 0.1, rel=1e-14)
-
-
-def test_talay_increments_decompose_step():
-    m = poly1d_model([0.3, -1.0, 0.1], [0.5, 0.2])
-    u = np.array([math.sqrt(3.0)])
-    w = assemble_w(u, None)
-    pt = x(0.7)
-    incs = talay_increments(m, pt, 0.02, u, w)
-    assert len(incs) == 5
-    assert talay_step(m, pt, 0.02, u, w)[0] == pytest.approx(
-        0.7 + sum(float(i[0]) for i in incs), rel=1e-15)
-    assert incs[0][0] == pytest.approx(math.sqrt(0.02) * m.sigma(pt)[0, 0] * u[0], rel=1e-15)
-    assert incs[1][0] == pytest.approx(0.02 * m.b(pt)[0], rel=1e-15)
-
-
-def test_step_rejects_nonpositive_gamma():
-    with pytest.raises(ValueError):
-        euler_step(OU, x(0.0), 0.0, np.zeros(1))
-    with pytest.raises(ValueError):
-        talay_step(OU, x(0.0), -0.1, np.ones(1), assemble_w(np.ones(1), None))
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +74,10 @@ def _one_step_error(scheme: str, gamma: float) -> float:
     target = f.fn(pt) + gamma * af
     if scheme == "talay2":
         target = target + 0.5 * gamma * gamma * generator_apply(OU, generator_observable(OU, f), pt)
+    step = make_stepper(scheme, OU)
     total = 0.0
     for u, kap, p in joint_outcomes(TP, with_kappa=(scheme == "talay2")):
-        if scheme == "euler":
-            y = euler_step(OU, pt, gamma, u)
-        else:
-            y = talay_step(OU, pt, gamma, u, assemble_w(u, kap if kap.size else None))
-        total += p * float(f.fn(y))
+        total += p * float(f.fn(step(pt, gamma, u, kap)))
     return float(total - target)
 
 
