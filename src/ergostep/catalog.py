@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from statistics import NormalDist
+from typing import Callable
 
 import numpy as np
 
@@ -22,14 +23,18 @@ from .model import DiffusionModel, LyapunovSpec, Observable
 # models
 
 
-def _const_field(value: np.ndarray):
-    value = np.asarray(value, dtype=np.float64)
+def _const_field(value) -> Callable:
+    """A state-independent field: it returns ``value`` itself, without batch
+    axes, and numpy broadcasting lines it up with batched states."""
+    value = np.array(value, dtype=np.float64)
+    value.setflags(write=False)
+    return lambda x: value
 
-    def fn(x):
-        x = np.asarray(x)
-        return np.broadcast_to(value, x.shape[:-1] + value.shape)
 
-    return fn
+def _zero_higher(lead: tuple[int, ...], d: int) -> Callable:
+    """db_higher / dsigma_higher of a field that is affine in x: the order-m
+    tensor is zero, with value axes ``lead`` plus m coordinate axes."""
+    return lambda x, order: np.zeros(lead + (d,) * order)
 
 
 def ou1d(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> DiffusionModel:
@@ -40,27 +45,15 @@ def ou1d(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> DiffusionModel:
     def b(x):
         return -th * x
 
-    def db(x):
-        x = np.asarray(x)
-        return np.broadcast_to(np.array([[-th]]), x.shape[:-1] + (1, 1))
-
-    def db_higher(x, order):
-        x = np.asarray(x)
-        return np.broadcast_to(np.zeros((1,) * (order + 1)), x.shape[:-1] + (1,) * (order + 1))
-
-    def dsigma_higher(x, order):
-        x = np.asarray(x)
-        return np.broadcast_to(np.zeros((1, 1) + (1,) * order), x.shape[:-1] + (1, 1) + (1,) * order)
-
     return DiffusionModel(
         dim=1, noise_dim=1, b=b,
-        sigma=_const_field(np.array([[sg]])),
-        db=db,
-        d2b=lambda x: np.broadcast_to(np.zeros((1, 1, 1)), np.asarray(x).shape[:-1] + (1, 1, 1)),
-        dsigma=lambda x: np.broadcast_to(np.zeros((1, 1, 1)), np.asarray(x).shape[:-1] + (1, 1, 1)),
-        d2sigma=lambda x: np.broadcast_to(np.zeros((1, 1, 1, 1)), np.asarray(x).shape[:-1] + (1, 1, 1, 1)),
-        db_higher=db_higher,
-        dsigma_higher=dsigma_higher,
+        sigma=_const_field([[sg]]),
+        db=_const_field([[-th]]),
+        d2b=_const_field(np.zeros((1, 1, 1))),
+        dsigma=_const_field(np.zeros((1, 1, 1))),
+        d2sigma=_const_field(np.zeros((1, 1, 1, 1))),
+        db_higher=_zero_higher((1,), 1),
+        dsigma_higher=_zero_higher((1, 1), 1),
         name=f"ou1d(theta={th}, sigma={sg})",
     )
 
@@ -68,6 +61,8 @@ def ou1d(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> DiffusionModel:
 def double_well(sigma: float = math.sqrt(2.0)) -> DiffusionModel:
     """1-d double well: b = -(x^3 - x), the negative gradient of x^4/4 - x^2/2."""
     sg = float(sigma)
+    d3b = np.full((1, 1, 1, 1), -6.0)
+    d3b.setflags(write=False)
 
     def b(x):
         return x - x**3
@@ -79,23 +74,18 @@ def double_well(sigma: float = math.sqrt(2.0)) -> DiffusionModel:
         return (-6.0 * x)[..., None, None]
 
     def db_higher(x, order):
-        x = np.asarray(x)
         if order == 3:
-            return np.broadcast_to(np.full((1, 1, 1, 1), -6.0), x.shape[:-1] + (1, 1, 1, 1))
-        return np.broadcast_to(np.zeros((1,) * (order + 1)), x.shape[:-1] + (1,) * (order + 1))
-
-    def dsigma_higher(x, order):
-        x = np.asarray(x)
-        return np.broadcast_to(np.zeros((1, 1) + (1,) * order), x.shape[:-1] + (1, 1) + (1,) * order)
+            return d3b
+        return np.zeros((1,) * (order + 1))
 
     return DiffusionModel(
         dim=1, noise_dim=1, b=b,
-        sigma=_const_field(np.array([[sg]])),
+        sigma=_const_field([[sg]]),
         db=db, d2b=d2b,
-        dsigma=lambda x: np.broadcast_to(np.zeros((1, 1, 1)), np.asarray(x).shape[:-1] + (1, 1, 1)),
-        d2sigma=lambda x: np.broadcast_to(np.zeros((1, 1, 1, 1)), np.asarray(x).shape[:-1] + (1, 1, 1, 1)),
+        dsigma=_const_field(np.zeros((1, 1, 1))),
+        d2sigma=_const_field(np.zeros((1, 1, 1, 1))),
         db_higher=db_higher,
-        dsigma_higher=dsigma_higher,
+        dsigma_higher=_zero_higher((1, 1), 1),
         name=f"double_well(sigma={sg})",
     )
 
@@ -109,27 +99,15 @@ def ou_nd(theta_matrix, sigma_matrix) -> DiffusionModel:
     def b(x):
         return -np.einsum("ij,...j->...i", th, x)
 
-    def db(x):
-        x = np.asarray(x)
-        return np.broadcast_to(-th, x.shape[:-1] + (d, d))
-
-    def db_higher(x, order):
-        x = np.asarray(x)
-        return np.broadcast_to(np.zeros((d,) * (order + 1)), x.shape[:-1] + (d,) * (order + 1))
-
-    def dsigma_higher(x, order):
-        x = np.asarray(x)
-        return np.broadcast_to(np.zeros((d, n) + (d,) * order), x.shape[:-1] + (d, n) + (d,) * order)
-
     return DiffusionModel(
         dim=d, noise_dim=n, b=b,
         sigma=_const_field(sg),
-        db=db,
-        d2b=lambda x: np.broadcast_to(np.zeros((d, d, d)), np.asarray(x).shape[:-1] + (d, d, d)),
-        dsigma=lambda x: np.broadcast_to(np.zeros((d, n, d)), np.asarray(x).shape[:-1] + (d, n, d)),
-        d2sigma=lambda x: np.broadcast_to(np.zeros((d, n, d, d)), np.asarray(x).shape[:-1] + (d, n, d, d)),
-        db_higher=db_higher,
-        dsigma_higher=dsigma_higher,
+        db=_const_field(-th),
+        d2b=_const_field(np.zeros((d, d, d))),
+        dsigma=_const_field(np.zeros((d, n, d))),
+        d2sigma=_const_field(np.zeros((d, n, d, d))),
+        db_higher=_zero_higher((d,), d),
+        dsigma_higher=_zero_higher((d, n), d),
         name="ou_nd",
     )
 
@@ -171,11 +149,9 @@ def monomial1d(k: int) -> Observable:
         return np.asarray(x)[..., 0] ** k
 
     def dd(x, m, dirs):
-        x0 = np.asarray(x, dtype=np.float64)[..., 0]
         if m > k:
-            prod = np.asarray(dirs[0])[..., 0]
-            return np.zeros(np.broadcast_shapes(x0.shape, prod.shape))
-        out = _falling(k, m) * x0 ** (k - m)
+            return 0.0
+        out = _falling(k, m) * np.asarray(x, dtype=np.float64)[..., 0] ** (k - m)
         for v in dirs:
             out = out * np.asarray(v)[..., 0]
         return out

@@ -141,6 +141,9 @@ class WeightedEmpiricalMeasure:
             vals = np.asarray(fn(states), dtype=np.float64)
             self._sums[name].add(_reduce_block(etas, vals, self.batch_shape))
         self._h.add(math.fsum(etas))
+        if self._cap <= 0:
+            self._n += m
+            return
         for t in range(m):
             self._n += 1
             self._buffer_push(states[t], float(etas[t]))

@@ -31,6 +31,8 @@ INNOVATION_KINDS = ("gaussian", "rademacher", "three_point")
 ENUMERATION_CAP = 10**6
 
 _SQRT3 = math.sqrt(3.0)
+# three_point values by the number of the cut points 1/6 and 5/6 that u passes
+_THREE_POINT = np.array([-_SQRT3, 0.0, _SQRT3])
 
 # per-coordinate moments E[X^k] as exact rationals (gaussian: (k-1)!! for even k)
 _MOMENTS = {
@@ -88,7 +90,8 @@ class InnovationDist:
         if self.kind == "rademacher":
             return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
         u = rng.random(shape)
-        return np.where(u < 1.0 / 6.0, -_SQRT3, np.where(u < 5.0 / 6.0, 0.0, _SQRT3))
+        passed = (u >= 1.0 / 6.0).view(np.uint8) + (u >= 5.0 / 6.0).view(np.uint8)
+        return _THREE_POINT.take(passed)
 
     def support1d(self) -> list[tuple[float, float]] | None:
         """Per-coordinate (value, probability) pairs; None for gaussian."""

@@ -24,8 +24,14 @@ exact enumeration of finite supports or by Monte Carlo with a reported
 standard error.
 
 All callbacks are vectorized over leading batch axes: states have shape
-(..., d), drifts (..., d), diffusions (..., d, N).  Models and observables
-are immutable; callbacks must be re-entrant.
+(..., d), drifts (..., d), diffusions (..., d, N).  A field or derivative
+that does not depend on the state (a constant sigma, the zero Hessian of a
+linear drift, an observable derivative above its degree) may return its
+value without the batch axes; numpy broadcasting lines it up with batched
+values.  The operators restore the batch shape once, at their boundary:
+``generator_apply``, ``vf_operator`` and the correction operators return
+values of shape ``x.shape[:-1]``.  Models and observables are immutable;
+callbacks must be re-entrant.
 """
 
 from __future__ import annotations
@@ -41,6 +47,12 @@ from .innovations import InnovationDist, assemble_w, joint_outcomes, sample_kapp
 _EPS = np.finfo(np.float64).eps
 FD_STEP_GRAD = _EPS ** (1.0 / 3.0)
 FD_STEP_HESS = _EPS ** 0.25
+
+
+def _batched(value, x: np.ndarray) -> np.ndarray:
+    """``value`` broadcast to the batch shape of states ``x``: fields that do
+    not depend on the state may have left it without batch axes."""
+    return np.broadcast_to(value, x.shape[:-1])
 
 
 def _pad_axes(arr: np.ndarray, k: int) -> np.ndarray:
@@ -151,6 +163,10 @@ class DiffusionModel:
       d2b[i, j, k]      = d^2 b_i / (d x_j d x_k)
       dsigma[i, a, j]   = d sigma_{i,a} / d x_j
       d2sigma[i, a, j, k] = d^2 sigma_{i,a} / (d x_j d x_k)
+
+    A state-independent field may omit the batch axes and return just its
+    value axes (e.g. sigma of shape (d, N) for every batch of states);
+    operators built on the model still return batch-shaped values.
 
     Missing first/second derivatives fall back to central finite differences
     when ``fd_fallback`` is set; third and higher orders must be analytic
@@ -322,7 +338,7 @@ def generator_apply(model: DiffusionModel, f: Observable, x: np.ndarray):
     for i in range(model.dim):
         for j in range(model.dim):
             out = out + 0.5 * a[..., i, j] * f.d(x, 2, (basis[i], basis[j]))
-    return out
+    return _batched(out, x)
 
 
 def vf_operator(model: DiffusionModel, f: Observable, x: np.ndarray):
@@ -333,7 +349,7 @@ def vf_operator(model: DiffusionModel, f: Observable, x: np.ndarray):
     basis = np.eye(model.dim)
     grad = np.stack([f.d(x, 1, (basis[i],)) for i in range(model.dim)], axis=-1)
     st_grad = np.einsum("...in,...i->...n", model.sigma(x), grad)
-    return np.einsum("...n,...n->...", st_grad, st_grad)
+    return _batched(np.einsum("...n,...n->...", st_grad, st_grad), x)
 
 
 def sigma_tilde(model: DiffusionModel, x: np.ndarray, hessian_weight: float = 1.0) -> np.ndarray:
@@ -384,10 +400,11 @@ def _expect(fn, model: DiffusionModel, innovation: InnovationDist, quadrature: Q
             with_kappa: bool, x: np.ndarray):
     """E[fn(u, kappa)] per state of ``x``, by enumeration or Monte Carlo.
 
-    ``fn`` maps one (u, kappa) draw to a value batched like ``x``.  The
-    Monte Carlo path feeds it every draw at once along a new leading axis
-    that broadcasts against the batch axes of ``x``, and reduces over that
-    axis only, so mean and stderr carry the batch shape of ``x``.
+    ``fn`` maps one (u, kappa) draw to a value that broadcasts against the
+    batch axes of ``x``.  The Monte Carlo path feeds it every draw at once
+    along a new leading axis that broadcasts against the batch axes of
+    ``x``, and reduces over that axis only, so mean and stderr carry the
+    batch shape of ``x``.
     """
     if isinstance(quadrature, Enumerate):
         total = 0.0
@@ -403,6 +420,8 @@ def _expect(fn, model: DiffusionModel, innovation: InnovationDist, quadrature: Q
     lead = (n,) + (1,) * (np.ndim(x) - 1)
     vals = np.asarray(fn(us.reshape(lead + us.shape[-1:]), kaps.reshape(lead + kaps.shape[-1:])),
                       dtype=np.float64)
+    # a value that depends on neither the draw nor the state lacks their axes
+    vals = np.broadcast_to(vals, (n,) + np.shape(x)[:-1])
     mean = vals.mean(axis=0)
     stderr = vals.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.full(mean.shape, np.inf)
     return mean, stderr
@@ -427,7 +446,7 @@ def m1_euler(model: DiffusionModel, f: Observable, x: np.ndarray,
         return 0.5 * f.d(x, 3, (su, su, b)) + f.d(x, 4, (su, su, su, su)) / 24.0
 
     exp, se = _expect(inner, model, innovation, quadrature, with_kappa=False, x=x)
-    return OperatorValue(det - exp, se)
+    return OperatorValue(_batched(det - exp, x), se)
 
 
 def m1_talay(model: DiffusionModel, f: Observable, x: np.ndarray,
@@ -466,7 +485,7 @@ def m1_talay(model: DiffusionModel, f: Observable, x: np.ndarray,
         )
 
     exp, se = _expect(inner, model, innovation, quadrature, with_kappa=True, x=x)
-    return OperatorValue(det - exp, se)
+    return OperatorValue(_batched(det - exp, x), se)
 
 
 def m2_tilde(model: DiffusionModel, f: Observable, x: np.ndarray,
@@ -504,7 +523,7 @@ def m2_tilde(model: DiffusionModel, f: Observable, x: np.ndarray,
         return t2 + t3 + t4 + t5 + t6
 
     exp, se = _expect(inner, model, innovation, quadrature, with_kappa=True, x=x)
-    return OperatorValue(exp, se)
+    return OperatorValue(_batched(exp, x), se)
 
 
 def m2_talay(model: DiffusionModel, f: Observable, x: np.ndarray,

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
+
+import pytest
 
 from ergostep import cli
 from ergostep.cli import main
@@ -71,6 +75,21 @@ def test_clt_subcommand_runs(capsys, tmp_path):
     assert "regime=B_mixed" in out
     lines = (tmp_path / "clt.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 4
+
+
+@pytest.mark.parametrize("f", ["x", "x^0"])
+def test_clt_degenerate_observable(capsys, tmp_path, f):
+    # Af and Mf of x and of x^0 do not depend on the state (x^0: all zero)
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "euler_clt.cfg"
+    code, _, err = run_cli(capsys, "clt", "--config", str(cfg), "--f", f,
+                           "--n-steps", "2000", "--checkpoints", "2000",
+                           "--replications", "20", "--threads", "1", "--format", "json",
+                           "--output-dir", str(tmp_path))
+    assert code == 0, err
+    payload = json.loads((tmp_path / "clt.json").read_text())
+    stats = payload["statistics"]["2000"]
+    assert len(stats) == 20
+    assert all(math.isfinite(s) for s in stats)
 
 
 def test_clt_threads_default_is_one(capsys, tmp_path):

@@ -84,6 +84,18 @@ def test_sample_determinism():
     assert not np.array_equal(dist.sample(a, size=10), dist.sample(c, size=10))
 
 
+def test_three_point_draws_match_cut_point_formula():
+    # the draws are -sqrt(3), 0, sqrt(3) as u < 1/6, u < 5/6, else, on the
+    # uniform stream the sampler consumes
+    dist = InnovationDist("three_point", 2)
+    rng, _ = trajectory_generators(11, 5)
+    ref, _ = trajectory_generators(11, 5)
+    got = dist.sample(rng, size=(300, 4))
+    u = ref.random((300, 4, 2))
+    want = np.where(u < 1.0 / 6.0, -SQ3, np.where(u < 5.0 / 6.0, 0.0, SQ3))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_sample_innovation_shape():
     dist = InnovationDist("gaussian", 3)
     rng, _ = trajectory_generators(0, 0)

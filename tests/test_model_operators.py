@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly1d_model
-from ergostep.catalog import gauss_hermite_expectation, monomial1d, ou1d
+from ergostep.catalog import coordinate_monomial, gauss_hermite_expectation, monomial1d, ou1d, ou_nd
 from ergostep.innovations import InnovationDist
 from ergostep.model import (
+    DiffusionModel,
+    Enumerate,
     InsufficientDerivativesError,
     InsufficientOrderError,
     MonteCarlo,
@@ -22,9 +24,12 @@ from ergostep.model import (
     m1_euler,
     m1_talay,
     m2_talay,
+    m2_tilde,
     sigma_tilde,
     vf_operator,
 )
+from ergostep.schedules import StepSchedule
+from ergostep.schemes import make_stepper, simulate_batch
 
 OU = ou1d(1.0, math.sqrt(2.0))
 TP = InnovationDist("three_point", 1)
@@ -324,3 +329,82 @@ def test_m2_talay_double_well_quadrature_consistency():
     lhs = m2_talay(m, g, x(0.6), TP).value
     rhs = 0.5 * en + 1.5 * m2_talay(m, monomial1d(1), x(0.6), TP).value
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# state-independent fields: unbatched values, batch-shaped operator results
+
+
+OU_2D = ou_nd(np.eye(2), math.sqrt(2.0) * np.eye(2))
+TP_2D = InnovationDist("three_point", 2)
+BOUNDARY_OPS = {
+    "generator_apply": lambda m, f, xs, inn, q: generator_apply(m, f, xs),
+    "vf_operator": lambda m, f, xs, inn, q: vf_operator(m, f, xs),
+    "m1_euler": lambda m, f, xs, inn, q: m1_euler(m, f, xs, inn, q).value,
+    "m1_talay": lambda m, f, xs, inn, q: m1_talay(m, f, xs, inn, q).value,
+    "m2_tilde": lambda m, f, xs, inn, q: m2_tilde(m, f, xs, inn, q).value,
+    "m2_talay": lambda m, f, xs, inn, q: m2_talay(m, f, xs, inn, q).value,
+}
+
+
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_operators_return_batch_shape(dim, degree):
+    # x^0 and x^1 make every operator state-independent, and the catalog
+    # OU fields are unbatched constants; the operators still return one
+    # value per state
+    if dim == 1:
+        model, f, inn = OU, monomial1d(degree), TP
+    else:
+        model, f, inn = OU_2D, coordinate_monomial((degree - degree // 2, degree // 2)), TP_2D
+    rng = np.random.default_rng(degree)
+    for batch in [(), (5,), (2, 3)]:
+        xs = rng.normal(size=batch + (dim,))
+        for name, op in BOUNDARY_OPS.items():
+            for quad in (Enumerate(), MonteCarlo(8, seed=1)):
+                if name in ("generator_apply", "vf_operator") and isinstance(quad, MonteCarlo):
+                    continue
+                val = op(model, f, xs, inn, quad)
+                assert np.shape(val) == batch, (name, quad, batch)
+                assert np.all(np.isfinite(val))
+
+
+def _broadcast_ou(theta: float, sigma: float) -> DiffusionModel:
+    """The catalog OU with every constant field broadcast to the batch shape."""
+
+    def const(value):
+        value = np.asarray(value, dtype=np.float64)
+        return lambda xs: np.broadcast_to(value, np.asarray(xs).shape[:-1] + value.shape)
+
+    return DiffusionModel(
+        dim=1, noise_dim=1, b=lambda xs: -theta * xs,
+        sigma=const([[sigma]]),
+        db=const([[-theta]]),
+        d2b=const(np.zeros((1, 1, 1))),
+        dsigma=const(np.zeros((1, 1, 1))),
+        d2sigma=const(np.zeros((1, 1, 1, 1))),
+        db_higher=lambda xs, m: const(np.zeros((1,) * (m + 1)))(xs),
+        dsigma_higher=lambda xs, m: const(np.zeros((1, 1) + (1,) * m))(xs),
+    )
+
+
+def test_unbatched_fields_are_bit_identical_to_broadcast_fields():
+    hoisted = ou1d(1.0, math.sqrt(2.0))
+    ref = _broadcast_ou(1.0, math.sqrt(2.0))
+    rng = np.random.default_rng(3)
+    xs = rng.normal(size=(64, 1))
+    us = TP.sample(rng, size=64)
+    for scheme in ("euler", "talay2"):
+        got = make_stepper(scheme, hoisted)(xs, 0.05, us, None)
+        want = make_stepper(scheme, ref)(xs, 0.05, us, None)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    for k in range(5):
+        f = monomial1d(k)
+        for name, op in BOUNDARY_OPS.items():
+            got, want = op(hoisted, f, xs, TP, Enumerate()), op(ref, f, xs, TP, Enumerate())
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (name, k)
+    steps = StepSchedule("power_law", 0.5, 1.0 / 3.0)
+    for scheme in ("euler", "talay2"):
+        got = simulate_batch(scheme, hoisted, steps, TP, 2000, [0.5], 9, 8).final_states
+        want = simulate_batch(scheme, ref, steps, TP, 2000, [0.5], 9, 8).final_states
+        assert np.array_equal(got, want)
