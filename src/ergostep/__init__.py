@@ -2,7 +2,6 @@
 weighted empirical measures, with weak-order-one (Euler) and weak-order-two
 kernels and an experiment harness for the associated central limit regimes."""
 
-from .accum import Kahan, VectorKahan
 from .catalog import (
     double_well,
     gauss_hermite_expectation,
@@ -51,13 +50,11 @@ from .harness import (
 )
 from .innovations import (
     InnovationDist,
-    LevyAreaSurrogate,
     assemble_w,
     gaussian_moment,
     joint_outcomes,
     kappa_outcomes,
     sample_kappa,
-    sample_levy_surrogate,
 )
 from .model import (
     DiffusionModel,

@@ -283,10 +283,11 @@ def _normal_moment(mu: float, s: float, k: int) -> float:
 
 def gauss_hermite_expectation(fn, mean: float = 0.0, std: float = 1.0, nodes: int = 64) -> float:
     """E[fn(X)] for X ~ N(mean, std^2) by Gauss-Hermite quadrature; exact for
-    polynomials of degree < 2*nodes."""
+    polynomials of degree < 2*nodes.  ``fn`` maps the grid of 1-d states
+    (nodes, 1) to values (nodes,) in one call."""
     t, w = np.polynomial.hermite.hermgauss(nodes)
     xs = mean + math.sqrt(2.0) * std * t
-    vals = np.array([fn(np.array([xv])) for xv in xs], dtype=np.float64).reshape(-1)
+    vals = np.asarray(fn(xs[:, None]), dtype=np.float64).reshape(-1)
     return float(np.dot(w, vals) / math.sqrt(math.pi))
 
 

@@ -9,23 +9,23 @@ with compensated summation so runs of 1e8 tiny weights keep the online value
 within round-off of an offline recomputation.  Accumulation starts at k = 1;
 burn-in, when wanted, is the caller's slicing concern.
 
-States arrive either one at a time (``record``) or in fixed-size blocks
-(``record_block``): the block path reduces each block with a single weighted
-sum and folds the partial into the compensated accumulator, and it is the
-path the simulation drivers use, so serial and batched execution perform an
-identical sequence of float operations per replication.
+Every state goes through one fold: a block of pre-step states and their
+weights is reduced with a single weighted sum per observable, and the partial
+is added to a compensated accumulator.  The simulation drivers hand blocks to
+``observe_block``, which takes the weights from the attached schedule;
+``record`` folds one state as a block of one.  Serial and batched execution
+therefore perform an identical sequence of float operations per replication.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .accum import Kahan, VectorKahan
+from .accum import VectorKahan
 from .schedules import WeightSchedule
 
 
@@ -83,7 +83,7 @@ class WeightedEmpiricalMeasure:
         self.batch_shape = tuple(batch_shape)
         self._obs: dict[str, Callable] = {}
         self._sums: dict[str, VectorKahan] = {}
-        self._h = Kahan()
+        self._h = VectorKahan(())
         self._n = 0
         self._cap = int(buffer_capacity)
         self._buf_states: list[np.ndarray] = []
@@ -103,37 +103,21 @@ class WeightedEmpiricalMeasure:
     def names(self) -> tuple[str, ...]:
         return tuple(self._obs)
 
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def h(self) -> float:
-        return self._h.value
-
     # -- accumulation -----------------------------------------------------------
 
     def record(self, x: np.ndarray, eta_k: float) -> None:
         """Fold in one pre-step state with weight eta_k (call order k = 1, 2, ...)."""
-        if eta_k < 0:
-            raise ValueError("weights must be non-negative")
-        x = np.asarray(x, dtype=np.float64)
-        self._n += 1
-        self._h.add(eta_k)
-        for name, fn in self._obs.items():
-            self._sums[name].add(eta_k * np.asarray(fn(x), dtype=np.float64))
-        self._buffer_push(x, eta_k)
+        self._fold(np.asarray(x, dtype=np.float64)[None], np.array([eta_k], dtype=np.float64))
 
-    def record_block(self, k0: int, states: np.ndarray) -> None:
+    def observe_block(self, k0: int, states: np.ndarray) -> None:
         """Fold in pre-step states for steps k0 .. k0+len-1 using the attached
         weight schedule.  ``states`` has shape (len, *batch_shape, d)."""
         if self.weights is None:
-            raise ValueError("record_block requires a weight schedule")
-        m = states.shape[0]
-        etas = self.weights.eta_block(k0, k0 + m)
-        self.record_block_weighted(states, etas)
+            raise ValueError("observe_block requires a weight schedule")
+        self._fold(states, self.weights.eta_block(k0, k0 + states.shape[0]))
 
-    def record_block_weighted(self, states: np.ndarray, etas: np.ndarray) -> None:
+    def _fold(self, states: np.ndarray, etas: np.ndarray) -> None:
+        """Fold states (m, *batch_shape, d) with weights (m,) into the sums, H_n and the buffer."""
         if np.any(etas < 0):
             raise ValueError("weights must be non-negative")
         m = states.shape[0]
@@ -141,25 +125,22 @@ class WeightedEmpiricalMeasure:
             vals = np.asarray(fn(states), dtype=np.float64)
             self._sums[name].add(_reduce_block(etas, vals, self.batch_shape))
         self._h.add(math.fsum(etas))
+        k0 = self._n
+        self._n += m
         if self._cap <= 0:
-            self._n += m
             return
         for t in range(m):
-            self._n += 1
-            self._buffer_push(states[t], float(etas[t]))
-
-    def observe_block(self, k0: int, states: np.ndarray) -> None:
-        """StateSink entry point used by the simulation drivers."""
-        self.record_block(k0, states)
-
-    def reset(self) -> None:
-        self._h = Kahan()
-        self._n = 0
-        for name in self._sums:
-            self._sums[name] = VectorKahan(self.batch_shape)
-        self._buf_states.clear()
-        self._buf_weights.clear()
-        self._stride = 1
+            k = k0 + t  # zero-based step offset of this pre-step state
+            if k % self._stride:
+                continue
+            if len(self._buf_states) == self._cap:
+                self._buf_states = self._buf_states[::2]
+                self._buf_weights = self._buf_weights[::2]
+                self._stride *= 2
+                if k % self._stride:
+                    continue
+            self._buf_states.append(np.array(states[t], dtype=np.float64))
+            self._buf_weights.append(float(etas[t]))
 
     # -- readout ---------------------------------------------------------------
 
@@ -168,57 +149,19 @@ class WeightedEmpiricalMeasure:
             raise KeyError(f"unknown observable {name!r}")
         if self._n == 0:
             raise ValueError("empty measure: no states recorded")
-        h = self._h.value
+        h = float(self._h.value)
         if not h > 0:
             raise ValueError("total weight is zero")
         out = self._sums[name].value / h
         return float(out) if out.shape == () else out
 
-    def values(self) -> dict[str, np.ndarray]:
-        return {name: self.value(name) for name in self._obs}
-
     # -- buffer ------------------------------------------------------------------
-
-    def _buffer_push(self, x: np.ndarray, eta: float) -> None:
-        if self._cap <= 0:
-            return
-        k = self._n - 1  # zero-based step offset of this pre-step state
-        if k % self._stride:
-            return
-        if len(self._buf_states) == self._cap:
-            self._buf_states = self._buf_states[::2]
-            self._buf_weights = self._buf_weights[::2]
-            self._stride *= 2
-            if k % self._stride:
-                return
-        self._buf_states.append(np.array(x, dtype=np.float64))
-        self._buf_weights.append(eta)
 
     def buffer(self) -> tuple[np.ndarray, np.ndarray]:
         """Decimated (states, weights): shapes (m, *batch, d) and (m,)."""
         if not self._buf_states:
             raise ValueError("sample buffer is empty or disabled")
         return np.stack(self._buf_states), np.array(self._buf_weights)
-
-    # -- export ------------------------------------------------------------------
-
-    def snapshot_csv(self, path) -> None:
-        if self.batch_shape != ():
-            raise ValueError("snapshot export is per-trajectory; measure is batched")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["name", "value", "H_n", "n"])
-            for name in self._obs:
-                w.writerow([name, repr(float(self.value(name))), repr(self.h), self._n])
-
-    def buffer_csv(self, path) -> None:
-        states, weights = self.buffer()
-        flat = states.reshape(states.shape[0], -1)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"state{i}" for i in range(flat.shape[1])] + ["weight"])
-            for row, wt in zip(flat, weights):
-                w.writerow([repr(float(v)) for v in row] + [repr(float(wt))])
 
 
 # ---------------------------------------------------------------------------

@@ -309,10 +309,6 @@ class CheckpointRecorder:
             self.buffer_snaps[c] = (states.copy(), wts.copy())
 
 
-def _observable_fn(obs: Observable):
-    return obs.fn
-
-
 def _run_blocks(config: ExperimentConfig, make_measures, checkpoints,
                 snapshot_buffer: str | None = None):
     """Run all replications in thread-partitioned vectorized blocks.
@@ -431,6 +427,11 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
 
     m_operator = None
     if decision.regime == "B_mixed" or decision.regime == "C_bias":
+        if innovation.kind == "gaussian":
+            raise ConfigError(
+                f"regime {decision.regime} enumerates Mf over the innovation's finite support, "
+                f"and gaussian innovations have none; use three_point or rademacher "
+                f"innovations, or a regime-A xi > 1/{2 * q + 1}")
         if config.scheme == "euler":
             m_operator = lambda xs: m1_euler(model, f, xs, innovation, Enumerate()).value
         elif q == 1:
@@ -441,8 +442,8 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     def make_measures(block_size):
         main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(block_size,),
                                         buffer_capacity=config.buffer_capacity)
-        main.register("Af", _observable_fn(af))
-        main.register("f", _observable_fn(f))
+        main.register("Af", af.fn)
+        main.register("f", f.fn)
         if m_operator is not None:
             main.register("Mf", m_operator)
         clock = WeightedEmpiricalMeasure(weights=variance_clock(steps), batch_shape=(block_size,))
@@ -466,8 +467,8 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     # invariant average of the correction operator (analytic when the law is known)
     nu_m = None
     if m_operator is not None and law is not None:
-        nu_m = catalog.gauss_hermite_expectation(lambda xv: m_operator(xv[None, :])[0],
-                                                 mean=0.0, std=math.sqrt(law.moments[2]))
+        nu_m = catalog.gauss_hermite_expectation(m_operator, mean=0.0,
+                                                 std=math.sqrt(law.moments[2]))
     ergodic_m = None
 
     b = config.burn_in
@@ -496,7 +497,7 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     ergodic_variance = float(np.mean(snaps[final]["clock"]["Vf"][keep]))
     if law is not None:
         predicted_variance = catalog.gauss_hermite_expectation(
-            lambda xv: float(vf_operator(model, f, xv)), mean=0.0, std=math.sqrt(law.moments[2]))
+            vf_fn, mean=0.0, std=math.sqrt(law.moments[2]))
         variance_source = "analytic"
     else:
         predicted_variance = ergodic_variance
@@ -579,7 +580,7 @@ def run_ergodic_experiment(config: ExperimentConfig, want_w1: bool | None = None
     def make_measures(block_size):
         main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(block_size,),
                                         buffer_capacity=config.buffer_capacity if want_w1 else 0)
-        main.register("f", _observable_fn(f))
+        main.register("f", f.fn)
         return {"main": main}
 
     recorders, excluded, keep = _run_blocks(config, make_measures, checkpoints,
@@ -667,7 +668,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
 
     def make_measures(block_size):
         main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(block_size,))
-        main.register("Af", _observable_fn(af))
+        main.register("Af", af.fn)
         return {"main": main}
 
     recorders, excluded, keep = _run_blocks(config, make_measures, checkpoints)

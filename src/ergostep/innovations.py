@@ -9,7 +9,8 @@ to match standard-normal moments up to a stated order:
     gaussian     N(0, I)                       -> matches every order
 
 The weak-order-two step additionally consumes a symmetric N x N matrix W
-built from one innovation vector u and independent signs kappa in {-1/2,+1/2}:
+built by ``assemble_w`` from one innovation vector u and independent signs
+kappa in {-1/2,+1/2}:
 
     W[i][i] = u_i^2 - 1,   W[i][j] = u_i u_j - kappa[min(i,j)][max(i,j)]
 
@@ -136,24 +137,6 @@ def assemble_w(u: np.ndarray, kappa: np.ndarray | None) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class LevyAreaSurrogate:
-    """Realization of the symmetric sign-compensated product matrix W."""
-
-    w: np.ndarray
-
-    @classmethod
-    def from_draws(cls, u: np.ndarray, kappa: np.ndarray) -> "LevyAreaSurrogate":
-        """Assemble W from an innovation vector and upper-triangular signs.
-
-        ``kappa`` holds the N(N-1)/2 values kappa[i][j], i < j, row-major.
-        """
-        u = np.asarray(u, dtype=np.float64)
-        if u.ndim != 1:
-            raise ValueError("from_draws takes a single innovation vector")
-        return cls(w=assemble_w(u, np.asarray(kappa, dtype=np.float64)))
-
-
 def kappa_count(noise_dim: int) -> int:
     return noise_dim * (noise_dim - 1) // 2
 
@@ -163,12 +146,6 @@ def sample_kappa(rng: np.random.Generator, noise_dim: int, size: int | None = No
     k = kappa_count(noise_dim)
     shape = (k,) if size is None else (size, k)
     return rng.integers(0, 2, size=shape).astype(np.float64) - 0.5
-
-
-def sample_levy_surrogate(u: np.ndarray, rng: np.random.Generator) -> LevyAreaSurrogate:
-    """Draw kappa and assemble W for one innovation vector."""
-    n = np.shape(u)[-1]
-    return LevyAreaSurrogate.from_draws(u, sample_kappa(rng, n))
 
 
 def kappa_outcomes(noise_dim: int) -> list[tuple[np.ndarray, float]]:

@@ -131,25 +131,6 @@ def linear_combination(coeffs: Sequence[float], observables: Sequence[Observable
     return Observable(fn=fn, dirderiv=dd, max_order=order, name=name)
 
 
-def directional_fd(f: Callable, x: np.ndarray, dirs: Sequence[np.ndarray], h: float) -> np.ndarray:
-    """Central-difference directional derivative of plain callable ``f``.
-
-    Supports order one and two; used to cross-check analytic ``dirderiv``
-    callbacks.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if len(dirs) == 1:
-        v = dirs[0]
-        return (f(x + h * v) - f(x - h * v)) / (2.0 * h)
-    if len(dirs) == 2:
-        v, w = dirs
-        return (
-            f(x + h * v + h * w) - f(x + h * v - h * w)
-            - f(x - h * v + h * w) + f(x - h * v - h * w)
-        ) / (4.0 * h * h)
-    raise ValueError("finite-difference check supports orders 1 and 2 only")
-
-
 # ---------------------------------------------------------------------------
 # diffusion model
 

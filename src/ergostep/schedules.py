@@ -92,23 +92,6 @@ class StepSchedule:
             return n * self.gamma1
         return self.gamma1 * _power_sum(self.xi, n)
 
-    def sup_gamma(self) -> float:
-        return self.gamma1
-
-    def to_config(self) -> dict[str, str]:
-        out = {"step.kind": self.kind, "step.gamma1": repr(self.gamma1)}
-        if self.kind == "power_law":
-            out["step.xi"] = repr(self.xi)
-        return out
-
-    @classmethod
-    def from_config(cls, cfg: dict[str, str]) -> "StepSchedule":
-        return cls(
-            kind=cfg.get("step.kind", "power_law"),
-            gamma1=float(cfg.get("step.gamma1", 1.0)),
-            xi=float(cfg.get("step.xi", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class WeightSchedule:
@@ -171,21 +154,6 @@ class WeightSchedule:
         if g.kind == "constant":
             return n * g.gamma1 ** self.r
         return g.gamma1 ** self.r * _power_sum(g.xi * self.r, n)
-
-    def to_config(self) -> dict[str, str]:
-        out = {"weight.kind": self.kind, "weight.c": repr(self.c)}
-        if self.kind == "power":
-            out["weight.r"] = repr(self.r)
-        return out
-
-    @classmethod
-    def from_config(cls, cfg: dict[str, str], reference: StepSchedule) -> "WeightSchedule":
-        return cls(
-            kind=cfg.get("weight.kind", "proportional"),
-            reference=reference,
-            c=float(cfg.get("weight.c", 1.0)),
-            r=float(cfg.get("weight.r", 1.0)),
-        )
 
 
 def variance_clock(step: StepSchedule) -> WeightSchedule:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,22 @@ def poly1d_model(b_coeffs, s_coeffs, fd_only: bool = False) -> DiffusionModel:
 @pytest.fixture
 def zero_model() -> DiffusionModel:
     return poly1d_model([0.0], [0.0])
+
+
+def directional_fd(f: Callable, x: np.ndarray, dirs: Sequence[np.ndarray], h: float) -> np.ndarray:
+    """Central-difference directional derivative of plain callable ``f``.
+
+    Supports order one and two; used to cross-check analytic ``dirderiv``
+    callbacks.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if len(dirs) == 1:
+        v = dirs[0]
+        return (f(x + h * v) - f(x - h * v)) / (2.0 * h)
+    if len(dirs) == 2:
+        v, w = dirs
+        return (
+            f(x + h * v + h * w) - f(x + h * v - h * w)
+            - f(x - h * v + h * w) + f(x - h * v - h * w)
+        ) / (4.0 * h * h)
+    raise ValueError("finite-difference check supports orders 1 and 2 only")

@@ -101,6 +101,16 @@ def test_clt_threads_default_is_one(capsys, tmp_path):
     assert payload["config"]["threads"] == 1
 
 
+def test_clt_without_ks_says_assert_checked_none(capsys, tmp_path):
+    # fewer than 50 replications: no KS test runs, and the output says so
+    code, out, _ = run_cli(capsys, "clt", "--n-steps", "2000", "--replications", "20",
+                           "--assert", "--output-dir", str(tmp_path))
+    assert code == 0
+    assert "ks=n/a" in out
+    assert "nan" not in out
+    assert "--assert checked no KS test" in out
+
+
 def test_rate_defaults_and_assert(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "rate", "--model", "ou1d", "--xi", "0.333",
                            "--assert", "--seed", "20260809",

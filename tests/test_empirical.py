@@ -94,10 +94,6 @@ def test_unknown_name_and_empty_measure():
         m.value("y")
     with pytest.raises(ValueError):
         m.value("x")
-    m.record(np.array([1.0]), 1.0)
-    m.reset()
-    with pytest.raises(ValueError):
-        m.value("x")
 
 
 def test_duplicate_registration_rejected():
@@ -160,20 +156,6 @@ def test_buffer_disabled_raises():
     m.record(np.array([0.0]), 1.0)
     with pytest.raises(ValueError):
         m.buffer()
-
-
-def test_snapshot_csv(tmp_path):
-    m = WeightedEmpiricalMeasure(buffer_capacity=4)
-    m.register("x", monomial1d(1).fn)
-    m.record(np.array([1.5]), 2.0)
-    p = tmp_path / "snap.csv"
-    m.snapshot_csv(p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "name,value,H_n,n"
-    assert lines[1].startswith("x,1.5,2.0,1")
-    b = tmp_path / "buf.csv"
-    m.buffer_csv(b)
-    assert b.read_text().splitlines()[0] == "state0,weight"
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,33 @@ def test_clt_euler_requires_proportional_weights():
         run_clt_experiment(cfg)
 
 
+@pytest.mark.parametrize("scheme,weight,xi", [
+    ("euler", "proportional", 1.0 / 3.0),
+    ("euler", "proportional", 0.25),
+    ("talay2", "trapezoidal", 0.2),
+    ("talay2", "trapezoidal", 0.15),
+])
+def test_clt_gaussian_innovations_rejected_before_simulating(monkeypatch, scheme, weight, xi):
+    # regimes B and C enumerate Mf over the innovation's finite support
+    from ergostep import harness
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the config")
+
+    monkeypatch.setattr(harness, "simulate_batch", no_simulation)
+    cfg = ExperimentConfig(scheme=scheme, weight_kind=weight, xi=xi, innovation_kind="gaussian",
+                           n_steps=200, replications=2, checkpoints=(200,))
+    with pytest.raises(ConfigError, match="finite support") as err:
+        run_clt_experiment(cfg)
+    assert "three_point" in str(err.value) and "rademacher" in str(err.value)
+
+
+def test_clt_gaussian_innovations_run_in_regime_a():
+    cfg = ExperimentConfig(innovation_kind="gaussian", xi=0.4, n_steps=200,
+                           replications=2, checkpoints=(200,))
+    assert run_clt_experiment(cfg).regime == "A_centered"
+
+
 # ---------------------------------------------------------------------------
 # ergodic / Wasserstein experiment
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ergostep.innovations import (
     InnovationDist,
-    LevyAreaSurrogate,
     assemble_w,
     gaussian_moment,
     joint_outcomes,
@@ -103,23 +102,23 @@ def test_sample_innovation_shape():
 
 
 def test_surrogate_example_n2():
-    w = LevyAreaSurrogate.from_draws(np.array([1.0, 2.0]), np.array([0.5]))
-    assert np.array_equal(w.w, np.array([[0.0, 1.5], [1.5, 3.0]]))
+    w = assemble_w(np.array([1.0, 2.0]), np.array([0.5]))
+    assert np.array_equal(w, np.array([[0.0, 1.5], [1.5, 3.0]]))
 
 
 def test_surrogate_example_n1():
-    w = LevyAreaSurrogate.from_draws(np.array([1.0]), np.zeros(0))
-    assert np.array_equal(w.w, np.array([[0.0]]))
+    w = assemble_w(np.array([1.0]), np.zeros(0))
+    assert np.array_equal(w, np.array([[0.0]]))
 
 
 def test_surrogate_example_zero_u():
-    w = LevyAreaSurrogate.from_draws(np.array([0.0, 0.0]), np.array([-0.5]))
-    assert np.array_equal(w.w, np.array([[-1.0, 0.5], [0.5, -1.0]]))
+    w = assemble_w(np.array([0.0, 0.0]), np.array([-0.5]))
+    assert np.array_equal(w, np.array([[-1.0, 0.5], [0.5, -1.0]]))
 
 
 def test_surrogate_kappa_shape_validation():
     with pytest.raises(ValueError):
-        LevyAreaSurrogate.from_draws(np.array([1.0, 2.0]), np.zeros(3))
+        assemble_w(np.array([1.0, 2.0]), np.zeros(3))
 
 
 @settings(max_examples=50, deadline=None)
@@ -186,13 +185,11 @@ def test_invalid_kind_rejected():
         InnovationDist("uniform", 1)
 
 
-def test_sample_levy_surrogate_draws():
-    from ergostep.innovations import sample_levy_surrogate
-
+def test_assemble_w_with_sampled_kappa():
     _, rng = trajectory_generators(4, 0)
     u = np.array([1.0, 2.0])
-    w = sample_levy_surrogate(u, rng)
-    assert w.w.shape == (2, 2)
-    assert np.array_equal(w.w, w.w.T)
-    assert w.w[0, 0] == 0.0 and w.w[1, 1] == 3.0
-    assert w.w[0, 1] in (1.5, 2.5)  # u1 u2 -/+ 1/2
+    w = assemble_w(u, sample_kappa(rng, 2))
+    assert w.shape == (2, 2)
+    assert np.array_equal(w, w.T)
+    assert w[0, 0] == 0.0 and w[1, 1] == 3.0
+    assert w[0, 1] in (1.5, 2.5)  # u1 u2 -/+ 1/2

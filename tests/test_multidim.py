@@ -14,11 +14,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import directional_fd
 from ergostep.catalog import coordinate_monomial, ou_nd
 from ergostep.innovations import InnovationDist, joint_outcomes
 from ergostep.model import (
     DiffusionModel,
-    directional_fd,
     generator_apply,
     generator_observable,
     m1_euler,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergostep.harness import ExperimentConfig
 from ergostep.schedules import StepSchedule, WeightSchedule, order_weights, variance_clock
 
 EPS = np.finfo(np.float64).eps
@@ -164,9 +165,12 @@ def test_variance_clock_is_gamma_weights():
 def test_config_round_trip():
     steps = StepSchedule("power_law", 0.3, 0.25)
     w = WeightSchedule("power", steps, r=3.0)
-    cfg = {**steps.to_config(), **w.to_config()}
-    s2 = StepSchedule.from_config(cfg)
-    w2 = WeightSchedule.from_config(cfg, s2)
+    cfg = ExperimentConfig.from_mapping({"step.kind": "power_law", "step.gamma1": repr(0.3),
+                                         "step.xi": repr(0.25), "weight.kind": "power",
+                                         "weight.r": repr(3.0)})
+    assert ExperimentConfig(**cfg.to_dict()) == cfg
+    s2 = cfg.steps()
+    w2 = cfg.weights(s2)
     assert s2.gamma(17) == steps.gamma(17)
     assert w2.eta(17) == w.eta(17)
 
