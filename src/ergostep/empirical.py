@@ -9,12 +9,17 @@ with compensated summation so runs of 1e8 tiny weights keep the online value
 within round-off of an offline recomputation.  Accumulation starts at k = 1;
 burn-in, when wanted, is the caller's slicing concern.
 
-Every state goes through one fold: a block of pre-step states and their
-weights is reduced with a single weighted sum per observable, and the partial
-is added to a compensated accumulator.  The simulation drivers hand blocks to
+Every state goes through one fold.  It walks a block of m pre-step states
+in tiles of max(1, 32768 // m) replications: each tile is copied once to a
+replication-major array (T, m, d), every observable is evaluated on that
+copy, and each replication's row of eta-weighted values is reduced by one
+contiguous pairwise sum; the assembled per-replication partials are added to
+a compensated accumulator once per block.  A tile, its values and their
+temporaries stay in cache.  The simulation drivers hand blocks to
 ``observe_block``, which takes the weights from the attached schedule;
-``record`` folds one state as a block of one.  Serial and batched execution
-therefore perform an identical sequence of float operations per replication.
+``record`` folds one state as a block of one.  A replication's row is the
+same whichever tile holds it, so serial, batched and partitioned execution
+perform an identical sequence of float operations per replication.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ import numpy as np
 
 from .accum import VectorKahan
 from .schedules import WeightSchedule
+
+# states per observable call: a tile of replications and its temporaries
+# stay in a core's L2 cache
+_TILE_STATES = 32768
 
 
 @dataclass(frozen=True)
@@ -55,15 +64,6 @@ class AnalyticLaw1D:
         hi = min(p2, 1.0 - 1e-15)
         val, _ = quad(self.quantile, lo, hi, limit=200)
         return val
-
-
-def _reduce_block(etas: np.ndarray, vals: np.ndarray, batch_shape: tuple[int, ...]) -> np.ndarray:
-    """Weighted sum over the block axis as one contiguous pairwise reduction
-    per batch element, so scalar and batched measures round identically."""
-    weighted = etas.reshape((-1,) + (1,) * len(batch_shape)) * vals
-    flat = weighted.reshape(weighted.shape[0], -1)
-    per = np.ascontiguousarray(flat.T).sum(axis=-1)
-    return per.reshape(batch_shape)
 
 
 class WeightedEmpiricalMeasure:
@@ -121,26 +121,35 @@ class WeightedEmpiricalMeasure:
         if np.any(etas < 0):
             raise ValueError("weights must be non-negative")
         m = states.shape[0]
-        for name, fn in self._obs.items():
-            vals = np.asarray(fn(states), dtype=np.float64)
-            self._sums[name].add(_reduce_block(etas, vals, self.batch_shape))
+        flat = states.reshape(m, -1, states.shape[-1])
+        partials = {name: np.empty(flat.shape[1]) for name in self._obs}
+        tile = max(1, _TILE_STATES // max(m, 1))
+        for r0 in range(0, flat.shape[1], tile):
+            rows = np.ascontiguousarray(flat[:, r0:r0 + tile].swapaxes(0, 1))
+            for name, fn in self._obs.items():
+                vals = np.asarray(fn(rows), dtype=np.float64)
+                # C order keeps each replication's row one contiguous pairwise sum
+                partials[name][r0:r0 + tile] = np.multiply(vals, etas, order="C").sum(axis=-1)
+        for name, part in partials.items():
+            self._sums[name].add(part.reshape(self.batch_shape))
         self._h.add(math.fsum(etas))
         k0 = self._n
         self._n += m
         if self._cap <= 0:
             return
-        for t in range(m):
-            k = k0 + t  # zero-based step offset of this pre-step state
-            if k % self._stride:
-                continue
-            if len(self._buf_states) == self._cap:
-                self._buf_states = self._buf_states[::2]
-                self._buf_weights = self._buf_weights[::2]
-                self._stride *= 2
-                if k % self._stride:
-                    continue
-            self._buf_states.append(np.array(states[t], dtype=np.float64))
-            self._buf_weights.append(float(etas[t]))
+        # the buffer holds the states at every multiple of the stride below
+        # n; the stride doubles, halving the buffer, until they fit
+        stride = self._stride
+        while self._n > self._cap * stride:
+            stride *= 2
+        if stride != self._stride:
+            thin = stride // self._stride
+            self._buf_states = self._buf_states[::thin]
+            self._buf_weights = self._buf_weights[::thin]
+            self._stride = stride
+        first = -k0 % stride
+        self._buf_states.extend(np.array(states[first::stride], dtype=np.float64))
+        self._buf_weights.extend(etas[first::stride].tolist())
 
     # -- readout ---------------------------------------------------------------
 

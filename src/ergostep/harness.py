@@ -344,7 +344,10 @@ def _run_blocks(config: ExperimentConfig, make_measures, checkpoints,
 
     excluded = [pair for _, res in results for pair in res.excluded]
     if len(excluded) > 0.05 * r_total:
-        raise ExperimentError(f"{len(excluded)} of {r_total} replications diverged: {excluded}")
+        earliest = min(step for _, step in excluded)
+        raise ExperimentError(
+            f"{len(excluded)} of {r_total} replications diverged, the earliest at step "
+            f"{earliest}, with step.gamma1 = {config.gamma1!r}; try a smaller --gamma1")
     dropped = {rep for rep, _ in excluded}
     keep = np.array([r for r in range(r_total) if r not in dropped], dtype=int)
     return [rec for rec, _ in results], excluded, keep
@@ -443,7 +446,6 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(block_size,),
                                         buffer_capacity=config.buffer_capacity)
         main.register("Af", af.fn)
-        main.register("f", f.fn)
         if m_operator is not None:
             main.register("Mf", m_operator)
         clock = WeightedEmpiricalMeasure(weights=variance_clock(steps), batch_shape=(block_size,))

@@ -110,10 +110,7 @@ def make_stepper(scheme: str, model: DiffusionModel):
     if scheme == "euler":
         if d == 1 and n == 1:
             def step(x, gamma, u, kappa):
-                x1 = x[..., 0]
-                out = x1 + gamma * model.b(x)[..., 0] \
-                    + math.sqrt(gamma) * model.sigma(x)[..., 0, 0] * u[..., 0]
-                return out[..., None]
+                return x + gamma * model.b(x) + math.sqrt(gamma) * model.sigma(x)[..., 0] * u
         else:
             def step(x, gamma, u, kappa):
                 su = np.einsum("...in,...n->...i", model.sigma(x), u)
@@ -188,13 +185,13 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
     k = 1
     while k <= n_steps:
         m = min(CHUNK, n_steps - k + 1)
-        gammas = steps.gamma_block(k, k + m)
+        gammas = steps.gamma_block(k, k + m).tolist()
         us, kaps = _draw_blocks(innovation, gens_u, gens_k, m, need_kappa)
         x_entry = x.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(m):
                 slab[t] = x
-                x = stepper(x, float(gammas[t]), us[t], kaps[t] if need_kappa else None)
+                x = stepper(x, gammas[t], us[t], kaps[t] if need_kappa else None)
         # the guard runs once per block; the offending step index is
         # recovered by replaying the block for the diverged row
         bad = ~np.all(np.isfinite(x), axis=-1) | (np.max(np.abs(x), axis=-1) > DIVERGENCE_BOUND)
@@ -217,8 +214,8 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
 def _locate_divergence(stepper, x_row, gammas, us, kaps, k0) -> int:
     x = x_row[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(len(gammas)):
-            x = stepper(x, float(gammas[t]), us[t][None, :], kaps[t][None, :] if kaps is not None else None)
+        for t, gamma in enumerate(gammas):
+            x = stepper(x, gamma, us[t][None, :], kaps[t][None, :] if kaps is not None else None)
             if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_BOUND:
                 return k0 + t + 1
     return k0 + len(gammas)

@@ -159,6 +159,19 @@ def test_experiment_failure_exit_one(capsys, tmp_path):
     assert "order" in err
 
 
+def test_divergence_message_names_count_step_and_gamma1(capsys, tmp_path):
+    # the catalog double well leaves the stable region at step.gamma1 = 1
+    args = ["clt", "--model", "double_well", "--n-steps", "5000", "--replications", "60",
+            "--seed", "4", "--output-dir", str(tmp_path)]
+    code, _, err = run_cli(capsys, *args)
+    assert code == 1
+    assert "51 of 60 replications diverged, the earliest at step 6" in err
+    assert "step.gamma1 = 1.0" in err and "try a smaller --gamma1" in err
+    assert "[(" not in err
+    code, _, err = run_cli(capsys, *args, "--gamma1", "0.1")
+    assert code == 0, err
+
+
 def test_rejected_value_exit_two(capsys, tmp_path):
     # StepSchedule rejects xi outside (0, 1) with a plain ValueError
     code, _, err = run_cli(capsys, "clt", "--xi", "1.5", "--output-dir", str(tmp_path))

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergostep.catalog import monomial1d, normal_law, ou1d
+from ergostep.catalog import monomial1d, normal_law, observable_from_name, ou1d, ou_nd
 from ergostep.empirical import (
+    _TILE_STATES,
     AnalyticLaw1D,
     WeightedEmpiricalMeasure,
     merge_statistics,
@@ -17,6 +18,7 @@ from ergostep.empirical import (
     wasserstein1_to,
 )
 from ergostep.innovations import InnovationDist
+from ergostep.model import Enumerate, generator_observable, m1_euler, vf_operator
 from ergostep.schedules import StepSchedule, WeightSchedule
 from ergostep.schemes import simulate, trajectory_generators
 
@@ -148,6 +150,102 @@ def test_buffer_decimation_capacity_and_determinism():
     kept = states[:, 0].astype(int)
     assert kept[0] == 1
     assert set(np.diff(kept)) == {8}
+
+
+def _per_state_buffer(blocks, cap):
+    """The sample buffer as a loop over every state, read after each block:
+    keep offset k when the stride divides it; a full buffer halves and
+    doubles the stride first."""
+    states, weights, stride, k = [], [], 1, 0
+    for block, etas in blocks:
+        for t in range(block.shape[0]):
+            if k % stride == 0:
+                if len(states) == cap:
+                    states, weights, stride = states[::2], weights[::2], 2 * stride
+                if k % stride == 0:
+                    states.append(np.array(block[t]))
+                    weights.append(float(etas[t]))
+            k += 1
+        yield np.stack(states), np.array(weights)
+
+
+@pytest.mark.parametrize("cap", [1, 3, 16])
+@pytest.mark.parametrize("block_len", [1, 7, 1024])
+def test_buffer_matches_per_state_loop(cap, block_len):
+    rng, _ = trajectory_generators(31, 0)
+    total = 3000 if block_len == 1024 else 300
+    blocks = []
+    for k0 in range(0, total, block_len):
+        m = min(block_len, total - k0)
+        blocks.append((rng.normal(size=(m, 2, 1)), rng.random(m) + 0.1))
+    meas = WeightedEmpiricalMeasure(batch_shape=(2,), buffer_capacity=cap)
+    meas.register("x", monomial1d(1).fn)
+    for (block, etas), (ref_states, ref_weights) in zip(blocks, _per_state_buffer(blocks, cap)):
+        meas._fold(block, etas)
+        got_states, got_weights = meas.buffer()
+        assert got_states.shape == ref_states.shape
+        assert np.array_equal(got_states, ref_states)
+        assert np.array_equal(got_weights, ref_weights)
+
+
+def _fold_observables(model, f):
+    af = generator_observable(model, f)
+    tp = InnovationDist("three_point", model.noise_dim)
+    return {
+        "Af": af.fn,
+        "Mf": lambda xs: m1_euler(model, f, xs, tp, Enumerate()).value,
+        "Vf": lambda xs: vf_operator(model, f, xs),
+    }
+
+
+@pytest.mark.parametrize("batch", [(3 * 32 + 5,), (5, 21)], ids=["flat", "grid"])
+@pytest.mark.parametrize("case", ["ou_x2", "ou_nd_x1x2"])
+def test_tiled_fold_is_bit_identical_to_serial(batch, case):
+    if case == "ou_x2":
+        model, f = ou1d(1.0, math.sqrt(2.0)), monomial1d(2)
+    else:
+        model = ou_nd(np.array([[1.0, 0.3], [0.0, 1.5]]), np.array([[1.0, 0.0], [0.4, 0.8]]))
+        f = observable_from_name("x1*x2", dim=2)
+    obs = _fold_observables(model, f)
+    w = WeightSchedule("proportional", StepSchedule("power_law", 1.0, 1.0 / 3.0))
+    rng, _ = trajectory_generators(17, 0)
+    blocks = [rng.normal(size=(m,) + batch + (model.dim,)) for m in (1024, 1024, 37)]
+    assert 1024 * math.prod(batch) > 3 * _TILE_STATES  # four tiles, the last ragged
+
+    batched = WeightedEmpiricalMeasure(weights=w, batch_shape=batch)
+    for name, fn in obs.items():
+        batched.register(name, fn)
+    serial = {}
+    for idx in np.ndindex(*batch):
+        serial[idx] = WeightedEmpiricalMeasure(weights=w)
+        for name, fn in obs.items():
+            serial[idx].register(name, fn)
+    k0 = 1
+    for block in blocks:
+        batched.observe_block(k0, block)
+        for idx, meas in serial.items():
+            meas.observe_block(k0, block[(slice(None),) + idx])
+        k0 += block.shape[0]
+    for name in obs:
+        got = batched.value(name)
+        assert got.shape == batch
+        want = np.array([serial[idx].value(name) for idx in np.ndindex(*batch)]).reshape(batch)
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("m", [1, 1024, 40_000])
+def test_fold_calls_see_at_most_a_tile(m):
+    seen = []
+
+    def counting(xs):
+        seen.append(xs.shape[:-1])
+        return xs[..., 0]
+
+    meas = WeightedEmpiricalMeasure(batch_shape=(70,))
+    meas.register("x", counting)
+    meas._fold(np.zeros((m, 70, 1)), np.ones(m))
+    assert sum(math.prod(s) for s in seen) == 70 * m
+    assert max(math.prod(s) for s in seen) <= max(m, _TILE_STATES)
 
 
 def test_buffer_disabled_raises():

@@ -179,6 +179,23 @@ def test_divergence_excluded_in_batch():
     assert all(np.all(np.isfinite(row)) for row in res.final_states)
 
 
+@pytest.mark.parametrize("model_name", ["ou", "double_well"])
+def test_euler_scalar_branch_matches_component_formula(model_name):
+    from ergostep.catalog import double_well
+
+    m = OU if model_name == "ou" else double_well(math.sqrt(2.0))
+    rng = np.random.default_rng(3)
+    xs = rng.normal(size=(64, 1))
+    us = rng.choice([-math.sqrt(3.0), 0.0, math.sqrt(3.0)], size=(64, 1))
+    step = make_stepper("euler", m)
+    for gamma in (1.0, 0.37, 2.0**-9):
+        want = (xs[..., 0] + gamma * m.b(xs)[..., 0]
+                + math.sqrt(gamma) * m.sigma(xs)[..., 0, 0] * us[..., 0])[..., None]
+        got = step(xs, gamma, us, None)
+        assert got.shape == (64, 1)
+        assert np.array_equal(got, want)
+
+
 def test_innovation_dimension_checked():
     st = StepSchedule("constant", 0.1)
     with pytest.raises(ValueError):
