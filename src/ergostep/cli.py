@@ -4,7 +4,15 @@ Subcommands: ``simulate`` (one-trajectory ergodic trace), ``clt``
 (normalized-statistic report), ``rate`` (log-log rate regression), ``probe``
 (hypothesis diagnostics), ``wasserstein`` (distance trace to the catalog
 invariant law).  ``--assert`` turns each report's tolerance into the exit
-code so the experiments double as reproduction scripts.  Exit codes:
+code so the experiments double as reproduction scripts.
+
+Every override flag sets one config key of ``harness.CONFIG_KEYS`` (the
+``FLAGS`` map), and its text is parsed like that key's value in a config
+file; flags win over the file.  A subcommand's defaults (the trace
+checkpoints of ``simulate`` and ``wasserstein``, the buffer of
+``wasserstein``, the replications and checkpoint grid of ``rate``) are
+computed from the resolved config and apply only to keys that neither the
+file nor a flag set; ``simulate`` always runs one replication.  Exit codes:
 
   0  success (with ``--assert``: every tolerance met)
   1  the experiment failed: a tolerance missed under ``--assert``, a
@@ -18,9 +26,7 @@ code so the experiments double as reproduction scripts.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
 import sys
 import traceback
 from dataclasses import replace
@@ -40,12 +46,27 @@ from .harness import (
     run_ergodic_experiment,
     run_rate_experiment,
 )
+from .innovations import INNOVATION_KINDS
 from .model import Enumerate
-from .schemes import DivergenceError
+from .schedules import WEIGHT_KINDS
+from .schemes import SCHEME_KINDS, DivergenceError
 
 EULER_RATIO_WINDOW = (3.2, 4.8)
 TALAY_RATIO_WINDOW = (6.0, 10.0)
 SLOPE_TOLERANCE = 0.12
+
+
+# Each override flag and the config key it sets; the key's parser in
+# ExperimentConfig.from_mapping reads the flag's text.
+FLAGS = {
+    "--model": "model.id", "--theta": "model.theta", "--sigma": "model.sigma",
+    "--scheme": "scheme", "--innovation": "innovation", "--f": "f",
+    "--gamma1": "step.gamma1", "--xi": "step.xi", "--weight": "weight.kind", "--weight-c": "weight.c",
+    "--n-steps": "n_steps", "--replications": "replications", "--seed": "seed",
+    "--checkpoints": "checkpoints", "--x0": "x0", "--buffer-capacity": "buffer_capacity",
+    "--burn-in": "burn_in", "--threads": "threads",
+}
+CHOICES = {"scheme": SCHEME_KINDS, "innovation": INNOVATION_KINDS, "weight.kind": WEIGHT_KINDS}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -55,80 +76,47 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--assert", dest="assert_check", action="store_true",
                    help="fold report tolerances into the exit code")
     p.add_argument("-v", "--verbose", action="count", default=0)
-    # config overrides
-    p.add_argument("--model", dest="model_id")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--scheme", choices=("euler", "talay2"))
-    p.add_argument("--innovation", choices=("gaussian", "rademacher", "three_point"))
-    p.add_argument("--f", dest="observable")
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--xi", type=float)
-    p.add_argument("--weight", choices=("proportional", "trapezoidal", "power"))
-    p.add_argument("--weight-c", type=float)
-    p.add_argument("--n-steps", type=int)
-    p.add_argument("--replications", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--checkpoints")
-    p.add_argument("--x0", type=float)
-    p.add_argument("--buffer-capacity", type=int)
-    p.add_argument("--burn-in", type=int)
-    p.add_argument("--threads", type=int)
+    for flag, key in FLAGS.items():
+        p.add_argument(flag, dest=key, choices=CHOICES.get(key), help=f"sets {key}")
 
 
-def _overrides(args: argparse.Namespace) -> dict[str, str]:
-    pairs = {
-        "model.id": args.model_id,
-        "model.theta": args.theta,
-        "model.sigma": args.sigma,
-        "scheme": args.scheme,
-        "innovation": args.innovation,
-        "f": args.observable,
-        "step.gamma1": args.gamma1,
-        "step.xi": args.xi,
-        "weight.kind": args.weight,
-        "weight.c": args.weight_c,
-        "n_steps": args.n_steps,
-        "replications": args.replications,
-        "seed": args.seed,
-        "checkpoints": args.checkpoints,
-        "x0": args.x0,
-        "buffer_capacity": args.buffer_capacity,
-        "burn_in": args.burn_in,
-        "threads": args.threads,
-    }
-    return {k: str(v) for k, v in pairs.items() if v is not None}
-
-
-def _load_config(args: argparse.Namespace, defaults: dict[str, str] | None = None) -> ExperimentConfig:
-    base: dict[str, str] = {}
+def _load_config(args: argparse.Namespace, defaults=None) -> ExperimentConfig:
+    """The config file, overridden by the flags; ``defaults(config)`` gives
+    {key: text} for keys that neither the file nor a flag set."""
+    mapping: dict[str, str] = {}
     if args.config is not None:
         if not args.config.exists():
             raise ConfigError(f"config file not found: {args.config}")
-        base = parse_config_file(args.config)
-    over = _overrides(args)
-    if "seed" not in base and "seed" not in over and "ERGODIC_SEED" in os.environ:
-        over["seed"] = os.environ["ERGODIC_SEED"]
-    # subcommand defaults apply only where neither config nor flags spoke
-    for key, value in (defaults or {}).items():
-        if key not in base and key not in over:
-            over[key] = value
-    return ExperimentConfig.from_mapping(base, over)
-
-
-def _default_trace_checkpoints(config: ExperimentConfig) -> ExperimentConfig:
-    if config.checkpoints:
+        mapping = parse_config_file(args.config)
+    flags = vars(args)
+    mapping.update({key: flags[key] for key in FLAGS.values() if flags[key] is not None})
+    config = ExperimentConfig.from_mapping(mapping)
+    if defaults is None:
         return config
-    grid = np.unique(np.logspace(1, math.log10(config.n_steps), 16).astype(int))
-    grid = tuple(int(g) for g in grid if g <= config.n_steps)
-    if not grid or grid[-1] != config.n_steps:
-        grid = grid + (config.n_steps,)
-    return replace(config, checkpoints=grid)
+    unset = {key: text for key, text in defaults(config).items() if key not in mapping}
+    return ExperimentConfig.from_mapping({**mapping, **unset})
+
+
+def _trace_defaults(config: ExperimentConfig) -> dict[str, str]:
+    n = config.n_steps
+    grid = [int(g) for g in np.unique(np.logspace(1, math.log10(n), 16).astype(int)) if g <= n]
+    if not grid or grid[-1] != n:
+        grid.append(n)
+    return {"checkpoints": ",".join(map(str, grid))}
+
+
+def _wasserstein_defaults(config: ExperimentConfig) -> dict[str, str]:
+    return {**_trace_defaults(config), "buffer_capacity": "20000"}
+
+
+def _rate_defaults(config: ExperimentConfig) -> dict[str, str]:
+    n = config.n_steps
+    grid = np.unique(np.logspace(math.log10(max(1000, n // 100)), math.log10(n), 5).astype(int))
+    return {"replications": "100", "checkpoints": ",".join(str(int(g)) for g in grid)}
 
 
 def _cmd_simulate(args) -> int:
-    config = _default_trace_checkpoints(_load_config(args))
-    config = replace(config, replications=1)
+    config = replace(_load_config(args, _trace_defaults), replications=1)
     report = run_ergodic_experiment(config, want_w1=False)
     out = args.output_dir / f"simulate.{args.format}"
     emit(report, args.format, out)
@@ -160,17 +148,8 @@ def _cmd_clt(args) -> int:
     return 1 if (args.assert_check and ks is not None and not ks[1]) else 0
 
 
-def _rate_defaults(args) -> dict[str, str]:
-    n = args.n_steps or 100_000
-    grid = np.unique(np.logspace(math.log10(max(1000, n // 100)), math.log10(n), 5).astype(int))
-    return {
-        "replications": "100",
-        "checkpoints": ",".join(str(int(g)) for g in grid),
-    }
-
-
 def _cmd_rate(args) -> int:
-    config = _load_config(args, defaults=_rate_defaults(args))
+    config = _load_config(args, _rate_defaults)
     report = run_rate_experiment(config)
     out = args.output_dir / f"rate.{args.format}"
     emit(report, args.format, out)
@@ -205,7 +184,7 @@ def _cmd_probe(args) -> int:
     rc = recursive_control_probe(config.scheme, model, lyap, gamma=probe_gamma,
                                  quadrature=Enumerate())
     payload = {
-        "weak_order": json.loads(wo.to_json()),
+        "weak_order": wo,
         "weak_order_window": list(window),
         "weak_order_pass": wo_ok,
         "moment_match": {
@@ -214,11 +193,10 @@ def _cmd_probe(args) -> int:
             "required": 2 * q + 1,
             "pass": mm_ok,
         },
-        "recursive_control": json.loads(rc.to_json()),
+        "recursive_control": rc,
     }
     out = args.output_dir / "probe.json"
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    emit(payload, "json", out)
     print(f"probe: weak_order ratio={wo.ratios[0]:.3f} ({'pass' if wo_ok else 'fail'}), "
           f"moments through {mm.matched_through()} ({'pass' if mm_ok else 'fail'}), "
           f"recursive control {rc.verdict} -> {out}")
@@ -227,9 +205,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_wasserstein(args) -> int:
-    config = _default_trace_checkpoints(_load_config(args))
-    if config.buffer_capacity <= 0:
-        config = replace(config, buffer_capacity=20000)
+    config = _load_config(args, _wasserstein_defaults)
     report = run_ergodic_experiment(config, want_w1=True)
     out = args.output_dir / f"wasserstein.{args.format}"
     emit(report, args.format, out)

@@ -12,7 +12,6 @@ order, so identical inputs produce identical reports.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,30 +43,6 @@ class ProbeReport:
     verdict: str  # "pass" | "fail" | "inconclusive"
     worst_point: np.ndarray
     metadata: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "grid": np.asarray(self.grid).tolist(),
-                "margins": np.asarray(self.margins).tolist(),
-                "verdict": self.verdict,
-                "worst_point": np.asarray(self.worst_point).tolist(),
-                "metadata": {k: _jsonable(v) for k, v in self.metadata.items()},
-            },
-            indent=2,
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
-
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
 
 
 def default_grid(dim: int, radius: float = 5.0, points_per_axis: int = 21,
@@ -130,8 +105,9 @@ def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: Lyapun
     rhs = lyapunov.psi(v) / v * lyapunov.p * (lyapunov.beta - lyapunov.alpha * lyapunov.phi(v))
     scale = lyapunov.psi(v) / v * lyapunov.p * (abs(lyapunov.beta) + lyapunov.alpha * lyapunov.phi(v))
     step = make_stepper(scheme, model)
-    ev, se = _expect(lambda u, kap: psi_v(step(grid, gamma, u, kap)), model, innovation,
-                     quadrature, with_kappa=scheme == "talay2", x=grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev, se = _expect(lambda u, kap: psi_v(step(grid, gamma, u, kap)), model, innovation,
+                         quadrature, with_kappa=scheme == "talay2", x=grid)
     if not np.all(np.isfinite(ev)):
         raise DivergenceError(None)
     pseudo = (ev - psi_v(grid)) / gamma
@@ -219,18 +195,10 @@ def moment_match_report(dist: InnovationDist, up_to_order: int) -> MomentMatchRe
 
 @dataclass(frozen=True)
 class WeakOrderResult:
+    scheme: str
     gammas: tuple[float, ...]
     errors: tuple[float, ...]
     ratios: tuple[float, ...]
-    scheme: str
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "scheme": self.scheme,
-            "gammas": list(self.gammas),
-            "errors": list(self.errors),
-            "ratios": list(self.ratios),
-        }, indent=2)
 
 
 def weak_order_probe(scheme: str, model: DiffusionModel, f: Observable, x,
@@ -248,21 +216,22 @@ def weak_order_probe(scheme: str, model: DiffusionModel, f: Observable, x,
     if f.max_order < need:
         raise ValueError(f"insufficient observable order: need {need}")
     step = make_stepper(scheme, model)
-    af = generator_apply(model, f, x)
-    target0 = np.asarray(f.fn(x), dtype=np.float64) + 0.0
-    if scheme == "talay2":
-        a2f = generator_apply(model, generator_observable(model, f), x)
-    errs = []
-    for gamma in gammas:
-        mean, _ = _expect(lambda u, kap: np.asarray(f.fn(step(x, gamma, u, kap)), dtype=np.float64),
-                          model, innovation, Enumerate(), with_kappa=scheme == "talay2", x=x)
-        if not np.isfinite(mean):
-            raise DivergenceError(None)
-        target = target0 + gamma * af
+    with np.errstate(over="ignore", invalid="ignore"):
+        af = generator_apply(model, f, x)
+        target0 = np.asarray(f.fn(x), dtype=np.float64) + 0.0
         if scheme == "talay2":
-            target = target + 0.5 * gamma * gamma * a2f
-        errs.append(float(mean - target))
+            a2f = generator_apply(model, generator_observable(model, f), x)
+        errs = []
+        for gamma in gammas:
+            mean, _ = _expect(lambda u, kap: np.asarray(f.fn(step(x, gamma, u, kap)), dtype=np.float64),
+                              model, innovation, Enumerate(), with_kappa=scheme == "talay2", x=x)
+            if not np.isfinite(mean):
+                raise DivergenceError(None)
+            target = target0 + gamma * af
+            if scheme == "talay2":
+                target = target + 0.5 * gamma * gamma * a2f
+            errs.append(float(mean - target))
     ratios = tuple(errs[i] / errs[i + 1] if errs[i + 1] != 0 else math.inf
                    for i in range(len(errs) - 1))
-    return WeakOrderResult(gammas=tuple(float(g) for g in gammas),
-                           errors=tuple(errs), ratios=ratios, scheme=scheme)
+    return WeakOrderResult(scheme=scheme, gammas=tuple(float(g) for g in gammas),
+                           errors=tuple(errs), ratios=ratios)

@@ -45,14 +45,51 @@ class InternalInconsistencyError(RuntimeError):
 
 KS_CRITICAL_1PCT = 1.628
 
-KNOWN_KEYS = {
-    "model.id", "model.theta", "model.sigma", "model.dim",
-    "scheme", "innovation", "f",
-    "step.kind", "step.gamma1", "step.xi",
-    "weight.kind", "weight.c", "weight.r",
-    "n_steps", "replications", "seed", "checkpoints",
-    "x0", "buffer_capacity", "threads", "burn_in",
+# Each config key and the ExperimentConfig field it sets; the field's
+# default is the key's only default.  model.theta, model.sigma and model.dim
+# fill model_params in this order.
+CONFIG_KEYS = {
+    "model.id": "model_id",
+    "model.theta": "model_params", "model.sigma": "model_params", "model.dim": "model_params",
+    "scheme": "scheme", "innovation": "innovation_kind", "f": "observable_name",
+    "step.kind": "step_kind", "step.gamma1": "gamma1", "step.xi": "xi",
+    "weight.kind": "weight_kind", "weight.c": "weight_c", "weight.r": "weight_r",
+    "n_steps": "n_steps", "replications": "replications", "seed": "seed",
+    "checkpoints": "checkpoints", "x0": "x0", "buffer_capacity": "buffer_capacity",
+    "threads": "threads", "burn_in": "burn_in",
 }
+
+# lower bounds of the integer fields that have one
+_AT_LEAST = {"n_steps": 1, "replications": 1, "threads": 1, "burn_in": 0, "buffer_capacity": 0}
+
+
+def _parse_int(text: str) -> int:
+    """An integral literal: ``20000`` or ``1e5``, not ``2.5``."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+        if not value.is_integer():
+            raise ValueError(f"{text!r} is not an integer") from None
+        return int(value)
+
+
+def _parse_value(name: str, default, text: str):
+    """The value of field ``name`` from its config text, by the type of its default."""
+    if name == "checkpoints":
+        return tuple(_parse_int(tok) for tok in text.split(",") if tok.strip())
+    if name == "model_params" or isinstance(default, float):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{text!r} is not finite")
+        return value
+    if isinstance(default, int):
+        value = _parse_int(text)
+        low = _AT_LEAST.get(name)
+        if low is not None and value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return text
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -104,43 +141,23 @@ class ExperimentConfig:
         merged = dict(cfg)
         if overrides:
             merged.update({k: v for k, v in overrides.items() if v is not None})
-        unknown = set(merged) - KNOWN_KEYS
+        unknown = sorted(set(merged) - set(CONFIG_KEYS))
         if unknown:
-            raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-        try:
-            params = {}
-            for name in ("theta", "sigma", "dim"):
-                key = f"model.{name}"
-                if key in merged:
-                    params[name] = float(merged[key])
-            cps: tuple[int, ...] = ()
-            if merged.get("checkpoints"):
-                cps = tuple(int(tok) for tok in str(merged["checkpoints"]).split(",") if tok.strip())
-            return cls(
-                model_id=merged.get("model.id", "ou1d"),
-                model_params=params,
-                scheme=merged.get("scheme", "euler"),
-                innovation_kind=merged.get("innovation", "three_point"),
-                observable_name=merged.get("f", "x^2"),
-                step_kind=merged.get("step.kind", "power_law"),
-                gamma1=float(merged.get("step.gamma1", 1.0)),
-                xi=float(merged.get("step.xi", 1.0 / 3.0)),
-                weight_kind=merged.get("weight.kind", "proportional"),
-                weight_c=float(merged.get("weight.c", 1.0)),
-                weight_r=float(merged.get("weight.r", 1.0)),
-                n_steps=int(float(merged.get("n_steps", 100_000))),
-                replications=int(merged.get("replications", 2)),
-                seed=int(merged.get("seed", 0)),
-                checkpoints=cps,
-                x0=float(merged.get("x0", 0.0)),
-                buffer_capacity=int(merged.get("buffer_capacity", 0)),
-                threads=int(merged.get("threads", 1)),
-                burn_in=int(merged.get("burn_in", 0)),
-            )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"bad config value: {err}") from err
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        kwargs: dict = {"model_params": {}}
+        for key, name in CONFIG_KEYS.items():
+            if key not in merged:
+                continue
+            try:
+                value = _parse_value(name, defaults[name], str(merged[key]).strip())
+            except ValueError as err:
+                raise ConfigError(f"bad value for {key}: {err}") from err
+            if name == "model_params":
+                kwargs[name][key.split(".", 1)[1]] = value
+            else:
+                kwargs[name] = value
+        return cls(**kwargs)
 
     # -- builders -------------------------------------------------------------
 
@@ -321,8 +338,7 @@ def _run_blocks(config: ExperimentConfig, make_measures, checkpoints,
     steps = config.steps()
     innovation = config.innovation(model)
     r_total = config.replications
-    threads = max(1, config.threads)
-    block = math.ceil(r_total / threads)
+    block = math.ceil(r_total / config.threads)
     offsets = list(range(0, r_total, block))
 
     def run_one(offset: int):
@@ -336,10 +352,10 @@ def _run_blocks(config: ExperimentConfig, make_measures, checkpoints,
                              sinks=[recorder], replication_offset=offset)
         return recorder, res
 
-    if threads == 1 or len(offsets) == 1:
+    if len(offsets) == 1:
         results = [run_one(off) for off in offsets]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
             results = list(pool.map(run_one, offsets))
 
     excluded = [pair for _, res in results for pair in res.excluded]

@@ -204,7 +204,10 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
                 if raise_on_divergence:
                     raise DivergenceError(step_at, replication=replications[r_idx])
                 excluded[replications[r_idx]] = step_at
-                x[r_idx] = 0.0
+            # a diverged row restarts from 0, and the sinks never see its
+            # states: its replication is excluded
+            x[bad] = 0.0
+            slab[:m, bad] = 0.0
         for sink in sinks:
             sink.observe_block(k, slab[:m])
         k += m

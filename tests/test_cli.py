@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 
 from ergostep import cli
 from ergostep.cli import main
+from ergostep.harness import CONFIG_KEYS, ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -55,16 +57,6 @@ def test_simulate_trace_deterministic(capsys, tmp_path):
     assert a == b
     header = a.decode().splitlines()[0]
     assert header == "checkpoint_n,replication,value"
-
-
-def test_env_seed_default(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ERGODIC_SEED", "777")
-    code, _, _ = run_cli(capsys, "clt", "--n-steps", "400", "--replications", "2",
-                         "--checkpoints", "400", "--format", "json",
-                         "--output-dir", str(tmp_path))
-    assert code == 0
-    payload = json.loads((tmp_path / "clt.json").read_text())
-    assert payload["config"]["seed"] == 777
 
 
 def test_clt_subcommand_runs(capsys, tmp_path):
@@ -163,7 +155,10 @@ def test_divergence_message_names_count_step_and_gamma1(capsys, tmp_path):
     # the catalog double well leaves the stable region at step.gamma1 = 1
     args = ["clt", "--model", "double_well", "--n-steps", "5000", "--replications", "60",
             "--seed", "4", "--output-dir", str(tmp_path)]
-    code, _, err = run_cli(capsys, *args)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, *args)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == 1
     assert "51 of 60 replications diverged, the earliest at step 6" in err
     assert "step.gamma1 = 1.0" in err and "try a smaller --gamma1" in err
@@ -191,3 +186,65 @@ def test_internal_error_exit_three(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "clt", "-v", "--output-dir", str(tmp_path))
     assert code == 3
     assert "Traceback" in err
+
+
+# ---------------------------------------------------------------------------
+# flags and config keys
+
+# a value for each flag's key that differs from its default
+FLAG_VALUES = {
+    "model.id": "double_well", "model.theta": "2.5", "model.sigma": "0.5",
+    "scheme": "talay2", "innovation": "rademacher", "f": "x^4",
+    "step.gamma1": "0.5", "step.xi": "0.2", "weight.kind": "trapezoidal", "weight.c": "2.0",
+    "n_steps": "1e4", "replications": "7", "seed": "11", "checkpoints": "10,100",
+    "x0": "-0.5", "buffer_capacity": "64", "burn_in": "3", "threads": "2",
+}
+
+
+def test_every_flag_sets_a_table_key():
+    assert set(cli.FLAGS.values()) <= set(CONFIG_KEYS)
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    for parser in sub.choices.values():
+        fixed = {"help", "config", "output_dir", "format", "assert_check", "verbose"}
+        dests = {a.dest for a in parser._actions} - fixed
+        assert dests == set(cli.FLAGS.values())
+
+
+@pytest.mark.parametrize("flag,key", sorted(cli.FLAGS.items()))
+def test_flag_resolves_like_config_key(tmp_path, flag, key):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {FLAG_VALUES[key]}\n")
+    parser = cli.build_parser()
+    from_flag = cli._load_config(parser.parse_args(["clt", flag, FLAG_VALUES[key]]))
+    from_file = cli._load_config(parser.parse_args(["clt", "--config", str(cfg)]))
+    assert from_flag == from_file != ExperimentConfig()
+
+
+def test_rate_defaults_follow_config_file_n_steps(capsys, tmp_path):
+    # the default checkpoint grid ends at the file's n_steps, not the flag default
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("n_steps = 20000\nreplications = 50\n")
+    code, _, err = run_cli(capsys, "rate", "--config", str(cfg), "--format", "json",
+                           "--output-dir", str(tmp_path))
+    assert code == 0, err
+    payload = json.loads((tmp_path / "rate.json").read_text())
+    assert payload["points"][-1][0] == 20000
+    assert payload["config"]["replications"] == 50
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["wasserstein", "--replications", "0"], "replications"),
+    (["clt", "--threads", "0"], "threads"),
+    (["clt", "--threads", "-3"], "threads"),
+    (["clt", "--burn-in", "-5"], "burn_in"),
+    (["simulate", "--n-steps", "0"], "n_steps"),
+    (["clt", "--n-steps", "2.5"], "n_steps"),
+    (["clt", "--buffer-capacity", "-1"], "buffer_capacity"),
+    (["clt", "--weight-c", "inf"], "weight.c"),
+    (["clt", "--xi", "nan"], "step.xi"),
+    (["wasserstein", "--buffer-capacity", "0"], "buffer_capacity"),
+])
+def test_out_of_range_value_exit_two_names_key(capsys, tmp_path, argv, key):
+    code, _, err = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
+    assert code == 2
+    assert key in err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from ergostep.diagnostics import (
     recursive_control_probe,
     weak_order_probe,
 )
+from ergostep.harness import emit
 from ergostep.innovations import InnovationDist, joint_outcomes
 from ergostep.model import MonteCarlo, generator_apply, generator_observable, linear_combination
 from ergostep.schemes import DivergenceError, make_stepper
@@ -76,9 +78,7 @@ def test_recursive_control_report_json(tmp_path):
     lyap = quadratic_lyapunov(alpha=2.0, beta=4.0)
     report = recursive_control_probe("euler", OU, lyap, gamma=2.0**-6, grid=GRID)
     path = tmp_path / "probe.json"
-    report.save(path)
-    import json
-
+    emit(report, "json", path)
     payload = json.loads(path.read_text())
     assert set(payload) == {"grid", "margins", "verdict", "worst_point", "metadata"}
     assert len(payload["margins"]) == len(GRID)
@@ -203,10 +203,12 @@ def test_probe_one_step_mean_is_driver_kernel_mean(model, x0, scheme):
         assert res.errors[0] == float(mean[i] - target)
 
 
-def test_weak_order_deterministic():
+def test_weak_order_deterministic(tmp_path):
     a = weak_order_probe("talay2", OU, monomial1d(4), np.array([1.0]), [2.0**-6, 2.0**-7], TP)
     b = weak_order_probe("talay2", OU, monomial1d(4), np.array([1.0]), [2.0**-6, 2.0**-7], TP)
-    assert a.to_json() == b.to_json()
+    emit(a, "json", tmp_path / "a.json")
+    emit(b, "json", tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_weak_order_state_dependent_diffusion_talay():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from ergostep.harness import (
+    CONFIG_KEYS,
     ConfigError,
     ErgodicReport,
     ExperimentConfig,
@@ -48,6 +50,28 @@ def test_unknown_key_rejected_by_name():
 def test_bad_value_reported():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_mapping({"n_steps": "many"})
+
+
+def test_config_keys_cover_the_fields():
+    assert set(CONFIG_KEYS.values()) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert [k for k, name in CONFIG_KEYS.items() if name == "model_params"] == [
+        "model.theta", "model.sigma", "model.dim"]
+
+
+def test_config_values_parse_by_field_type():
+    cfg = ExperimentConfig.from_mapping({
+        "n_steps": "1e5", "seed": "20260809", "checkpoints": "1e3, 1e5,",
+        "model.dim": "3", "step.xi": "0.2", "f": "x^3"})
+    assert cfg.n_steps == 100_000 and isinstance(cfg.n_steps, int)
+    assert cfg.seed == 20260809
+    assert cfg.checkpoints == (1000, 100_000)
+    assert cfg.model_params == {"dim": 3.0}
+    assert cfg.xi == 0.2 and cfg.observable_name == "x^3"
+    assert ExperimentConfig.from_mapping({}) == ExperimentConfig()
+    with pytest.raises(ConfigError, match="n_steps"):
+        ExperimentConfig.from_mapping({"n_steps": "2.5"})
+    with pytest.raises(ConfigError, match="model.sigma"):
+        ExperimentConfig.from_mapping({"model.sigma": "-inf"})
 
 
 def test_overrides_win():
