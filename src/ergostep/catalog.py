@@ -113,6 +113,8 @@ def ou_nd(theta_matrix, sigma_matrix) -> DiffusionModel:
 
 
 def model_from_config(cfg: dict) -> DiffusionModel:
+    """The catalog model of parsed config values: ``model.id`` a name,
+    ``model.theta`` and ``model.sigma`` floats, ``model.dim`` an int."""
     mid = cfg.get("model.id", "ou1d")
     if mid == "ou1d":
         return ou1d(theta=float(cfg.get("model.theta", 1.0)),
@@ -122,7 +124,7 @@ def model_from_config(cfg: dict) -> DiffusionModel:
     if mid == "ou_nd":
         # isotropic theta I / sigma I in the flat config; full matrices go
         # through the ou_nd constructor directly
-        d = int(float(cfg.get("model.dim", 2)))
+        d = cfg.get("model.dim", 2)
         th = float(cfg.get("model.theta", 1.0)) * np.eye(d)
         sg = float(cfg.get("model.sigma", math.sqrt(2.0))) * np.eye(d)
         return ou_nd(th, sg)
@@ -151,7 +153,10 @@ def monomial1d(k: int) -> Observable:
     def dd(x, m, dirs):
         if m > k:
             return 0.0
-        out = _falling(k, m) * np.asarray(x, dtype=np.float64)[..., 0] ** (k - m)
+        if m == k:  # the constant k!, since x**0 is exactly 1.0
+            out = _falling(k, k)
+        else:
+            out = _falling(k, m) * np.asarray(x, dtype=np.float64)[..., 0] ** (k - m)
         for v in dirs:
             out = out * np.asarray(v)[..., 0]
         return out

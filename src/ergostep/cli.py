@@ -97,12 +97,17 @@ def _load_config(args: argparse.Namespace, defaults=None) -> ExperimentConfig:
     return ExperimentConfig.from_mapping({**mapping, **unset})
 
 
+def _log_grid(lo: int, n: int, points: int, burn_in: int) -> str:
+    """Checkpoints at ``points`` log-spaced values from ``lo`` to n, rounded
+    down, past the burn-in; the last is n itself (10**log10(n) may round
+    down to n - 1)."""
+    grid = np.logspace(math.log10(max(lo, burn_in + 1)), math.log10(n), points).astype(int)
+    grid[-1] = n
+    return ",".join(str(int(g)) for g in np.unique(grid) if burn_in < g <= n)
+
+
 def _trace_defaults(config: ExperimentConfig) -> dict[str, str]:
-    n = config.n_steps
-    grid = [int(g) for g in np.unique(np.logspace(1, math.log10(n), 16).astype(int)) if g <= n]
-    if not grid or grid[-1] != n:
-        grid.append(n)
-    return {"checkpoints": ",".join(map(str, grid))}
+    return {"checkpoints": _log_grid(10, config.n_steps, 16, config.burn_in)}
 
 
 def _wasserstein_defaults(config: ExperimentConfig) -> dict[str, str]:
@@ -110,9 +115,10 @@ def _wasserstein_defaults(config: ExperimentConfig) -> dict[str, str]:
 
 
 def _rate_defaults(config: ExperimentConfig) -> dict[str, str]:
+    # from 1000 to n, or over the two decades up to n when n > 1e5 or n <= 1000
     n = config.n_steps
-    grid = np.unique(np.logspace(math.log10(max(1000, n // 100)), math.log10(n), 5).astype(int))
-    return {"replications": "100", "checkpoints": ",".join(str(int(g)) for g in grid)}
+    lo = max(1000, n // 100) if n > 1000 else max(1, n // 100)
+    return {"replications": "100", "checkpoints": _log_grid(lo, n, 5, config.burn_in)}
 
 
 def _cmd_simulate(args) -> int:

@@ -59,8 +59,9 @@ CONFIG_KEYS = {
     "threads": "threads", "burn_in": "burn_in",
 }
 
-# lower bounds of the integer fields that have one
-_AT_LEAST = {"n_steps": 1, "replications": 1, "threads": 1, "burn_in": 0, "buffer_capacity": 0}
+# lower bounds of the integer keys that have one
+_AT_LEAST = {"n_steps": 1, "replications": 1, "threads": 1, "burn_in": 0, "buffer_capacity": 0,
+             "model.dim": 1}
 
 
 def _parse_int(text: str) -> int:
@@ -74,20 +75,22 @@ def _parse_int(text: str) -> int:
         return int(value)
 
 
-def _parse_value(name: str, default, text: str):
-    """The value of field ``name`` from its config text, by the type of its default."""
+def _parse_value(key: str, name: str, default, text: str):
+    """The value of config ``key``, which sets field ``name``, from its text:
+    by the type of the field's default, and for model_params by the key
+    (model.dim is an integer, model.theta and model.sigma are floats)."""
     if name == "checkpoints":
         return tuple(_parse_int(tok) for tok in text.split(",") if tok.strip())
+    if key == "model.dim" or isinstance(default, int):
+        value = _parse_int(text)
+        low = _AT_LEAST.get(key)
+        if low is not None and value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
     if name == "model_params" or isinstance(default, float):
         value = float(text)
         if not math.isfinite(value):
             raise ValueError(f"{text!r} is not finite")
-        return value
-    if isinstance(default, int):
-        value = _parse_int(text)
-        low = _AT_LEAST.get(name)
-        if low is not None and value < low:
-            raise ValueError(f"must be at least {low}, got {value}")
         return value
     return text
 
@@ -150,7 +153,7 @@ class ExperimentConfig:
             if key not in merged:
                 continue
             try:
-                value = _parse_value(name, defaults[name], str(merged[key]).strip())
+                value = _parse_value(key, name, defaults[name], str(merged[key]).strip())
             except ValueError as err:
                 raise ConfigError(f"bad value for {key}: {err}") from err
             if name == "model_params":

@@ -16,6 +16,13 @@ kappa in {-1/2,+1/2}:
 
 W is symmetric by construction and centered (E W = 0) whenever u has unit
 second moments and independent coordinates.
+
+``InnovationDist.sample`` draws from one generator, or from a sequence of R
+generators at once: each stream's raw draws (uniforms, normals or bits) fill
+one row of a stream-major buffer, and the whole block is mapped to values at
+once into a C-ordered (size, R, N) array whose column r is bit-equal to a
+draw of ``size`` from generator r alone.  One mapping per kind serves both
+calls.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +40,6 @@ INNOVATION_KINDS = ("gaussian", "rademacher", "three_point")
 ENUMERATION_CAP = 10**6
 
 _SQRT3 = math.sqrt(3.0)
-# three_point values by the number of the cut points 1/6 and 5/6 that u passes
-_THREE_POINT = np.array([-_SQRT3, 0.0, _SQRT3])
 
 # per-coordinate moments E[X^k] as exact rationals (gaussian: (k-1)!! for even k)
 _MOMENTS = {
@@ -81,18 +87,53 @@ class InnovationDist:
             raise ValueError("moment order must be >= 0")
         return _MOMENTS[self.kind](k)
 
-    def sample(self, rng: np.random.Generator, size: int | tuple | None = None) -> np.ndarray:
-        """Draw innovations; trailing axis is the coordinate axis."""
-        shape = (self.dimension,) if size is None else (
-            (size, self.dimension) if isinstance(size, int) else (*size, self.dimension)
-        )
+    def sample(self, rng: np.random.Generator | Sequence[np.random.Generator],
+               size: int | tuple | None = None) -> np.ndarray:
+        """Draw innovations; trailing axis is the coordinate axis.
+
+        ``rng`` is one generator, or a sequence of R generators with an int
+        ``size`` m: then the result has shape (m, R, N), C-ordered, and its
+        column r is bit-equal to ``sample(rng[r], m)``.
+        """
+        if isinstance(rng, np.random.Generator):
+            shape = (self.dimension,) if size is None else (
+                (size, self.dimension) if isinstance(size, int) else (*size, self.dimension)
+            )
+            raw = np.empty(shape)
+            self._fill_raw(rng, raw)
+            return self._values(raw)
+        raw = np.empty((len(rng), size, self.dimension))
+        for row, g in zip(raw, rng):
+            self._fill_raw(g, row)
+        return self._values(raw.transpose(1, 0, 2))
+
+    def _fill_raw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """One stream's raw draws into the C-contiguous float64 ``out``:
+        normals, uniforms, or bits as 0.0 and 1.0."""
         if self.kind == "gaussian":
-            return rng.standard_normal(shape)
+            rng.standard_normal(out=out)
+        elif self.kind == "rademacher":
+            out[...] = rng.integers(0, 2, size=out.shape)
+        else:
+            rng.random(out=out)
+
+    def _values(self, raw: np.ndarray) -> np.ndarray:
+        """Innovation values of raw draws, C-ordered; may reuse ``raw``."""
+        if self.kind == "three_point":
+            # the number of the cut points 1/6 and 5/6 that u passes, 0, 1 or
+            # 2, shifted and scaled to exactly -sqrt(3), +0.0 and sqrt(3);
+            # counting in uint8 and casting once beats a float add of the masks
+            passed = (raw >= 1.0 / 6.0).view(np.uint8)
+            passed += (raw >= 5.0 / 6.0).view(np.uint8)
+            out = passed.astype(np.float64, order="C")
+            out -= 1.0
+            out *= _SQRT3
+            return out
+        out = np.ascontiguousarray(raw)
         if self.kind == "rademacher":
-            return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-        u = rng.random(shape)
-        passed = (u >= 1.0 / 6.0).view(np.uint8) + (u >= 5.0 / 6.0).view(np.uint8)
-        return _THREE_POINT.take(passed)
+            out *= 2.0
+            out -= 1.0
+        return out
 
     def support1d(self) -> list[tuple[float, float]] | None:
         """Per-coordinate (value, probability) pairs; None for gaussian."""

@@ -26,12 +26,13 @@ standard error.
 All callbacks are vectorized over leading batch axes: states have shape
 (..., d), drifts (..., d), diffusions (..., d, N).  A field or derivative
 that does not depend on the state (a constant sigma, the zero Hessian of a
-linear drift, an observable derivative above its degree) may return its
-value without the batch axes; numpy broadcasting lines it up with batched
-values.  The operators restore the batch shape once, at their boundary:
-``generator_apply``, ``vf_operator`` and the correction operators return
-values of shape ``x.shape[:-1]``.  Models and observables are immutable;
-callbacks must be re-entrant.
+linear drift, an observable derivative above its degree, or at its degree
+along directions without batch axes) may return its value without the batch
+axes; numpy broadcasting lines it up with batched values, and a caller may
+take such a value as state-independent.  The operators restore the batch
+shape once, at their boundary: ``generator_apply``, ``vf_operator`` and the
+correction operators return values of shape ``x.shape[:-1]``.  Models and
+observables are immutable; callbacks must be re-entrant.
 """
 
 from __future__ import annotations

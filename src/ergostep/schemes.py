@@ -22,13 +22,17 @@ a small second-order defect from the surrogate's off-diagonal covariance.
 
 For d = N = 1 each scheme has a hand-expanded scalar branch with the same
 increments; it skips the einsum contractions, which cost more than the
-arithmetic they do at that size.
+arithmetic they do at that size.  The Euler branch evaluates sigma once
+when the kernel is built: a value without batch axes does not depend on
+the state, and the step multiplies sqrt(gamma) by that bound float, which
+rounds exactly as sqrt(gamma) * sigma(x) does.
 
 Each trajectory owns two counter-based Philox streams keyed by
 (master_seed, replication_index): one for innovation draws, one for the
 sign draws (row-major over the upper triangle, i < j).  Innovations are
-generated in fixed-size blocks, and states are handed to sinks in the same
-blocks, so running replications one at a time and running them as a
+generated in fixed-size blocks, one ``InnovationDist.sample`` call over all
+the streams of a batch per block, and states are handed to sinks in the
+same blocks, so running replications one at a time and running them as a
 vectorized batch perform bit-identical float sequences per replication.
 """
 
@@ -109,8 +113,17 @@ def make_stepper(scheme: str, model: DiffusionModel):
 
     if scheme == "euler":
         if d == 1 and n == 1:
-            def step(x, gamma, u, kappa):
-                return x + gamma * model.b(x) + math.sqrt(gamma) * model.sigma(x)[..., 0] * u
+            # sigma without batch axes on a batch of one state does not depend
+            # on the state (the field contract of ``model``): bind its value
+            sigma0 = model.sigma(np.zeros((1, d)))
+            if np.ndim(sigma0) == 2:
+                s = float(sigma0[0, 0])
+
+                def step(x, gamma, u, kappa):
+                    return x + gamma * model.b(x) + (math.sqrt(gamma) * s) * u
+            else:
+                def step(x, gamma, u, kappa):
+                    return x + gamma * model.b(x) + math.sqrt(gamma) * model.sigma(x)[..., 0] * u
         else:
             def step(x, gamma, u, kappa):
                 su = np.einsum("...in,...n->...i", model.sigma(x), u)
@@ -160,7 +173,7 @@ class BatchResult:
 
 
 def _draw_blocks(innovation: InnovationDist, gens_u, gens_k, m: int, need_kappa: bool):
-    us = np.stack([innovation.sample(g, size=m) for g in gens_u], axis=1)
+    us = innovation.sample(gens_u, size=m)
     kaps = None
     if need_kappa:
         kaps = np.stack([sample_kappa(g, innovation.dimension, size=m) for g in gens_k], axis=1)

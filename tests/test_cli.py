@@ -232,6 +232,22 @@ def test_rate_defaults_follow_config_file_n_steps(capsys, tmp_path):
     assert payload["config"]["replications"] == 50
 
 
+def test_simulate_default_checkpoints_start_past_burn_in(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "simulate", "--n-steps", "2000", "--burn-in", "500",
+                           "--format", "json", "--output-dir", str(tmp_path))
+    assert code == 0, err
+    checkpoints = json.loads((tmp_path / "simulate.json").read_text())["checkpoints"]
+    assert checkpoints[0] > 500 and checkpoints[-1] == 2000
+
+
+def test_rate_default_checkpoints_end_at_small_n_steps(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "rate", "--n-steps", "500", "--format", "json",
+                           "--output-dir", str(tmp_path))
+    assert code == 0, err
+    grid = [n for n, _ in json.loads((tmp_path / "rate.json").read_text())["points"]]
+    assert len(grid) >= 3 and grid[-1] == 500
+
+
 @pytest.mark.parametrize("argv,key", [
     (["wasserstein", "--replications", "0"], "replications"),
     (["clt", "--threads", "0"], "threads"),
@@ -243,8 +259,15 @@ def test_rate_defaults_follow_config_file_n_steps(capsys, tmp_path):
     (["clt", "--weight-c", "inf"], "weight.c"),
     (["clt", "--xi", "nan"], "step.xi"),
     (["wasserstein", "--buffer-capacity", "0"], "buffer_capacity"),
+    (["clt", "--model", "ou_nd", "--config", "model.dim = 2.5"], "model.dim"),
+    (["clt", "--model", "ou_nd", "--config", "model.dim = 0"], "model.dim"),
 ])
 def test_out_of_range_value_exit_two_names_key(capsys, tmp_path, argv, key):
+    if "--config" in argv:  # the text after --config is the file's content
+        at = argv.index("--config") + 1
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(argv[at] + "\n")
+        argv = [*argv[:at], str(cfg), *argv[at + 1:]]
     code, _, err = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
     assert code == 2
     assert key in err

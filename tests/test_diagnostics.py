@@ -21,7 +21,7 @@ from ergostep.model import MonteCarlo, generator_apply, generator_observable, li
 from ergostep.schemes import DivergenceError, make_stepper
 
 OU = ou1d(1.0, math.sqrt(2.0))
-OU_ND2 = model_from_config({"model.id": "ou_nd", "model.dim": 2.0})
+OU_ND2 = model_from_config({"model.id": "ou_nd", "model.dim": 2})
 TP = InnovationDist("three_point", 1)
 GRID = np.linspace(-5.0, 5.0, 21)[:, None]
 

@@ -65,7 +65,7 @@ def test_config_values_parse_by_field_type():
     assert cfg.n_steps == 100_000 and isinstance(cfg.n_steps, int)
     assert cfg.seed == 20260809
     assert cfg.checkpoints == (1000, 100_000)
-    assert cfg.model_params == {"dim": 3.0}
+    assert cfg.model_params == {"dim": 3} and isinstance(cfg.model_params["dim"], int)
     assert cfg.xi == 0.2 and cfg.observable_name == "x^3"
     assert ExperimentConfig.from_mapping({}) == ExperimentConfig()
     with pytest.raises(ConfigError, match="n_steps"):

@@ -95,6 +95,21 @@ def test_three_point_draws_match_cut_point_formula():
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("kind", ["three_point", "rademacher", "gaussian"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("streams", [1, 5])
+def test_block_draw_is_per_stream_draw(kind, dim, streams):
+    dist = InnovationDist(kind, dim)
+    for m in (1, 37, 1024):
+        gens = [trajectory_generators(13, r)[0] for r in range(streams)]
+        got = dist.sample(gens, m)
+        gens = [trajectory_generators(13, r)[0] for r in range(streams)]
+        want = np.stack([dist.sample(g, m) for g in gens], axis=1)
+        assert got.shape == (m, streams, dim) and got.dtype == np.float64
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_sample_innovation_shape():
     dist = InnovationDist("gaussian", 3)
     rng, _ = trajectory_generators(0, 0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -244,6 +245,25 @@ def test_dirderiv_matches_finite_differences(k):
         analytic = f.d(pt, 1, (v,))
         fd = directional_fd(f.fn, pt, (v,), h=1e-4)
         assert fd == pytest.approx(analytic, rel=1e-4, abs=1e-8)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_monomial_dirderiv_at_degree_is_an_unbatched_constant(k):
+    # against k!/(k-m)! x^(k-m) v_1 ... v_m multiplied left to right; the
+    # value has no batch axes exactly when m = k and no direction has them
+    rng = np.random.default_rng(k)
+    f = monomial1d(k)
+    xs = rng.normal(size=(3, 7, 1))
+    for m in range(k + 1):
+        for batched in itertools.product((False, True), repeat=m):
+            dirs = [rng.normal(size=(3, 7, 1) if b else (1,)) for b in batched]
+            want = math.perm(k, m) * xs[..., 0] ** (k - m)
+            for v in dirs:
+                want = want * v[..., 0]
+            got = f.d(xs, m, dirs)
+            unbatched = m == k and not any(batched)
+            assert np.shape(got) == (() if unbatched else (3, 7)), (m, batched)
+            assert np.array_equal(np.broadcast_to(got, want.shape), want), (m, batched)
 
 
 @settings(max_examples=30, deadline=None)

@@ -130,8 +130,12 @@ def test_simulate_long_run_mean_reverts():
     assert abs(xs.mean()) <= 3 * se
 
 
-@pytest.mark.parametrize("scheme", ["euler", "talay2"])
-def test_batch_matches_serial_bitwise(scheme):
+@pytest.mark.parametrize("scheme,kind", [
+    pytest.param(scheme, kind, id=scheme if kind == "three_point" else f"{scheme}-{kind}")
+    for kind in ("three_point", "rademacher", "gaussian") for scheme in ("euler", "talay2")
+])
+def test_batch_matches_serial_bitwise(scheme, kind):
+    inn = InnovationDist(kind, 1)
     st = StepSchedule("power_law", 0.5, 0.4)
     w = WeightSchedule("proportional", st, c=1.0)
     n, reps = 2500, 5  # crosses a block boundary
@@ -140,12 +144,12 @@ def test_batch_matches_serial_bitwise(scheme):
     for r in range(reps):
         meas = WeightedEmpiricalMeasure(weights=w)
         meas.register("x^2", monomial1d(2).fn)
-        s = simulate(scheme, OU, st, TP, n, 0.3, rng_seed=123, sinks=[meas], replication=r)
+        s = simulate(scheme, OU, st, inn, n, 0.3, rng_seed=123, sinks=[meas], replication=r)
         serial_states.append(s.x)
         serial_vals.append(meas.value("x^2"))
     bmeas = WeightedEmpiricalMeasure(weights=w, batch_shape=(reps,))
     bmeas.register("x^2", monomial1d(2).fn)
-    res = simulate_batch(scheme, OU, st, TP, n, 0.3, master_seed=123,
+    res = simulate_batch(scheme, OU, st, inn, n, 0.3, master_seed=123,
                          replications=reps, sinks=[bmeas])
     assert np.array_equal(res.final_states, np.stack(serial_states))
     assert np.array_equal(bmeas.value("x^2"), np.array(serial_vals))
