@@ -156,7 +156,8 @@ def monomial1d(k: int) -> Observable:
         if m == k:  # the constant k!, since x**0 is exactly 1.0
             out = _falling(k, k)
         else:
-            out = _falling(k, m) * np.asarray(x, dtype=np.float64)[..., 0] ** (k - m)
+            x1 = np.asarray(x, dtype=np.float64)[..., 0]
+            out = _falling(k, m) * (x1 if k - m == 1 else x1 ** (k - m))
         for v in dirs:
             out = out * np.asarray(v)[..., 0]
         return out

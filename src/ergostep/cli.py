@@ -115,9 +115,10 @@ def _wasserstein_defaults(config: ExperimentConfig) -> dict[str, str]:
 
 
 def _rate_defaults(config: ExperimentConfig) -> dict[str, str]:
-    # from 1000 to n, or over the two decades up to n when n > 1e5 or n <= 1000
+    # from n/100, raised to 1000 when n > 1000 but never past n/10: the grid
+    # spans one to two decades up to n
     n = config.n_steps
-    lo = max(1000, n // 100) if n > 1000 else max(1, n // 100)
+    lo = min(max(1000, n // 100), n // 10) if n > 1000 else max(1, n // 100)
     return {"replications": "100", "checkpoints": _log_grid(lo, n, 5, config.burn_in)}
 
 

@@ -10,14 +10,19 @@ within round-off of an offline recomputation.  Accumulation starts at k = 1;
 burn-in, when wanted, is the caller's slicing concern.
 
 Every state goes through one fold.  It walks a block of m pre-step states
-in tiles of max(1, 32768 // m) replications: each tile is copied once to a
-replication-major array (T, m, d), every observable is evaluated on that
-copy, and each replication's row of eta-weighted values is reduced by one
-contiguous pairwise sum; the assembled per-replication partials are added to
-a compensated accumulator once per block.  A tile, its values and their
-temporaries stay in cache.  The simulation drivers hand blocks to
-``observe_block``, which takes the weights from the attached schedule;
-``record`` folds one state as a block of one.  A replication's row is the
+in tiles of max(1, 32768 // m) replications: each tile is taken as a
+C-contiguous replication-major array (T, m, d), every observable is
+evaluated on it, and each replication's row of eta-weighted values is
+reduced by one contiguous pairwise sum; the assembled per-replication
+partials are added to a compensated accumulator once per block.  A tile,
+its values and their temporaries stay in cache.  The simulation drivers
+hand blocks to ``observe_block`` as (m, R, d) views of replication-major
+memory, so for a whole driver block the tile is a view and nothing is
+copied; a time-major block, or a part of a driver block split at a
+checkpoint or the burn-in, is copied one tile at a time.  The sums are the
+same bits whatever the block's memory order.  ``observe_block`` takes the
+weights from the attached schedule; ``record`` folds one state as a block
+of one.  A replication's row is the
 same whichever tile holds it, so serial, batched and partitioned execution
 perform an identical sequence of float operations per replication.
 """

@@ -22,11 +22,18 @@ generators at once: each stream's raw draws (uniforms, normals or bits) fill
 one row of a stream-major buffer, and the whole block is mapped to values at
 once into a C-ordered (size, R, N) array whose column r is bit-equal to a
 draw of ``size`` from generator r alone.  One mapping per kind serves both
-calls.
+calls.  The three-point mapping writes the values over the raw buffer's
+memory once its two threshold masks are taken, so a block draw holds one
+float64 block, not two.
+
+``joint_outcomes`` is built once per (law, with_kappa) and cached as a
+tuple of read-only arrays, so exact expectations over many batches of
+states share one enumeration.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -101,11 +108,11 @@ class InnovationDist:
             )
             raw = np.empty(shape)
             self._fill_raw(rng, raw)
-            return self._values(raw)
+            return self._values(raw, raw)
         raw = np.empty((len(rng), size, self.dimension))
         for row, g in zip(raw, rng):
             self._fill_raw(g, row)
-        return self._values(raw.transpose(1, 0, 2))
+        return self._values(raw.transpose(1, 0, 2), raw)
 
     def _fill_raw(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """One stream's raw draws into the C-contiguous float64 ``out``:
@@ -117,15 +124,19 @@ class InnovationDist:
         else:
             rng.random(out=out)
 
-    def _values(self, raw: np.ndarray) -> np.ndarray:
-        """Innovation values of raw draws, C-ordered; may reuse ``raw``."""
+    def _values(self, raw: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """Innovation values of raw draws, C-ordered in the shape of ``raw``;
+        ``buf`` is the C-contiguous array that ``raw`` views, and its memory
+        may hold the values."""
         if self.kind == "three_point":
             # the number of the cut points 1/6 and 5/6 that u passes, 0, 1 or
             # 2, shifted and scaled to exactly -sqrt(3), +0.0 and sqrt(3);
             # counting in uint8 and casting once beats a float add of the masks
             passed = (raw >= 1.0 / 6.0).view(np.uint8)
             passed += (raw >= 5.0 / 6.0).view(np.uint8)
-            out = passed.astype(np.float64, order="C")
+            # the draws are spent: the values go over them
+            out = buf.reshape(raw.shape)
+            np.copyto(out, passed)
             out -= 1.0
             out *= _SQRT3
             return out
@@ -202,8 +213,10 @@ def kappa_outcomes(noise_dim: int) -> list[tuple[np.ndarray, float]]:
     return out
 
 
-def joint_outcomes(dist: InnovationDist, with_kappa: bool = False) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Joint (u, kappa, probability) outcomes for exact expectations.
+@functools.lru_cache(maxsize=16)
+def joint_outcomes(dist: InnovationDist, with_kappa: bool = False) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
+    """Joint (u, kappa, probability) outcomes for exact expectations, built
+    once per (dist, with_kappa); the arrays are read-only.
 
     Raises on gaussian innovations or when the outcome count would exceed
     the enumeration cap.
@@ -212,4 +225,6 @@ def joint_outcomes(dist: InnovationDist, with_kappa: bool = False) -> list[tuple
     ks = kappa_outcomes(dist.dimension) if with_kappa else [(np.zeros(0), 1.0)]
     if len(us) * len(ks) > ENUMERATION_CAP:
         raise ValueError("enumeration blow-up: joint outcome count exceeds cap")
-    return [(u, k, pu * pk) for u, pu in us for k, pk in ks]
+    for arr, _ in (*us, *ks):
+        arr.setflags(write=False)
+    return tuple((u, k, pu * pk) for u, pu in us for k, pk in ks)

@@ -13,6 +13,8 @@ On top of these the module evaluates:
 
   * the infinitesimal generator  Af = <b, grad f> + 1/2 (sigma sigma^T) : D^2 f
   * the asymptotic-variance density  Vf = |sigma^T grad f|^2
+    = sum_n (Df; sigma_n)^2, one directional derivative per noise column
+    sigma_n of sigma
   * the columnwise drift-diffusion coupling field sigma_tilde and the
     generator applied to the drift, Ab (both consumed by the
     weak-order-two step)
@@ -51,8 +53,11 @@ FD_STEP_HESS = _EPS ** 0.25
 
 
 def _batched(value, x: np.ndarray) -> np.ndarray:
-    """``value`` broadcast to the batch shape of states ``x``: fields that do
-    not depend on the state may have left it without batch axes."""
+    """``value`` with the batch shape of states ``x``: an array that has it
+    is returned as it is, anything else is broadcast (fields that do not
+    depend on the state may have left it without batch axes)."""
+    if isinstance(value, np.ndarray) and value.shape == x.shape[:-1]:
+        return value
     return np.broadcast_to(value, x.shape[:-1])
 
 
@@ -324,14 +329,17 @@ def generator_apply(model: DiffusionModel, f: Observable, x: np.ndarray):
 
 
 def vf_operator(model: DiffusionModel, f: Observable, x: np.ndarray):
-    """|sigma(x)^T grad f(x)|^2, the asymptotic-variance density."""
+    """|sigma(x)^T grad f(x)|^2 = sum_n (Df(x); sigma_n(x))^2 over the noise
+    columns sigma_n, the asymptotic-variance density."""
     if f.max_order < 1:
         raise InsufficientOrderError("insufficient observable order: need order 1")
     x = np.asarray(x, dtype=np.float64)
-    basis = np.eye(model.dim)
-    grad = np.stack([f.d(x, 1, (basis[i],)) for i in range(model.dim)], axis=-1)
-    st_grad = np.einsum("...in,...i->...n", model.sigma(x), grad)
-    return _batched(np.einsum("...n,...n->...", st_grad, st_grad), x)
+    s = model.sigma(x)
+    out = None
+    for n in range(model.noise_dim):
+        g = f.d(x, 1, (s[..., n],))
+        out = g * g if out is None else out + g * g
+    return _batched(out, x)
 
 
 def sigma_tilde(model: DiffusionModel, x: np.ndarray, hessian_weight: float = 1.0) -> np.ndarray:

@@ -22,10 +22,23 @@ a small second-order defect from the surrogate's off-diagonal covariance.
 
 For d = N = 1 each scheme has a hand-expanded scalar branch with the same
 increments; it skips the einsum contractions, which cost more than the
-arithmetic they do at that size.  The Euler branch evaluates sigma once
-when the kernel is built: a value without batch axes does not depend on
-the state, and the step multiplies sqrt(gamma) by that bound float, which
-rounds exactly as sqrt(gamma) * sigma(x) does.
+arithmetic they do at that size.  Both branches evaluate the fields other
+than b once when the kernel is built: a value without batch axes does not
+depend on the state, so the step uses that bound float, which rounds
+exactly as the per-state value does.  The talay2 branch also drops the
+products whose bound factor is exactly zero (the derivatives of a constant
+sigma, the Hessian of a linear drift); only the sign of a zero result can
+differ from the full expression.
+
+A kernel may carry a block entry, ``step.block(slab, gammas, us)``, that
+advances a whole block of steps in place: slab[0] holds the states before
+the block and rows 1 .. len(gammas) receive the states after each step.
+The 1-d Euler kernel with a bound sigma has one.  It writes every noise
+increment sqrt(gamma_k) sigma U_k into the slab with one multiplication
+(``np.sqrt`` rounds as ``math.sqrt`` does) and then adds x + gamma b(x)
+onto it row by row, the same float operations as the per-step kernel.  The
+driver takes the block entry when the kernel has one and steps the kernel
+otherwise; the probes and the divergence replay always call ``step``.
 
 Each trajectory owns two counter-based Philox streams keyed by
 (master_seed, replication_index): one for innovation draws, one for the
@@ -34,6 +47,9 @@ generated in fixed-size blocks, one ``InnovationDist.sample`` call over all
 the streams of a batch per block, and states are handed to sinks in the
 same blocks, so running replications one at a time and running them as a
 vectorized batch perform bit-identical float sequences per replication.
+A block reaches the sinks with shape (len, R, d), as a view of one
+replication-major copy (R, len, d) that all sinks share, so a sink that
+walks replications reads contiguous memory.
 """
 
 from __future__ import annotations
@@ -77,7 +93,10 @@ class SchemeState:
 
 
 class StateSink(Protocol):
-    """Consumer of pre-step states, fed in blocks of consecutive steps."""
+    """Consumer of pre-step states, fed in blocks of consecutive steps.
+
+    A block is a view of memory the driver reuses for the next block; a
+    sink that keeps states copies them."""
 
     def observe_block(self, k0: int, states: np.ndarray) -> None: ...
 
@@ -113,14 +132,19 @@ def make_stepper(scheme: str, model: DiffusionModel):
 
     if scheme == "euler":
         if d == 1 and n == 1:
-            # sigma without batch axes on a batch of one state does not depend
-            # on the state (the field contract of ``model``): bind its value
-            sigma0 = model.sigma(np.zeros((1, d)))
-            if np.ndim(sigma0) == 2:
-                s = float(sigma0[0, 0])
-
+            s = _bound_scalar(model.sigma, 2)
+            if s is not None:
                 def step(x, gamma, u, kappa):
                     return x + gamma * model.b(x) + (math.sqrt(gamma) * s) * u
+
+                def block(slab, gammas, us):
+                    m = len(gammas)
+                    np.multiply((np.sqrt(gammas) * s)[:, None, None], us, out=slab[1:m + 1])
+                    rows = list(slab[:m + 1])
+                    for x, nxt, gamma in zip(rows, rows[1:], gammas.tolist()):
+                        np.add(x + gamma * model.b(x), nxt, out=nxt)
+
+                step.block = block
             else:
                 def step(x, gamma, u, kappa):
                     return x + gamma * model.b(x) + math.sqrt(gamma) * model.sigma(x)[..., 0] * u
@@ -131,21 +155,36 @@ def make_stepper(scheme: str, model: DiffusionModel):
         return step
 
     if d == 1 and n == 1:
+        s = _bound_scalar(model.sigma, 2)
+        db = _bound_scalar(model.drift_jacobian, 2)
+        d2b = _bound_scalar(model.drift_hessian, 3)
+        ds = _bound_scalar(model.diffusion_jacobian, 3)
+        d2s = _bound_scalar(model.diffusion_hessian, 4)
+
         def step(x, gamma, u, kappa):
             x1 = x[..., 0]
             u1 = u[..., 0]
             b1 = model.b(x)[..., 0]
-            s1 = model.sigma(x)[..., 0, 0]
-            db1 = model.drift_jacobian(x)[..., 0, 0]
-            d2b1 = model.drift_hessian(x)[..., 0, 0, 0]
-            ds1 = model.diffusion_jacobian(x)[..., 0, 0, 0]
-            d2s1 = model.diffusion_hessian(x)[..., 0, 0, 0, 0]
+            s1 = model.sigma(x)[..., 0, 0] if s is None else s
+            db1 = model.drift_jacobian(x)[..., 0, 0] if db is None else db
             s2 = s1 * s1
-            theta = ds1 * s1 * (u1 * u1 - 1.0)
-            coup = 0.5 * (db1 * s1 + ds1 * b1) + 0.25 * d2s1 * s2
-            ab = db1 * b1 + 0.5 * s2 * d2b1
+            # a factor bound to exactly 0 drops its products (None != 0.0)
+            drift = b1
+            coup = db1 * s1
+            if ds != 0.0:
+                ds1 = model.diffusion_jacobian(x)[..., 0, 0, 0] if ds is None else ds
+                drift = b1 + 0.5 * (ds1 * s1 * (u1 * u1 - 1.0))
+                coup = coup + ds1 * b1
+            coup = 0.5 * coup
+            if d2s != 0.0:
+                d2s1 = model.diffusion_hessian(x)[..., 0, 0, 0, 0] if d2s is None else d2s
+                coup = coup + 0.25 * d2s1 * s2
+            ab = db1 * b1
+            if d2b != 0.0:
+                d2b1 = model.drift_hessian(x)[..., 0, 0, 0] if d2b is None else d2b
+                ab = ab + 0.5 * s2 * d2b1
             out = (x1 + math.sqrt(gamma) * s1 * u1
-                   + gamma * (b1 + 0.5 * theta)
+                   + gamma * drift
                    + gamma**1.5 * coup * u1
                    + 0.5 * gamma**2 * ab)
             return out[..., None]
@@ -159,6 +198,14 @@ def make_stepper(scheme: str, model: DiffusionModel):
                     + gamma**1.5 * np.einsum("...in,...n->...i", coup, u)
                     + 0.5 * gamma**2 * model_ops.drift_generator(model, x))
     return step
+
+
+def _bound_scalar(field, rank: int) -> float | None:
+    """The value of a d = N = 1 field with ``rank`` value axes as a float
+    when it has no batch axes (it does not depend on the state, by the field
+    contract of ``model``), else None."""
+    value = field(np.zeros((1, 1)))
+    return float(np.reshape(value, -1)[0]) if np.ndim(value) == rank else None
 
 
 # ---------------------------------------------------------------------------
@@ -187,44 +234,53 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
     if innovation.dimension != model.noise_dim:
         raise ValueError("innovation dimension must match the model's noise dimension")
     stepper = make_stepper(scheme, model)
+    advance = getattr(stepper, "block", None)
     r_count = len(replications)
-    x = np.tile(np.asarray(x0, dtype=np.float64).reshape(1, model.dim), (r_count, 1))
     gens = [trajectory_generators(master_seed, r) for r in replications]
     gens_u = [g[0] for g in gens]
     gens_k = [g[1] for g in gens]
     need_kappa = scheme == "talay2" and kappa_count(model.noise_dim) > 0
     excluded: dict[int, int] = {}
-    slab = np.empty((CHUNK, r_count, model.dim))
+    # slab[t] is the state before step k + t of the block; slab[0] carries
+    # over from the previous block's last row
+    slab = np.empty((CHUNK + 1, r_count, model.dim))
+    slab[0] = np.asarray(x0, dtype=np.float64).reshape(1, model.dim)
+    by_rep = np.empty(r_count * CHUNK * model.dim)
     k = 1
     while k <= n_steps:
         m = min(CHUNK, n_steps - k + 1)
-        gammas = steps.gamma_block(k, k + m).tolist()
+        gammas = steps.gamma_block(k, k + m)
         us, kaps = _draw_blocks(innovation, gens_u, gens_k, m, need_kappa)
-        x_entry = x.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(m):
-                slab[t] = x
-                x = stepper(x, gammas[t], us[t], kaps[t] if need_kappa else None)
+            if advance is not None:
+                advance(slab, gammas, us)
+            else:
+                for t, gamma in enumerate(gammas.tolist()):
+                    slab[t + 1] = stepper(slab[t], gamma, us[t], kaps[t] if need_kappa else None)
         # the guard runs once per block; the offending step index is
         # recovered by replaying the block for the diverged row
+        x = slab[m]
         bad = ~np.all(np.isfinite(x), axis=-1) | (np.max(np.abs(x), axis=-1) > DIVERGENCE_BOUND)
         if np.any(bad):
             for r_idx in np.nonzero(bad)[0]:
                 if replications[r_idx] in excluded:
                     continue
-                step_at = _locate_divergence(stepper, x_entry[r_idx], gammas,
+                step_at = _locate_divergence(stepper, slab[0, r_idx], gammas.tolist(),
                                              us[:, r_idx], kaps[:, r_idx] if need_kappa else None, k)
                 if raise_on_divergence:
                     raise DivergenceError(step_at, replication=replications[r_idx])
                 excluded[replications[r_idx]] = step_at
             # a diverged row restarts from 0, and the sinks never see its
             # states: its replication is excluded
-            x[bad] = 0.0
-            slab[:m, bad] = 0.0
+            slab[:m + 1, bad] = 0.0
+        # one replication-major copy per block, shared by every sink
+        rows = by_rep[:r_count * m * model.dim].reshape(r_count, m, model.dim)
+        np.copyto(rows, slab[:m].swapaxes(0, 1))
         for sink in sinks:
-            sink.observe_block(k, slab[:m])
+            sink.observe_block(k, rows.swapaxes(0, 1))
+        slab[0] = x
         k += m
-    return BatchResult(final_states=x, excluded=sorted(excluded.items()), n_steps=n_steps)
+    return BatchResult(final_states=slab[0].copy(), excluded=sorted(excluded.items()), n_steps=n_steps)
 
 
 def _locate_divergence(stepper, x_row, gammas, us, kaps, k0) -> int:

@@ -8,6 +8,25 @@ import pytest
 from ergostep.model import DiffusionModel
 
 
+def broadcast_ou(theta: float, sigma: float) -> DiffusionModel:
+    """The catalog OU with every constant field broadcast to the batch shape."""
+
+    def const(value):
+        value = np.asarray(value, dtype=np.float64)
+        return lambda xs: np.broadcast_to(value, np.asarray(xs).shape[:-1] + value.shape)
+
+    return DiffusionModel(
+        dim=1, noise_dim=1, b=lambda xs: -theta * xs,
+        sigma=const([[sigma]]),
+        db=const([[-theta]]),
+        d2b=const(np.zeros((1, 1, 1))),
+        dsigma=const(np.zeros((1, 1, 1))),
+        d2sigma=const(np.zeros((1, 1, 1, 1))),
+        db_higher=lambda xs, m: const(np.zeros((1,) * (m + 1)))(xs),
+        dsigma_higher=lambda xs, m: const(np.zeros((1, 1) + (1,) * m))(xs),
+    )
+
+
 def poly1d_model(b_coeffs, s_coeffs, fd_only: bool = False) -> DiffusionModel:
     """1-d model with polynomial drift/diffusion and exact derivatives.
 

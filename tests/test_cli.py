@@ -112,6 +112,19 @@ def test_rate_defaults_and_assert(capsys, tmp_path):
     assert "pass" in out
 
 
+@pytest.mark.parametrize("n,grid", [
+    (1002, "100,177,316,563,1002"),
+    (5000, "499,889,1581,2811,5000"),
+    (10**4, "1000,1778,3162,5623,10000"),
+    (10**6, "10000,31622,100000,316227,1000000"),
+])
+def test_rate_default_grid_spans_a_decade(n, grid):
+    got = cli._rate_defaults(ExperimentConfig(n_steps=n))["checkpoints"]
+    assert got == grid
+    points = [int(p) for p in got.split(",")]
+    assert points[-1] == n and points[-1] >= 10 * points[0]
+
+
 def test_probe_subcommand(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "probe", "--scheme", "talay2", "--assert",
                            "--output-dir", str(tmp_path))

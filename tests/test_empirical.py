@@ -248,6 +248,38 @@ def test_fold_calls_see_at_most_a_tile(m):
     assert max(math.prod(s) for s in seen) <= max(m, _TILE_STATES)
 
 
+def test_fold_is_bit_identical_in_either_memory_order():
+    model, f = ou1d(1.0, math.sqrt(2.0)), monomial1d(2)
+    obs = _fold_observables(model, f)
+    w = WeightSchedule("proportional", StepSchedule("power_law", 1.0, 1.0 / 3.0))
+    rng, _ = trajectory_generators(23, 0)
+    time_major = rng.normal(size=(1024, 70, 1))
+    rep_major = np.ascontiguousarray(time_major.swapaxes(0, 1)).swapaxes(0, 1)
+    values = []
+    for block in (time_major, rep_major):
+        meas = WeightedEmpiricalMeasure(weights=w, batch_shape=(70,))
+        for name, fn in obs.items():
+            meas.register(name, fn)
+        meas.observe_block(1, block)
+        meas.observe_block(1025, block[:300])  # a block split at a checkpoint
+        values.append({name: meas.value(name).tobytes() for name in obs})
+    assert values[0] == values[1]
+
+
+def test_fold_tiles_of_a_replication_major_block_are_views():
+    block = np.ascontiguousarray(np.zeros((70, 1024, 1))).swapaxes(0, 1)
+    views = []
+
+    def probe(xs):
+        views.append(np.shares_memory(xs, block))
+        return xs[..., 0]
+
+    meas = WeightedEmpiricalMeasure(batch_shape=(70,))
+    meas.register("x", probe)
+    meas._fold(block, np.ones(1024))
+    assert len(views) == 3 and all(views)
+
+
 def test_buffer_disabled_raises():
     m = WeightedEmpiricalMeasure()
     m.register("x", monomial1d(1).fn)

@@ -110,6 +110,28 @@ def test_block_draw_is_per_stream_draw(kind, dim, streams):
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("kind", ["three_point", "rademacher", "gaussian"])
+def test_draws_share_no_memory(kind):
+    dist = InnovationDist(kind, 1)
+    gens = [trajectory_generators(29, r)[0] for r in range(4)]
+    a, b = dist.sample(gens, 64), dist.sample(gens, 64)
+    assert not np.shares_memory(a, b)
+    rng, _ = trajectory_generators(29, 9)
+    a, b = dist.sample(rng, 64), dist.sample(rng, 64)
+    assert not np.shares_memory(a, b)
+
+
+def test_cached_joint_outcomes_are_read_only():
+    dist = InnovationDist("three_point", 2)
+    outcomes = joint_outcomes(dist, with_kappa=True)
+    assert joint_outcomes(dist, with_kappa=True) is outcomes
+    u, kap, _ = outcomes[0]
+    with pytest.raises(ValueError):
+        u[0] = 1.0
+    with pytest.raises(ValueError):
+        kap[0] = 1.0
+
+
 def test_sample_innovation_shape():
     dist = InnovationDist("gaussian", 3)
     rng, _ = trajectory_generators(0, 0)

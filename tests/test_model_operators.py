@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import directional_fd, poly1d_model
+from conftest import broadcast_ou, directional_fd, poly1d_model
 from ergostep.catalog import coordinate_monomial, gauss_hermite_expectation, monomial1d, ou1d, ou_nd
 from ergostep.innovations import InnovationDist
 from ergostep.model import (
-    DiffusionModel,
     Enumerate,
     InsufficientDerivativesError,
     InsufficientOrderError,
@@ -388,28 +387,9 @@ def test_operators_return_batch_shape(dim, degree):
                 assert np.all(np.isfinite(val))
 
 
-def _broadcast_ou(theta: float, sigma: float) -> DiffusionModel:
-    """The catalog OU with every constant field broadcast to the batch shape."""
-
-    def const(value):
-        value = np.asarray(value, dtype=np.float64)
-        return lambda xs: np.broadcast_to(value, np.asarray(xs).shape[:-1] + value.shape)
-
-    return DiffusionModel(
-        dim=1, noise_dim=1, b=lambda xs: -theta * xs,
-        sigma=const([[sigma]]),
-        db=const([[-theta]]),
-        d2b=const(np.zeros((1, 1, 1))),
-        dsigma=const(np.zeros((1, 1, 1))),
-        d2sigma=const(np.zeros((1, 1, 1, 1))),
-        db_higher=lambda xs, m: const(np.zeros((1,) * (m + 1)))(xs),
-        dsigma_higher=lambda xs, m: const(np.zeros((1, 1) + (1,) * m))(xs),
-    )
-
-
 def test_unbatched_fields_are_bit_identical_to_broadcast_fields():
     hoisted = ou1d(1.0, math.sqrt(2.0))
-    ref = _broadcast_ou(1.0, math.sqrt(2.0))
+    ref = broadcast_ou(1.0, math.sqrt(2.0))
     rng = np.random.default_rng(3)
     xs = rng.normal(size=(64, 1))
     us = TP.sample(rng, size=64)

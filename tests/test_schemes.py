@@ -1,17 +1,26 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import poly1d_model
+from conftest import broadcast_ou, poly1d_model
 from ergostep.catalog import monomial1d, ou1d, ou_nd
 from ergostep.empirical import WeightedEmpiricalMeasure
 from ergostep.innovations import InnovationDist, joint_outcomes
 from ergostep.model import generator_apply, generator_observable
 from ergostep.schedules import StepSchedule, WeightSchedule
-from ergostep.schemes import DivergenceError, make_stepper, simulate, simulate_batch
+from ergostep.schemes import (
+    CHUNK,
+    DivergenceError,
+    make_stepper,
+    simulate,
+    simulate_batch,
+    trajectory_generators,
+)
 
 OU = ou1d(1.0, math.sqrt(2.0))
 TP = InnovationDist("three_point", 1)
@@ -238,3 +247,62 @@ def test_gaussian_innovation_simulation_reproducible():
     a = simulate("talay2", OU, st, g, 4000, 0.1, rng_seed=55)
     b = simulate("talay2", OU, st, g, 4000, 0.1, rng_seed=55)
     assert np.array_equal(a.x, b.x)
+
+
+class _RecordingSink:
+    def __init__(self):
+        self.blocks = []
+
+    def observe_block(self, k0, states):
+        self.blocks.append((k0, states.copy()))
+
+
+@pytest.mark.parametrize("scheme,model", [
+    ("euler", OU), ("euler", broadcast_ou(1.0, math.sqrt(2.0))), ("talay2", OU),
+], ids=["euler-bound-sigma", "euler-batched-sigma", "talay2"])
+def test_sinks_see_the_kernel_loop_block_by_block(scheme, model):
+    st = StepSchedule("power_law", 0.5, 1.0 / 3.0)
+    n, reps, offset = 2 * CHUNK + 300, 6, 3
+    sink = _RecordingSink()
+    res = simulate_batch(scheme, model, st, TP, n, 0.4, 21, reps, sinks=[sink],
+                         replication_offset=offset)
+    step = make_stepper(scheme, model)
+    gens = [trajectory_generators(21, r)[0] for r in range(offset, offset + reps)]
+    x = np.full((reps, 1), 0.4)
+    k = 1
+    for k0, states in sink.blocks:
+        m = states.shape[0]
+        assert k0 == k and states.shape == (m, reps, 1)
+        us = TP.sample(gens, m)
+        want = np.empty_like(states)
+        for t, gamma in enumerate(st.gamma_block(k, k + m).tolist()):
+            want[t] = x
+            x = step(x, gamma, us[t], None)
+        assert states.tobytes() == want.tobytes()
+        k += m
+    assert k == n + 1
+    assert res.final_states.tobytes() == x.tobytes()
+
+
+def test_only_the_bound_sigma_euler_kernel_has_a_block_entry():
+    assert hasattr(make_stepper("euler", OU), "block")
+    assert not hasattr(make_stepper("euler", broadcast_ou(1.0, math.sqrt(2.0))), "block")
+    assert not hasattr(make_stepper("talay2", OU), "block")
+
+
+def test_constant_fields_are_bound_when_the_kernel_is_built():
+    calls = Counter()
+
+    def counted(name, fn):
+        def field(*args):
+            calls[name] += 1
+            return fn(*args)
+        return field
+
+    names = ("b", "sigma", "db", "d2b", "dsigma", "d2sigma")
+    model = dataclasses.replace(OU, **{name: counted(name, getattr(OU, name)) for name in names})
+    for scheme in ("euler", "talay2"):
+        step = make_stepper(scheme, model)
+        calls.clear()
+        step(np.zeros((4, 1)), 0.01, np.ones((4, 1)), None)
+        assert calls == Counter(b=1), scheme
