@@ -72,7 +72,6 @@ from .model import (
     m1_euler,
     m1_talay,
     m2_talay,
-    m2_tilde,
     sigma_tilde,
     vf_operator,
 )

@@ -459,7 +459,7 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         elif q == 1:
             m_operator = lambda xs: m1_talay(model, f, xs, innovation, Enumerate()).value
         else:
-            m_operator = lambda xs: m2_talay(model, f, xs, innovation, Enumerate(), af=af).value
+            m_operator = lambda xs: m2_talay(model, f, xs, innovation, Enumerate()).value
 
     def make_measures(block_size):
         main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(block_size,),
@@ -529,7 +529,9 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     for c in checkpoints:
         summaries[c] = merge_statistics(statistics[c])
         if predicted_variance > 0 and len(statistics[c]) >= 50:
-            ks[c] = ks_normality(statistics[c], predicted_variance, shifts[c])
+            # the regime-C statistic spreads like l_hat_n around nu(Mf)
+            spread = l_hats[c] ** 2 if decision.regime == "C_bias" else 1.0
+            ks[c] = ks_normality(statistics[c], spread * predicted_variance, shifts[c])
 
     return CltReport(
         regime=decision.regime,

@@ -16,9 +16,12 @@ On top of these the module evaluates:
     = sum_n (Df; sigma_n)^2, one directional derivative per noise column
     sigma_n of sigma
   * the columnwise drift-diffusion coupling field sigma_tilde and the
-    generator applied to the drift, Ab (both consumed by the
-    weak-order-two step)
-  * the step-defect correction operators m1_euler, m1_talay, m2_talay whose
+    generator applied to the drift, Ab
+  * each scheme's increment list delta_j, one step being
+    x + sum_j gamma^{j/2} delta_j, which the kernels of ``schemes`` sum
+  * the bias operators Mf = -C_{q+1} f (m1_euler, m1_talay, m2_talay) of a
+    scheme of weak order q, read off the same list: C_p is the gamma^p
+    coefficient of E f(X_gamma) = f(x) + sum_p gamma^p C_p f(x).  Their
     invariant averages govern the bias terms of the central limit regimes.
 
 Expectations over the innovation (and sign draws) are evaluated either by
@@ -39,6 +42,8 @@ observables are immutable; callbacks must be re-entrant.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -342,48 +347,74 @@ def vf_operator(model: DiffusionModel, f: Observable, x: np.ndarray):
     return _batched(out, x)
 
 
-def sigma_tilde(model: DiffusionModel, x: np.ndarray, hessian_weight: float = 1.0) -> np.ndarray:
+def sigma_tilde(model: DiffusionModel, x: np.ndarray) -> np.ndarray:
     """Columnwise coupling field, shape (..., d, N):
 
         sigma_tilde_i = (Db) sigma_i + (D sigma_i) b
-                        + w sum_{l,j} (sigma sigma^T)_{l,j} d2_{l,j} sigma_i
+                        + 1/2 sum_{l,j} (sigma sigma^T)_{l,j} d2_{l,j} sigma_i
 
-    with Hessian weight w = ``hessian_weight``.  The defect operators use
-    w = 1; the gamma^{3/2} U increment of the weak-order-two step is
-    1/2 sigma_tilde at w = 1/2, the weights one-step weak order two pins.
+    The gamma^{3/2} increment of the weak-order-two step is 1/2 sigma_tilde U;
+    one-step weak order two pins both halves.
     """
     x = np.asarray(x, dtype=np.float64)
-    s = model.sigma(x)
-    db = model.drift_jacobian(x)
-    ds = model.diffusion_jacobian(x)
-    d2s = model.diffusion_hessian(x)
-    a = np.einsum("...in,...jn->...ij", s, s)
-    out = np.einsum("...ij,...jn->...in", db, s)
-    out = out + np.einsum("...inj,...j->...in", ds, model.b(x))
-    out = out + hessian_weight * np.einsum("...inlj,...lj->...in", d2s, a)
-    return out
+    return _sigma_tilde(model.b(x), model.sigma(x), model.drift_jacobian(x),
+                        model.diffusion_jacobian(x), model.diffusion_hessian(x),
+                        model.diffusion_matrix(x))
 
 
 def drift_generator(model: DiffusionModel, x: np.ndarray) -> np.ndarray:
     """Ab(x) componentwise: (Ab)_k = <b, grad b_k> + 1/2 (sigma sigma^T) : D^2 b_k."""
     x = np.asarray(x, dtype=np.float64)
-    b = model.b(x)
-    db = model.drift_jacobian(x)
-    d2b = model.drift_hessian(x)
-    a = model.diffusion_matrix(x)
+    return _drift_generator(model.b(x), model.drift_jacobian(x), model.drift_hessian(x),
+                            model.diffusion_matrix(x))
+
+
+def _sigma_tilde(b, s, db, ds, d2s, a):
+    out = np.einsum("...ij,...jn->...in", db, s)
+    out = out + np.einsum("...inj,...j->...in", ds, b)
+    return out + 0.5 * np.einsum("...inlj,...lj->...in", d2s, a)
+
+
+def _drift_generator(b, db, d2b, a):
     return np.einsum("...kj,...j->...k", db, b) + 0.5 * np.einsum("...kij,...ij->...k", d2b, a)
 
 
-def levy_weighted_coupling(model: DiffusionModel, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(D sigma; sigma W^T) = sum_{i,j,l} (d_l sigma_col_i) sigma_{l,j} W^{i,j},
-    a d-vector; ``w`` has shape (..., N, N)."""
-    ds = model.diffusion_jacobian(x)
-    s = model.sigma(x)
-    return np.einsum("...ail,...lj,...ij->...a", ds, s, w)
+def increments(scheme: str, model: DiffusionModel, x: np.ndarray) -> list:
+    """One step of ``scheme`` from states x, x + sum_j gamma^{j/2} delta_j,
+    as a list of (j, draw, delta_j) in the order the step kernel sums them:
+
+      euler   delta_2 = b,  delta_1 = sigma U
+      talay2  delta_1 = sigma U,  delta_2 = b + 1/2 Theta,
+              delta_3 = 1/2 sigma_tilde U,  delta_4 = 1/2 Ab
+
+    with Theta = (D sigma; sigma W^T) for the sign-compensated surrogate W of
+    ``assemble_w``.  delta_j is an array when ``draw`` is False and a
+    function of the draw (u, kappa) when it is True.  Each model field is
+    evaluated once, at x.
+    """
+    b, s = model.b(x), model.sigma(x)
+
+    def noise(u, kappa):
+        return np.einsum("...in,...n->...i", s, u)
+
+    if scheme == "euler":
+        return [(2, False, b), (1, True, noise)]
+    db, ds = model.drift_jacobian(x), model.diffusion_jacobian(x)
+    a = np.einsum("...in,...jn->...ij", s, s)
+    coup = 0.5 * _sigma_tilde(b, s, db, ds, model.diffusion_hessian(x), a)
+
+    def drift(u, kappa):
+        return b + 0.5 * np.einsum("...ail,...lj,...ij->...a", ds, s, assemble_w(u, kappa))
+
+    def coupling(u, kappa):
+        return np.einsum("...in,...n->...i", coup, u)
+
+    return [(1, True, noise), (2, True, drift), (3, True, coupling),
+            (4, False, 0.5 * _drift_generator(b, db, model.drift_hessian(x), a))]
 
 
 # ---------------------------------------------------------------------------
-# correction operators
+# expansion coefficients and bias operators
 
 
 def _expect(fn, model: DiffusionModel, innovation: InnovationDist, quadrature: Quadrature,
@@ -417,119 +448,75 @@ def _expect(fn, model: DiffusionModel, innovation: InnovationDist, quadrature: Q
     return mean, stderr
 
 
+@functools.lru_cache(maxsize=None)
+def _expansion_terms(marks: tuple, p: int) -> tuple[tuple, tuple]:
+    """The terms of C_p over increments marked (j, draw): (fixed, drawn), two
+    tuples of (indices into the increments, prod_j m_j!) in ascending order k."""
+    fixed, drawn = [], []
+    for k in range(1, 2 * p + 1):
+        for term in itertools.combinations_with_replacement(range(len(marks)), k):
+            if sum(marks[i][0] for i in term) == 2 * p:
+                weight = math.prod(math.factorial(term.count(i)) for i in set(term))
+                (drawn if any(marks[i][1] for i in term) else fixed).append((term, weight))
+    return tuple(fixed), tuple(drawn)
+
+
+def _expansion_coefficient(scheme: str, p: int, model: DiffusionModel, f: Observable,
+                           x: np.ndarray, innovation: InnovationDist,
+                           quadrature: Quadrature) -> OperatorValue:
+    """C_p f(x), the gamma^p coefficient of E f(X_gamma) = f(x) + sum_p gamma^p C_p f(x)
+    for the step of ``scheme``.  Taylor-expanding f around x in the
+    increments of ``increments`` gives
+
+        C_p f = sum over multisets {j_1 .. j_k} with j_1 + ... + j_k = 2p of
+                E[(D^k f; delta_{j_1} x ... x delta_{j_k})] / prod_j m_j!
+
+    where m_j counts j in the multiset.  A term whose increments are all
+    draw-independent is evaluated once, outside the expectation.
+    """
+    if f.max_order < 2 * p:
+        raise InsufficientOrderError(f"insufficient observable order: need {2 * p}, have {f.max_order}")
+    x = np.asarray(x, dtype=np.float64)
+    # ascending j, so each term's directions come lowest power first
+    incs = sorted((inc for inc in increments(scheme, model, x) if inc[0] <= 2 * p),
+                  key=lambda inc: inc[0])
+    fixed, drawn = _expansion_terms(tuple((j, draw) for j, draw, _ in incs), p)
+
+    def total(terms, deltas):
+        out = None
+        for term, weight in terms:
+            t = f.d(x, len(term), tuple(deltas[i] for i in term)) / weight
+            out = t if out is None else out + t
+        return out
+
+    def drawn_terms(u, kap):
+        return total(drawn, [dl(u, kap) if draw else dl for _, draw, dl in incs])
+
+    value, se = _expect(drawn_terms, model, innovation, quadrature, scheme == "talay2", x)
+    if fixed:
+        value = total(fixed, [dl for _, _, dl in incs]) + value
+    return OperatorValue(_batched(value, x), se)
+
+
 def m1_euler(model: DiffusionModel, f: Observable, x: np.ndarray,
              innovation: InnovationDist, quadrature: Quadrature = Enumerate()) -> OperatorValue:
-    """First-order step-defect operator of the Euler kernel:
-
-        -1/2 (D^2 f; b x b)
-        - E[ 1/2 (D^3 f; (sigma U)^x2 x b) + 1/4! (D^4 f; (sigma U)^x4) ]
-    """
-    if f.max_order < 4:
-        raise InsufficientOrderError("insufficient observable order: need order 4")
-    x = np.asarray(x, dtype=np.float64)
-    b = model.b(x)
-    s = model.sigma(x)
-    det = -0.5 * f.d(x, 2, (b, b))
-
-    def inner(u, _kap):
-        su = np.einsum("...in,...n->...i", s, u)
-        return 0.5 * f.d(x, 3, (su, su, b)) + f.d(x, 4, (su, su, su, su)) / 24.0
-
-    exp, se = _expect(inner, model, innovation, quadrature, with_kappa=False, x=x)
-    return OperatorValue(_batched(det - exp, x), se)
+    """Bias operator of the Euler kernel, Mf = -C_2 f."""
+    value, se = _expansion_coefficient("euler", 2, model, f, x, innovation, quadrature)
+    return OperatorValue(-value, se)
 
 
 def m1_talay(model: DiffusionModel, f: Observable, x: np.ndarray,
              innovation: InnovationDist, quadrature: Quadrature = Enumerate()) -> OperatorValue:
-    """First-order step-defect operator of the weak-order-two kernel:
-
-        -(Df; Ab)
-        - E[ 1/2 (D^2 f; (b + Theta)^x2)
-             + 1/2 (D^3 f; (sigma U)^x2 x (b + Theta))
-             + 1/2 (D^3 f; (sigma U) x (sigma_tilde U) x (sigma U))
-             + 1/4! (D^4 f; (sigma U)^x4) ]
-
-    with Theta = (D sigma; sigma W^T).  The (sigma U) x (sigma_tilde U)
-    cross term is padded to the third-order bracket with the diffusion
-    direction; its expectation vanishes for the symmetric innovation laws.
-    """
-    if f.max_order < 4:
-        raise InsufficientOrderError("insufficient observable order: need order 4")
-    x = np.asarray(x, dtype=np.float64)
-    b = model.b(x)
-    s = model.sigma(x)
-    ab = drift_generator(model, x)
-    st = sigma_tilde(model, x)
-    det = -f.d(x, 1, (ab,))
-
-    def inner(u, kap):
-        su = np.einsum("...in,...n->...i", s, u)
-        stu = np.einsum("...in,...n->...i", st, u)
-        w = assemble_w(u, kap if kap.size else None)
-        bt = b + levy_weighted_coupling(model, x, w)
-        return (
-            0.5 * f.d(x, 2, (bt, bt))
-            + 0.5 * f.d(x, 3, (su, su, bt))
-            + 0.5 * f.d(x, 3, (su, stu, su))
-            + f.d(x, 4, (su, su, su, su)) / 24.0
-        )
-
-    exp, se = _expect(inner, model, innovation, quadrature, with_kappa=True, x=x)
-    return OperatorValue(_batched(det - exp, x), se)
-
-
-def m2_tilde(model: DiffusionModel, f: Observable, x: np.ndarray,
-             innovation: InnovationDist, quadrature: Quadrature = Enumerate()) -> OperatorValue:
-    """The eleven-term third-order defect bracket of the weak-order-two
-    kernel (everything except the generator-composed part of m2_talay)."""
-    if f.max_order < 6:
-        raise InsufficientOrderError("insufficient observable order: need order 6")
-    x = np.asarray(x, dtype=np.float64)
-    b = model.b(x)
-    s = model.sigma(x)
-    ab = drift_generator(model, x)
-    st = sigma_tilde(model, x)
-
-    def inner(u, kap):
-        su = np.einsum("...in,...n->...i", s, u)
-        stu = np.einsum("...in,...n->...i", st, u)
-        w = assemble_w(u, kap if kap.size else None)
-        th = levy_weighted_coupling(model, x, w)
-        bt = b + th
-        t2 = 0.5 * f.d(x, 2, (stu, stu)) + f.d(x, 2, (b, ab))
-        t3 = 0.5 * (
-            f.d(x, 3, (th, th, th)) / 3.0
-            + f.d(x, 3, (b, b, th))
-            + f.d(x, 3, (su, su, ab))
-            + f.d(x, 3, (su, bt, stu))
-            + f.d(x, 3, (b, b, b)) / 3.0
-        )
-        t4 = 0.5 * (
-            0.5 * f.d(x, 4, (su, su, bt, bt))
-            + f.d(x, 4, (su, su, su, stu)) / 3.0
-        )
-        t5 = f.d(x, 5, (su, su, su, su, bt)) / 24.0
-        t6 = f.d(x, 6, (su, su, su, su, su, su)) / 720.0
-        return t2 + t3 + t4 + t5 + t6
-
-    exp, se = _expect(inner, model, innovation, quadrature, with_kappa=True, x=x)
-    return OperatorValue(_batched(exp, x), se)
+    """First-order bias operator of the weak-order-two kernel, Mf = -C_2 f."""
+    value, se = _expansion_coefficient("talay2", 2, model, f, x, innovation, quadrature)
+    return OperatorValue(-value, se)
 
 
 def m2_talay(model: DiffusionModel, f: Observable, x: np.ndarray,
-             innovation: InnovationDist, quadrature: Quadrature = Enumerate(),
-             af: Observable | None = None) -> OperatorValue:
-    """Second-order step-defect operator: m1_talay applied to Af plus the
-    third-order bracket.  ``af`` may be supplied analytically; otherwise it
-    is built from the model's analytic derivative oracles."""
-    if f.max_order < 6:
-        raise InsufficientOrderError("insufficient observable order: need order 6")
-    if af is None:
-        af = generator_observable(model, f)
-    part1 = m1_talay(model, af, x, innovation, quadrature)
-    part2 = m2_tilde(model, f, x, innovation, quadrature)
-    return OperatorValue(part1.value + part2.value,
-                         np.hypot(part1.stderr, part2.stderr))
+             innovation: InnovationDist, quadrature: Quadrature = Enumerate()) -> OperatorValue:
+    """Second-order bias operator of the weak-order-two kernel, Mf = -C_3 f."""
+    value, se = _expansion_coefficient("talay2", 3, model, f, x, innovation, quadrature)
+    return OperatorValue(-value, se)
 
 
 # ---------------------------------------------------------------------------

@@ -3,26 +3,29 @@
 ``make_stepper(scheme, model)`` is the only step kernel.  The simulation
 driver runs it, and the weak-order and mean-reversion probes of
 ``diagnostics`` take their one-step expectations over it, so the kernel the
-probes verify is the kernel the driver simulates.  Two schemes:
+probes verify is the kernel the driver simulates.  Two schemes, each a
+step x + sum_j gamma^{j/2} delta_j over its list ``model.increments``:
 
   ``euler``   x + gamma b + sqrt(gamma) sigma U
   ``talay2``  x + sqrt(gamma) sigma U
                 + gamma (b + 1/2 (D sigma; sigma W^T))
-                + gamma^{3/2} 1/2 sigma_tilde(x) U + 1/2 gamma^2 Ab
+                + gamma^{3/2} 1/2 sigma_tilde(x) U + gamma^2 1/2 Ab
 
 where W is the symmetric sign-compensated surrogate for the Brownian
-iterated integrals and sigma_tilde is ``model.sigma_tilde`` with the
-diffusion-Hessian contraction at weight 1/2.  The 1/2 weights on the three
-correction increments are forced by the one-step weak-order-two expansion
-E[f(X_gamma)] = f + gamma Af + gamma^2/2 A^2 f + O(gamma^3), which the
-test suite checks by exhaustive enumeration.  With the symmetric +-1/2
+iterated integrals and sigma_tilde is ``model.sigma_tilde``, whose
+diffusion-Hessian contraction carries weight 1/2.  The 1/2 weights on the
+three correction increments are forced by the one-step weak-order-two
+expansion E[f(X_gamma)] = f + gamma Af + gamma^2/2 A^2 f + O(gamma^3), which
+the test suite checks by exhaustive enumeration.  With the symmetric +-1/2
 sign surrogate this expansion is exact through gamma^2 in dimension one
 and for diagonal noise; non-commuting multi-dimensional diffusions retain
 a small second-order defect from the surrogate's off-diagonal covariance.
+The bias operators Mf = -C_{q+1} f of ``model`` read C_p off the same list.
 
-For d = N = 1 each scheme has a hand-expanded scalar branch with the same
-increments; it skips the einsum contractions, which cost more than the
-arithmetic they do at that size.  Both branches evaluate the fields other
+The general kernel (d >= 2 or N >= 2) sums the list.  For d = N = 1 each
+scheme has a hand-expanded scalar branch with the same increments; it
+skips the einsum contractions, which cost more than the arithmetic they do
+at that size.  Both scalar branches evaluate the fields other
 than b once when the kernel is built: a value without batch axes does not
 depend on the state, so the step uses that bound float, which rounds
 exactly as the per-state value does.  The talay2 branch also drops the
@@ -61,7 +64,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import model as model_ops
-from .innovations import InnovationDist, assemble_w, kappa_count, sample_kappa
+from .innovations import InnovationDist, kappa_count, sample_kappa
 from .model import DiffusionModel
 from .schedules import StepSchedule
 
@@ -149,9 +152,7 @@ def make_stepper(scheme: str, model: DiffusionModel):
                 def step(x, gamma, u, kappa):
                     return x + gamma * model.b(x) + math.sqrt(gamma) * model.sigma(x)[..., 0] * u
         else:
-            def step(x, gamma, u, kappa):
-                su = np.einsum("...in,...n->...i", model.sigma(x), u)
-                return x + gamma * model.b(x) + math.sqrt(gamma) * su
+            step = _summed_step(scheme, model)
         return step
 
     if d == 1 and n == 1:
@@ -189,14 +190,20 @@ def make_stepper(scheme: str, model: DiffusionModel):
                    + 0.5 * gamma**2 * ab)
             return out[..., None]
     else:
-        def step(x, gamma, u, kappa):
-            su = np.einsum("...in,...n->...i", model.sigma(x), u)
-            theta = model_ops.levy_weighted_coupling(model, x, assemble_w(u, kappa))
-            coup = 0.5 * model_ops.sigma_tilde(model, x, hessian_weight=0.5)
-            return (x + math.sqrt(gamma) * su
-                    + gamma * (model.b(x) + 0.5 * theta)
-                    + gamma**1.5 * np.einsum("...in,...n->...i", coup, u)
-                    + 0.5 * gamma**2 * model_ops.drift_generator(model, x))
+        step = _summed_step(scheme, model)
+    return step
+
+
+def _summed_step(scheme: str, model: DiffusionModel):
+    """The general kernel: x plus gamma^{j/2} delta_j over the scheme's
+    increment list, in list order."""
+    def step(x, gamma, u, kappa):
+        # gamma^{j/2} for j = 1 .. 4, rounded as the written-out kernels round it
+        powers = (math.sqrt(gamma), gamma, gamma**1.5, gamma**2)
+        out = x
+        for j, draw, delta in model_ops.increments(scheme, model, x):
+            out = out + powers[j - 1] * (delta(u, kappa) if draw else delta)
+        return out
     return step
 
 

@@ -483,6 +483,24 @@ def test_clt_regime_c_normalization():
     assert rep.predicted_shift[1500] == pytest.approx(-1.0, rel=1e-9)
 
 
+def test_clt_regime_c_ks_tests_the_shrinking_spread():
+    # the regime-C statistic is about nu(Mf) + l_hat_n N(0, nu(Vf)); with
+    # gamma1 = 1/2 the O(gamma_n) next-order bias, which the limit law
+    # leaves out, is small against that spread (their ratio scales like
+    # gamma1^{5/2})
+    n = 20_000
+    cfg = ExperimentConfig(scheme="euler", xi=0.25, gamma1=0.5, n_steps=n, replications=100,
+                           seed=0, checkpoints=(n,))
+    rep = run_clt_experiment(cfg)
+    assert rep.regime == "C_bias"
+    assert rep.predicted_variance == pytest.approx(8.0, rel=1e-10)
+    assert rep.l_hat[n] ** 2 * 8.0 < 2.0
+    d, ok = rep.ks[n]
+    assert ok, d
+    assert (d, ok) == ks_normality(rep.statistics[n], rep.l_hat[n] ** 2 * rep.predicted_variance,
+                                   rep.predicted_shift[n])
+
+
 def test_ks_distance_matches_scipy():
     from scipy import stats
 

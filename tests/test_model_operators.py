@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import broadcast_ou, directional_fd, poly1d_model
-from ergostep.catalog import coordinate_monomial, gauss_hermite_expectation, monomial1d, ou1d, ou_nd
+from ergostep.catalog import coordinate_monomial, double_well, gauss_hermite_expectation, monomial1d, ou1d, ou_nd
 from ergostep.innovations import InnovationDist
 from ergostep.model import (
+    DiffusionModel,
     Enumerate,
     InsufficientDerivativesError,
     InsufficientOrderError,
     MonteCarlo,
+    Observable,
+    _expansion_coefficient,
     drift_generator,
     generator_apply,
     generator_observable,
@@ -23,7 +26,7 @@ from ergostep.model import (
     m1_euler,
     m1_talay,
     m2_talay,
-    m2_tilde,
+    increments,
     sigma_tilde,
     vf_operator,
 )
@@ -88,8 +91,8 @@ def test_sigma_tilde_linear_diffusion_zero_drift():
 def test_sigma_tilde_quadratic_diffusion():
     m = poly1d_model([0.0], [0.0, 0.0, 1.0])  # b = 0, sigma = x^2
     for v in (0.5, 1.0, 2.0):
-        # only the Hessian contraction survives: (sigma sigma) * sigma'' = 2 x^4
-        assert sigma_tilde(m, x(v))[0, 0] == pytest.approx(2.0 * v**4, rel=1e-13)
+        # only the Hessian contraction survives: 1/2 (sigma sigma) * sigma'' = x^4
+        assert sigma_tilde(m, x(v))[0, 0] == pytest.approx(v**4, rel=1e-13)
 
 
 def test_sigma_tilde_fd_fallback_matches_analytic():
@@ -103,10 +106,11 @@ def test_sigma_tilde_fd_fallback_matches_analytic():
 
 def test_talay_coupling_halves_hessian_weight():
     m = poly1d_model([0.0], [0.0, 0.0, 1.0])
-    # sigma_tilde has (sigma sigma^T : D^2 sigma); the step coupling,
-    # 1/2 sigma_tilde at Hessian weight 1/2, carries 1/4
-    assert 0.5 * sigma_tilde(m, x(1.0), hessian_weight=0.5)[0, 0] == pytest.approx(0.5, rel=1e-13)
-    assert sigma_tilde(m, x(1.0))[0, 0] == pytest.approx(2.0, rel=1e-13)
+    # sigma_tilde has 1/2 (sigma sigma^T : D^2 sigma); the step coupling,
+    # 1/2 sigma_tilde U, carries 1/4
+    assert sigma_tilde(m, x(1.0))[0, 0] == pytest.approx(1.0, rel=1e-13)
+    [(_, draw, coupling)] = [inc for inc in increments("talay2", m, x(1.0)) if inc[0] == 3]
+    assert draw and coupling(np.ones(1), None)[0] == pytest.approx(0.5, rel=1e-13)
 
 
 def test_drift_generator_values():
@@ -133,9 +137,10 @@ def test_m1_euler_linear_observable():
 
 
 def test_m1_talay_ou_quadratic():
+    # -C_2 x^2 = -1/2 A^2 x^2 = 2 - 2x^2, whose invariant average is 0
     for v in (1.0, 0.0, -1.7):
         got = m1_talay(OU, X2, x(v), TP)
-        assert got.value == pytest.approx(-3.0 * v * v, abs=1e-12)
+        assert got.value == pytest.approx(2.0 - 2.0 * v * v, abs=1e-12)
 
 
 def test_m1_talay_constant_coefficients_closed_form():
@@ -150,10 +155,12 @@ def test_m1_talay_constant_coefficients_closed_form():
 
 
 def test_m2_talay_ou_quadratic_symbolic_cross_check():
-    # termwise symbolic evaluation for the reference model gives 4x^2 + 2
+    # the kernel is x -> a x + c u with a = 1 - g + g^2/2 and
+    # c = sqrt(2) (sqrt(g) - g^{3/2}/2), so E f(X_g) = a^2 x^2 + c^2 and its
+    # g^3 coefficient is C_3 x^2 = 1/2 - x^2
     for v in (0.0, 1.0, -1.3, 2.2):
         got = m2_talay(OU, X2, x(v), TP)
-        assert got.value == pytest.approx(4.0 * v * v + 2.0, abs=1e-12)
+        assert got.value == pytest.approx(v * v - 0.5, abs=1e-12)
 
 
 def test_m2_talay_constant_observable():
@@ -161,11 +168,11 @@ def test_m2_talay_constant_observable():
 
 
 def test_m2_talay_linear_observable():
-    # f = x: only the generator-composed part survives; for the reference
-    # model A f = -x, so m1(Af) = -(D(Af); Ab) = x
+    # f = x: only (Df; delta_6) could contribute, and the kernel is a
+    # polynomial of degree 4 in sqrt(gamma)
     for v in (0.5, -2.0):
         got = m2_talay(OU, monomial1d(1), x(v), TP)
-        assert got.value == pytest.approx(v, abs=1e-13)
+        assert got.value == pytest.approx(0.0, abs=1e-13)
 
 
 def test_operator_linearity():
@@ -220,6 +227,65 @@ def test_m1_requires_order_four():
     lowered = type(low)(fn=low.fn, dirderiv=low.dirderiv, max_order=3)
     with pytest.raises(InsufficientOrderError):
         m1_euler(OU, lowered, x(1.0), TP)
+
+
+# ---------------------------------------------------------------------------
+# expansion coefficients read off the increment lists
+
+
+@pytest.mark.parametrize("model", [
+    OU, double_well(math.sqrt(2.0)), poly1d_model([0.3, -1.0, 0.0, -0.2], [0.9, 0.1, 0.2]),
+], ids=["ou1d", "double_well", "poly1d"])
+def test_expansion_coefficients_have_the_weak_order_property(model):
+    # C_1 f = Af for both kernels and C_2 f = 1/2 A^2 f for talay2
+    rng = np.random.default_rng(8)
+    xs = rng.uniform(-2.0, 2.0, size=(16, 1))
+    for degree in range(7):
+        f = linear_combination(rng.normal(size=degree + 1), [monomial1d(k) for k in range(degree + 1)])
+        af = generator_apply(model, f, xs)
+        for scheme in ("euler", "talay2"):
+            c1 = _expansion_coefficient(scheme, 1, model, f, xs, TP, Enumerate()).value
+            np.testing.assert_allclose(c1, af, rtol=1e-12, atol=1e-12)
+        a2f = generator_apply(model, generator_observable(model, f), xs)
+        c2 = _expansion_coefficient("talay2", 2, model, f, xs, TP, Enumerate()).value
+        np.testing.assert_allclose(c2, 0.5 * a2f, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("op, scheme, q, limit", [
+    (m1_euler, "euler", 1, -1.0), (m1_talay, "talay2", 1, 0.0), (m2_talay, "talay2", 2, 0.5),
+])
+def test_bias_average_matches_the_constant_step_oracle(op, scheme, q, limit):
+    # the driver's OU kernel is x -> a x + c u; its invariant law nu_gamma has
+    # second moment m = c^2 / (1 - a^2), so nu_gamma(A x^2) / gamma^q
+    # = (2 - 2m) / gamma^q, which tends to nu(Mf)
+    gamma = 1e-3
+    step = make_stepper(scheme, OU)
+    a = step(np.ones((1, 1)), gamma, np.zeros((1, 1)), None)[0, 0]
+    c = step(np.zeros((1, 1)), gamma, np.ones((1, 1)), None)[0, 0]
+    oracle = (2.0 - 2.0 * c * c / (1.0 - a * a)) / gamma**q
+    nu_m = gauss_hermite_expectation(lambda xs: op(OU, X2, xs, TP).value)
+    assert nu_m == pytest.approx(limit, abs=1e-12)
+    assert abs(nu_m - oracle) <= gamma
+
+
+def test_euler_bias_operator_evaluates_fields_once():
+    # the benchmarked Euler path: one draw-independent derivative, two per
+    # three-point outcome, and one call of each model field
+    calls = {"dirderiv": 0, "b": 0, "sigma": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    f = Observable(fn=X2.fn, dirderiv=counted("dirderiv", X2.dirderiv), max_order=X2.max_order)
+    model = DiffusionModel(dim=1, noise_dim=1, b=counted("b", OU.b), sigma=counted("sigma", OU.sigma))
+    xs = np.random.default_rng(2).normal(size=(1024, 8, 1))
+    value = m1_euler(model, f, xs, TP).value
+    assert np.array_equal(value, -xs[..., 0] ** 2)
+    assert calls["dirderiv"] <= 7
+    assert calls["b"] == 1 and calls["sigma"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +373,6 @@ def test_generator_observable_refuses_fd_models():
         generator_observable(fd_model, monomial1d(4))
 
 
-def test_m2_with_supplied_af():
-    f = monomial1d(2)
-    af = generator_observable(OU, f)
-    got = m2_talay(OU, f, x(1.0), TP, af=af)
-    assert got.value == pytest.approx(6.0, abs=1e-12)
-
-
 def test_analytic_derivatives_match_finite_differences():
     analytic = poly1d_model([0.4, -1.2, 0.3], [0.9, 0.1, 0.2])
     fd = poly1d_model([0.4, -1.2, 0.3], [0.9, 0.1, 0.2], fd_only=True)
@@ -360,7 +419,6 @@ BOUNDARY_OPS = {
     "vf_operator": lambda m, f, xs, inn, q: vf_operator(m, f, xs),
     "m1_euler": lambda m, f, xs, inn, q: m1_euler(m, f, xs, inn, q).value,
     "m1_talay": lambda m, f, xs, inn, q: m1_talay(m, f, xs, inn, q).value,
-    "m2_tilde": lambda m, f, xs, inn, q: m2_tilde(m, f, xs, inn, q).value,
     "m2_talay": lambda m, f, xs, inn, q: m2_talay(m, f, xs, inn, q).value,
 }
 

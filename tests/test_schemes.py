@@ -209,6 +209,34 @@ def test_euler_scalar_branch_matches_component_formula(model_name):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("scheme", ["euler", "talay2"])
+def test_general_branch_matches_written_out_kernel(scheme):
+    from ergostep.innovations import assemble_w, sample_kappa
+    from ergostep.model import drift_generator, sigma_tilde
+
+    m = ou_nd(np.array([[1.0, 0.3], [-0.2, 0.8]]), np.array([[1.1, 0.2], [-0.4, 0.9]]))
+    rng = np.random.default_rng(4)
+    xs = rng.normal(size=(64, 2))
+    us = InnovationDist("three_point", 2).sample(rng, size=64)
+    kaps = sample_kappa(rng, 2, size=64)
+    step = make_stepper(scheme, m)
+    for gamma in (1.0, 0.37, 2.0**-9):
+        su = np.einsum("...in,...n->...i", m.sigma(xs), us)
+        if scheme == "euler":
+            want = xs + gamma * m.b(xs) + math.sqrt(gamma) * su
+        else:
+            theta = np.einsum("...ail,...lj,...ij->...a", m.diffusion_jacobian(xs), m.sigma(xs),
+                              assemble_w(us, kaps))
+            coup = 0.5 * sigma_tilde(m, xs)
+            want = (xs + math.sqrt(gamma) * su
+                    + gamma * (m.b(xs) + 0.5 * theta)
+                    + gamma**1.5 * np.einsum("...in,...n->...i", coup, us)
+                    + 0.5 * gamma**2 * drift_generator(m, xs))
+        got = step(xs, gamma, us, kaps if scheme == "talay2" else None)
+        assert got.shape == (64, 2)
+        assert np.array_equal(got, want)
+
+
 def test_innovation_dimension_checked():
     st = StepSchedule("constant", 0.1)
     with pytest.raises(ValueError):
