@@ -1,9 +1,11 @@
 """Built-in models, observables, Lyapunov data, and analytic laws.
 
-Everything here carries exact analytic derivatives, so the correction
-operators and the generator-as-observable machinery run without any
-finite differencing.  Catalog entries are addressable by name from the
-experiment config (``model.id``, ``f``).
+Every model here carries exact drift and diffusion derivatives through
+order two, the whole derivative contract of ``model``, so the increment
+lists, the bias operators and the generator as an observable run without
+any finite differencing.  Observables carry exact derivatives through
+order six.  Catalog entries are addressable by name from the experiment
+config (``model.id``, ``f``).
 """
 
 from __future__ import annotations
@@ -31,12 +33,6 @@ def _const_field(value) -> Callable:
     return lambda x: value
 
 
-def _zero_higher(lead: tuple[int, ...], d: int) -> Callable:
-    """db_higher / dsigma_higher of a field that is affine in x: the order-m
-    tensor is zero, with value axes ``lead`` plus m coordinate axes."""
-    return lambda x, order: np.zeros(lead + (d,) * order)
-
-
 def ou1d(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> DiffusionModel:
     """1-d Ornstein-Uhlenbeck: b(x) = -theta x, constant diffusion."""
     th = float(theta)
@@ -52,8 +48,6 @@ def ou1d(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> DiffusionModel:
         d2b=_const_field(np.zeros((1, 1, 1))),
         dsigma=_const_field(np.zeros((1, 1, 1))),
         d2sigma=_const_field(np.zeros((1, 1, 1, 1))),
-        db_higher=_zero_higher((1,), 1),
-        dsigma_higher=_zero_higher((1, 1), 1),
         name=f"ou1d(theta={th}, sigma={sg})",
     )
 
@@ -61,8 +55,6 @@ def ou1d(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> DiffusionModel:
 def double_well(sigma: float = math.sqrt(2.0)) -> DiffusionModel:
     """1-d double well: b = -(x^3 - x), the negative gradient of x^4/4 - x^2/2."""
     sg = float(sigma)
-    d3b = np.full((1, 1, 1, 1), -6.0)
-    d3b.setflags(write=False)
 
     def b(x):
         return x - x**3
@@ -73,19 +65,12 @@ def double_well(sigma: float = math.sqrt(2.0)) -> DiffusionModel:
     def d2b(x):
         return (-6.0 * x)[..., None, None]
 
-    def db_higher(x, order):
-        if order == 3:
-            return d3b
-        return np.zeros((1,) * (order + 1))
-
     return DiffusionModel(
         dim=1, noise_dim=1, b=b,
         sigma=_const_field([[sg]]),
         db=db, d2b=d2b,
         dsigma=_const_field(np.zeros((1, 1, 1))),
         d2sigma=_const_field(np.zeros((1, 1, 1, 1))),
-        db_higher=db_higher,
-        dsigma_higher=_zero_higher((1, 1), 1),
         name=f"double_well(sigma={sg})",
     )
 
@@ -106,8 +91,6 @@ def ou_nd(theta_matrix, sigma_matrix) -> DiffusionModel:
         d2b=_const_field(np.zeros((d, d, d))),
         dsigma=_const_field(np.zeros((d, n, d))),
         d2sigma=_const_field(np.zeros((d, n, d, d))),
-        db_higher=_zero_higher((d,), d),
-        dsigma_higher=_zero_higher((d, n), d),
         name="ou_nd",
     )
 

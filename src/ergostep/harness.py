@@ -440,6 +440,13 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
             f"below the order-{q} scheme requirement {required}",
             stacklevel=2,
         )
+    if decision.regime == "C_bias" and config.xi <= 1.0 / (2 * q + 3) + 1e-9:
+        warnings.warn(
+            f"regime C at xi = {config.xi:g} <= 1/{2 * q + 3}: the next bias term, of order "
+            f"n^-xi, is not small against the spread l_hat_n, so the KS test can reject "
+            f"correct code; use 1/{2 * q + 3} < xi < 1/{2 * q + 1}",
+            stacklevel=2,
+        )
     f = config.observable(model)
     af = generator_observable(model, f)
     checkpoints = _validated_checkpoints(config)

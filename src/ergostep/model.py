@@ -23,6 +23,8 @@ On top of these the module evaluates:
     scheme of weak order q, read off the same list: C_p is the gamma^p
     coefficient of E f(X_gamma) = f(x) + sum_p gamma^p C_p f(x).  Their
     invariant averages govern the bias terms of the central limit regimes.
+  * Af as an Observable with derivatives through order two, so that
+    A^2 f, the weak-order-two target, is the generator applied to it
 
 Expectations over the innovation (and sign draws) are evaluated either by
 exact enumeration of finite supports or by Monte Carlo with a reported
@@ -160,10 +162,11 @@ class DiffusionModel:
     value axes (e.g. sigma of shape (d, N) for every batch of states);
     operators built on the model still return batch-shaped values.
 
-    Missing first/second derivatives fall back to central finite differences
-    when ``fd_fallback`` is set; third and higher orders must be analytic
-    (``db_higher(x, m)`` / ``dsigma_higher(x, m)``) and are required only by
-    operations that differentiate the generator itself.
+    Derivative data runs through order two, which is all that the increment
+    lists, the bias operators and A^2 f read.  A missing first or second
+    derivative falls back to central finite differences, except in
+    ``generator_observable``, which needs all four analytic.  The two
+    fields after ``d2sigma`` are unread.
     """
 
     dim: int
@@ -174,9 +177,9 @@ class DiffusionModel:
     d2b: Callable | None = None
     dsigma: Callable | None = None
     d2sigma: Callable | None = None
+    # unread; kept because perfbench/tracing.py names them in MODEL_FIELDS
     db_higher: Callable | None = None
     dsigma_higher: Callable | None = None
-    fd_fallback: bool = True
     name: str = ""
 
     # -- derivative access ---------------------------------------------------
@@ -201,42 +204,6 @@ class DiffusionModel:
             return self.d2sigma(x)
         return self._fd_hessian(self.sigma, x, 2)
 
-    def has_analytic(self, order: int) -> bool:
-        """True when drift and diffusion derivatives through ``order`` are analytic."""
-        if order >= 1 and (self.db is None or self.dsigma is None):
-            return False
-        if order >= 2 and (self.d2b is None or self.d2sigma is None):
-            return False
-        if order >= 3 and (self.db_higher is None or self.dsigma_higher is None):
-            return False
-        return True
-
-    def drift_tensor(self, x: np.ndarray, order: int) -> np.ndarray:
-        if order == 0:
-            return self.b(x)
-        if order == 1:
-            return self.drift_jacobian(x)
-        if order == 2:
-            return self.drift_hessian(x)
-        if self.db_higher is None:
-            raise InsufficientDerivativesError(
-                f"order-{order} drift derivatives require analytic data"
-            )
-        return self.db_higher(x, order)
-
-    def diffusion_tensor(self, x: np.ndarray, order: int) -> np.ndarray:
-        if order == 0:
-            return self.sigma(x)
-        if order == 1:
-            return self.diffusion_jacobian(x)
-        if order == 2:
-            return self.diffusion_hessian(x)
-        if self.dsigma_higher is None:
-            raise InsufficientDerivativesError(
-                f"order-{order} diffusion derivatives require analytic data"
-            )
-        return self.dsigma_higher(x, order)
-
     def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
         """a = sigma sigma^T, shape (..., d, d)."""
         s = self.sigma(x)
@@ -244,14 +211,7 @@ class DiffusionModel:
 
     # -- finite-difference fallback -------------------------------------------
 
-    def _require_fd(self):
-        if not self.fd_fallback:
-            raise InsufficientDerivativesError(
-                "analytic derivatives absent and finite-difference fallback disabled"
-            )
-
     def _fd_jacobian(self, fn, x, value_rank):
-        self._require_fd()
         x = np.asarray(x, dtype=np.float64)
         h = FD_STEP_GRAD * (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
         hv = _pad_axes(np.squeeze(h, -1), value_rank)
@@ -263,7 +223,6 @@ class DiffusionModel:
         return np.stack(cols, axis=-1)
 
     def _fd_hessian(self, fn, x, value_rank):
-        self._require_fd()
         x = np.asarray(x, dtype=np.float64)
         h = FD_STEP_HESS * (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
         hv = _pad_axes(np.squeeze(h, -1), value_rank)
@@ -549,20 +508,22 @@ def _subsets(k: int):
 
 
 def generator_observable(model: DiffusionModel, f: Observable) -> Observable:
-    """Af as an Observable of order ``f.max_order - 2``.
+    """Af as an Observable of order ``min(f.max_order - 2, 2)``, enough for
+    A^2 f = ``generator_apply(model, Af, x)``, the weak-order-two target.
 
     Derivatives are assembled by the Leibniz rule from f's dirderiv and the
-    model's analytic derivative tensors; finite-difference derivative data
-    is refused because nested differencing is too noisy for the defect
-    operators built on top of this.
+    model's analytic fields (b, db, d2b) and (sigma, dsigma, d2sigma);
+    finite-difference derivative data is refused because differencing the
+    fields inside A^2 f is too noisy.
     """
     if f.max_order < 2:
         raise InsufficientOrderError("insufficient observable order: generator needs order 2")
-    order = f.max_order - 2
-    if not model.has_analytic(min(order, 2)) or (order >= 3 and not model.has_analytic(order)):
+    if any(t is None for t in (model.db, model.d2b, model.dsigma, model.d2sigma)):
         raise InsufficientDerivativesError(
-            "generator observable requires analytic drift/diffusion derivatives"
+            "generator observable requires analytic drift/diffusion derivatives through order 2"
         )
+    drift = (model.b, model.db, model.d2b)
+    diffusion = (model.sigma, model.dsigma, model.d2sigma)
     d = model.dim
     basis = np.eye(d)
 
@@ -571,7 +532,7 @@ def generator_observable(model: DiffusionModel, f: Observable) -> Observable:
 
     def sigma_pair_tensor(x, order_t, dirs):
         """D^{order_t}(sigma sigma^T)_{ij}[dirs] as (..., d, d) via the product rule."""
-        sig = {m: model.diffusion_tensor(x, m) for m in range(order_t + 1)}
+        sig = [diffusion[m](x) for m in range(order_t + 1)]
         out = 0.0
         for left, right in _subsets(order_t):
             # diffusion tensors carry (d, N) plus one coordinate axis per derivative
@@ -581,15 +542,10 @@ def generator_observable(model: DiffusionModel, f: Observable) -> Observable:
         return out
 
     def dd(x, k, dirs):
-        if k > order:
-            raise InsufficientOrderError(
-                f"insufficient observable order: need {k}, have {order}"
-            )
         x = np.asarray(x, dtype=np.float64)
         out = 0.0
         for left, right in _subsets(k):
-            bt = _contract_dirs(model.drift_tensor(x, len(left)),
-                                [dirs[t] for t in left], d, len(left) + 1)
+            bt = _contract_dirs(drift[len(left)](x), [dirs[t] for t in left], d, len(left) + 1)
             rest = [dirs[t] for t in right]
             for i in range(d):
                 out = out + bt[..., i] * f.d(x, len(rest) + 1, (basis[i], *rest))
@@ -599,5 +555,5 @@ def generator_observable(model: DiffusionModel, f: Observable) -> Observable:
                     out = out + 0.5 * at[..., i, j] * f.d(x, len(rest) + 2, (basis[i], basis[j], *rest))
         return out
 
-    return Observable(fn=fn, dirderiv=dd, max_order=order,
+    return Observable(fn=fn, dirderiv=dd, max_order=min(f.max_order - 2, 2),
                       name=f"A[{f.name or 'f'}]")

@@ -25,23 +25,24 @@ The bias operators Mf = -C_{q+1} f of ``model`` read C_p off the same list.
 The general kernel (d >= 2 or N >= 2) sums the list.  For d = N = 1 each
 scheme has a hand-expanded scalar branch with the same increments; it
 skips the einsum contractions, which cost more than the arithmetic they do
-at that size.  Both scalar branches evaluate the fields other
-than b once when the kernel is built: a value without batch axes does not
-depend on the state, so the step uses that bound float, which rounds
-exactly as the per-state value does.  The talay2 branch also drops the
-products whose bound factor is exactly zero (the derivatives of a constant
-sigma, the Hessian of a linear drift); only the sign of a zero result can
-differ from the full expression.
+at that size.  The talay2 scalar branch evaluates the fields other than b
+once when the kernel is built: a value without batch axes does not depend
+on the state, so the step uses that bound float, which rounds exactly as
+the per-state value does.  It also drops the products whose bound factor
+is exactly zero (the derivatives of a constant sigma, the Hessian of a
+linear drift); only the sign of a zero result can differ from the full
+expression.
 
 A kernel may carry a block entry, ``step.block(slab, gammas, us)``, that
 advances a whole block of steps in place: slab[0] holds the states before
 the block and rows 1 .. len(gammas) receive the states after each step.
-The 1-d Euler kernel with a bound sigma has one.  It writes every noise
-increment sqrt(gamma_k) sigma U_k into the slab with one multiplication
-(``np.sqrt`` rounds as ``math.sqrt`` does) and then adds x + gamma b(x)
-onto it row by row, the same float operations as the per-step kernel.  The
-driver takes the block entry when the kernel has one and steps the kernel
-otherwise; the probes and the divergence replay always call ``step``.
+The 1-d Euler kernel has one when sigma is bound (a value without batch
+axes).  It writes every noise increment sqrt(gamma_k) sigma U_k into the
+slab with one multiplication (``np.sqrt`` rounds as ``math.sqrt`` does)
+and then adds x + gamma b(x) onto it row by row, the same float operations
+as the per-step kernel.  The driver takes the block entry when the kernel
+has one and steps the kernel otherwise; the probes and the divergence
+replay always call ``step``.
 
 Each trajectory owns two counter-based Philox streams keyed by
 (master_seed, replication_index): one for innovation draws, one for the
@@ -135,11 +136,11 @@ def make_stepper(scheme: str, model: DiffusionModel):
 
     if scheme == "euler":
         if d == 1 and n == 1:
+            def step(x, gamma, u, kappa):
+                return x + gamma * model.b(x) + math.sqrt(gamma) * model.sigma(x)[..., 0] * u
+
             s = _bound_scalar(model.sigma, 2)
             if s is not None:
-                def step(x, gamma, u, kappa):
-                    return x + gamma * model.b(x) + (math.sqrt(gamma) * s) * u
-
                 def block(slab, gammas, us):
                     m = len(gammas)
                     np.multiply((np.sqrt(gammas) * s)[:, None, None], us, out=slab[1:m + 1])
@@ -148,9 +149,6 @@ def make_stepper(scheme: str, model: DiffusionModel):
                         np.add(x + gamma * model.b(x), nxt, out=nxt)
 
                 step.block = block
-            else:
-                def step(x, gamma, u, kappa):
-                    return x + gamma * model.b(x) + math.sqrt(gamma) * model.sigma(x)[..., 0] * u
         else:
             step = _summed_step(scheme, model)
         return step

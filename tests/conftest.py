@@ -22,8 +22,6 @@ def broadcast_ou(theta: float, sigma: float) -> DiffusionModel:
         d2b=const(np.zeros((1, 1, 1))),
         dsigma=const(np.zeros((1, 1, 1))),
         d2sigma=const(np.zeros((1, 1, 1, 1))),
-        db_higher=lambda xs, m: const(np.zeros((1,) * (m + 1)))(xs),
-        dsigma_higher=lambda xs, m: const(np.zeros((1, 1) + (1,) * m))(xs),
     )
 
 
@@ -55,8 +53,6 @@ def poly1d_model(b_coeffs, s_coeffs, fd_only: bool = False) -> DiffusionModel:
         d2b=lambda x: shape(bp.deriv(2)(x[..., 0]), 3),
         dsigma=lambda x: shape(sp_.deriv(1)(x[..., 0]), 3),
         d2sigma=lambda x: shape(sp_.deriv(2)(x[..., 0]), 4),
-        db_higher=lambda x, m: shape(bp.deriv(m)(x[..., 0]), m + 1),
-        dsigma_higher=lambda x, m: shape(sp_.deriv(m)(x[..., 0]), m + 2),
     )
 
 

@@ -284,3 +284,29 @@ def test_out_of_range_value_exit_two_names_key(capsys, tmp_path, argv, key):
     code, _, err = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
     assert code == 2
     assert key in err
+
+
+def test_benchmark_tracer_patches_and_restores_the_clt_path(capsys, tmp_path, monkeypatch):
+    # perfbench/tracing.py patches ergostep names at run time; renaming or
+    # removing one of them breaks the benchmark, and this test
+    from ergostep import model
+
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import tracing
+
+    original = model.generator_observable
+    tracer = tracing.LayerTracer()
+    tracer.install()
+    try:
+        code, _, err = run_cli(capsys, "clt", "--config", str(root / "configs" / "euler_clt.cfg"),
+                               "--threads", "1", "--n-steps", "2000", "--checkpoints", "2000",
+                               "--replications", "4", "--format", "json",
+                               "--output-dir", str(tmp_path))
+    finally:
+        tracer.uninstall()
+    assert code == 0, err
+    metrics = tracer.layer_metrics()
+    for name in ("catalog.field_calls", "model.operator_states", "innovations.draw_calls"):
+        assert metrics[name] > 0, name
+    assert model.generator_observable is original

