@@ -468,11 +468,20 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         else:
             m_operator = lambda xs: m2_talay(model, f, xs, innovation, Enumerate()).value
 
+    # the invariant average of the correction operator: by quadrature when
+    # the law is known, else by the ergodic average of Mf over the states
+    law = config.invariant_law()
+    nu_m = None
+    if m_operator is not None and law is not None:
+        nu_m = catalog.gauss_hermite_expectation(m_operator, mean=0.0,
+                                                 std=math.sqrt(law.moments[2]))
+    per_state_m = m_operator is not None and nu_m is None
+
     def make_measures(block_size):
         main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(block_size,),
                                         buffer_capacity=config.buffer_capacity)
         main.register("Af", af.fn)
-        if m_operator is not None:
+        if per_state_m:
             main.register("Mf", m_operator)
         clock = WeightedEmpiricalMeasure(weights=variance_clock(steps), batch_shape=(block_size,))
         clock.register("Vf", vf_fn)
@@ -483,7 +492,6 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
 
     aux = order_weights(steps, q)
     weights = config.weights(steps)
-    law = config.invariant_law()
 
     statistics: dict[int, np.ndarray] = {}
     normalizers: dict[int, float] = {}
@@ -492,11 +500,6 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     summaries: dict[int, SummaryStats] = {}
     ks: dict[int, tuple[float, bool]] = {}
 
-    # invariant average of the correction operator (analytic when the law is known)
-    nu_m = None
-    if m_operator is not None and law is not None:
-        nu_m = catalog.gauss_hermite_expectation(m_operator, mean=0.0,
-                                                 std=math.sqrt(law.moments[2]))
     ergodic_m = None
 
     b = config.burn_in
@@ -530,7 +533,7 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     else:
         predicted_variance = ergodic_variance
         variance_source = "ergodic"
-    if m_operator is not None:
+    if per_state_m:
         ergodic_m = float(np.mean(snaps[final]["main"]["Mf"][keep]))
 
     for c in checkpoints:

@@ -22,9 +22,12 @@ generators at once: each stream's raw draws (uniforms, normals or bits) fill
 one row of a stream-major buffer, and the whole block is mapped to values at
 once into a C-ordered (size, R, N) array whose column r is bit-equal to a
 draw of ``size`` from generator r alone.  One mapping per kind serves both
-calls.  The three-point mapping writes the values over the raw buffer's
-memory once its two threshold masks are taken, so a block draw holds one
-float64 block, not two.
+calls.  The three-point and rademacher mappings take uint8 masks of the raw
+draws and then write the values over the raw buffer's memory, so a block
+draw holds one float64 block, not two, and a caller's ``out`` block can be
+that buffer.  Gaussian values are the normals themselves, in stream-major
+order, so a gaussian block draw keeps a second float64 block for the
+transposing copy into C order.
 
 ``joint_outcomes`` is built once per (law, with_kappa) and cached as a
 tuple of read-only arrays, so exact expectations over many batches of
@@ -95,12 +98,14 @@ class InnovationDist:
         return _MOMENTS[self.kind](k)
 
     def sample(self, rng: np.random.Generator | Sequence[np.random.Generator],
-               size: int | tuple | None = None) -> np.ndarray:
+               size: int | tuple | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Draw innovations; trailing axis is the coordinate axis.
 
         ``rng`` is one generator, or a sequence of R generators with an int
         ``size`` m: then the result has shape (m, R, N), C-ordered, and its
-        column r is bit-equal to ``sample(rng[r], m)``.
+        column r is bit-equal to ``sample(rng[r], m)``.  A block draw may
+        pass ``out``, a C-contiguous float64 array of that shape, to receive
+        the values; it is returned.
         """
         if isinstance(rng, np.random.Generator):
             shape = (self.dimension,) if size is None else (
@@ -109,10 +114,18 @@ class InnovationDist:
             raw = np.empty(shape)
             self._fill_raw(rng, raw)
             return self._values(raw, raw)
-        raw = np.empty((len(rng), size, self.dimension))
+        shape = (size, len(rng), self.dimension)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+        # stream-major draws, in out's own memory unless the values are the
+        # draws themselves (gaussian), which need a transposing copy
+        stream_major = (len(rng), size, self.dimension)
+        raw = np.empty(stream_major) if self.kind == "gaussian" else out.reshape(stream_major)
         for row, g in zip(raw, rng):
             self._fill_raw(g, row)
-        return self._values(raw.transpose(1, 0, 2), raw)
+        return self._values(raw.transpose(1, 0, 2), out)
 
     def _fill_raw(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """One stream's raw draws into the C-contiguous float64 ``out``:
@@ -124,26 +137,28 @@ class InnovationDist:
         else:
             rng.random(out=out)
 
-    def _values(self, raw: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """Innovation values of raw draws, C-ordered in the shape of ``raw``;
-        ``buf`` is the C-contiguous array that ``raw`` views, and its memory
-        may hold the values."""
-        if self.kind == "three_point":
-            # the number of the cut points 1/6 and 5/6 that u passes, 0, 1 or
-            # 2, shifted and scaled to exactly -sqrt(3), +0.0 and sqrt(3);
-            # counting in uint8 and casting once beats a float add of the masks
-            passed = (raw >= 1.0 / 6.0).view(np.uint8)
-            passed += (raw >= 5.0 / 6.0).view(np.uint8)
-            # the draws are spent: the values go over them
-            out = buf.reshape(raw.shape)
-            np.copyto(out, passed)
-            out -= 1.0
-            out *= _SQRT3
+    def _values(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Innovation values of raw draws into the C-ordered ``out`` of
+        ``raw``'s shape.  ``out`` may be the memory ``raw`` views: the
+        draws are read into masks before any value is written."""
+        if self.kind == "gaussian":
+            if out is not raw:
+                np.copyto(out, raw)
             return out
-        out = np.ascontiguousarray(raw)
         if self.kind == "rademacher":
+            # bits 0 and 1 to exactly -1.0 and 1.0
+            np.copyto(out, (raw != 0.0).view(np.uint8))
             out *= 2.0
             out -= 1.0
+            return out
+        # the number of the cut points 1/6 and 5/6 that u passes, 0, 1 or 2,
+        # shifted and scaled to exactly -sqrt(3), +0.0 and sqrt(3); counting
+        # in uint8 and casting once beats a float add of the masks
+        passed = (raw >= 1.0 / 6.0).view(np.uint8)
+        passed += (raw >= 5.0 / 6.0).view(np.uint8)
+        np.copyto(out, passed)
+        out -= 1.0
+        out *= _SQRT3
         return out
 
     def support1d(self) -> list[tuple[float, float]] | None:

@@ -54,11 +54,31 @@ vectorized batch perform bit-identical float sequences per replication.
 A block reaches the sinks with shape (len, R, d), as a view of one
 replication-major copy (R, len, d) that all sinks share, so a sink that
 walks replications reads contiguous memory.
+
+The kernel has to run its steps in order, but the draws and the sinks only
+feed it and read it, so for a run of two blocks or more the driver forks
+one worker for the kernel.  The worker advances the slab, runs the
+divergence guard and its replay, zeroes the excluded rows and writes the
+replication-major copy over the block's spent innovations in a two-slot
+ring; this process keeps the generators and the sinks, feeds block j to
+the sinks from the ring and draws block j + 2 into the slot block j leaves
+while the worker advances block j + 1.  The ring and the slab live in one
+anonymous shared ``mmap``, and the two sides exchange one short message
+per block: the go-ahead for a block, and the worker's answer (the pairs
+that diverged, or the exception a field or the guard raised, which the
+driver re-raises).  The worker ends with its ``_drive`` call on every exit
+path.  ``fork`` is safe only in a single-threaded process, so a one-block
+run, a caller with other Python threads alive (``threads > 1`` partitions)
+and a platform without ``fork`` run the same per-block functions inline,
+through a one-slot ring.  Either way every float operation is the same,
+and so are the bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -84,6 +104,10 @@ class DivergenceError(RuntimeError):
         where = f"step {step_index}" if step_index is not None else "unknown step"
         rep = f", replication {replication}" if replication is not None else ""
         super().__init__(f"trajectory diverged at {where}{rep}")
+
+    def __reduce__(self):
+        # rebuilt from its fields when it crosses from the kernel worker
+        return DivergenceError, (self.step_index, self.replication)
 
 
 @dataclass(frozen=True)
@@ -224,12 +248,89 @@ class BatchResult:
     n_steps: int = 0
 
 
-def _draw_blocks(innovation: InnovationDist, gens_u, gens_k, m: int, need_kappa: bool):
-    us = innovation.sample(gens_u, size=m)
-    kaps = None
-    if need_kappa:
-        kaps = np.stack([sample_kappa(g, innovation.dimension, size=m) for g in gens_k], axis=1)
-    return us, kaps
+class _Kernel:
+    """The time-sequential side of the driver: the slab of states, advanced
+    one block at a time, with the divergence guard and its replay.
+
+    slab[t] is the state before step k + t of the block being advanced;
+    slab[0] carries over from the previous block's last row."""
+
+    def __init__(self, stepper, steps: StepSchedule, replications: Sequence[int],
+                 slab: np.ndarray, raise_on_divergence: bool):
+        self.stepper = stepper
+        self.steps = steps
+        self.replications = replications
+        self.slab = slab
+        self.raise_on_divergence = raise_on_divergence
+        self.excluded: set[int] = set()
+
+    def block(self, k: int, us: np.ndarray, kaps: np.ndarray | None,
+              rows: np.ndarray) -> list[tuple[int, int]]:
+        """Advance the len(us) steps from step k, write their pre-step
+        states into the replication-major ``rows`` (R, len(us), d), and
+        return the (replication, step) pairs that diverged in the block.
+        ``rows`` may share memory with ``us``: it is written last."""
+        m = len(us)
+        slab, stepper = self.slab, self.stepper
+        gammas = self.steps.gamma_block(k, k + m)
+        advance = getattr(stepper, "block", None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if advance is not None:
+                advance(slab, gammas, us)
+            else:
+                for t, gamma in enumerate(gammas.tolist()):
+                    slab[t + 1] = stepper(slab[t], gamma, us[t], None if kaps is None else kaps[t])
+        # the guard runs once per block; the offending step index is
+        # recovered by replaying the block for the diverged row
+        x = slab[m]
+        bad = ~np.all(np.isfinite(x), axis=-1) | (np.max(np.abs(x), axis=-1) > DIVERGENCE_BOUND)
+        diverged = []
+        if np.any(bad):
+            for r_idx in np.nonzero(bad)[0]:
+                rep = self.replications[r_idx]
+                if rep in self.excluded:
+                    continue
+                step_at = _locate_divergence(stepper, slab[0, r_idx], gammas.tolist(), us[:, r_idx],
+                                             None if kaps is None else kaps[:, r_idx], k)
+                if self.raise_on_divergence:
+                    raise DivergenceError(step_at, replication=rep)
+                self.excluded.add(rep)
+                diverged.append((rep, step_at))
+            # a diverged row restarts from 0, and the sinks never see its
+            # states: its replication is excluded
+            slab[:m + 1, bad] = 0.0
+        np.copyto(rows, slab[:m].swapaxes(0, 1))
+        slab[0] = x
+        return diverged
+
+
+def _locate_divergence(stepper, x_row, gammas, us, kaps, k0) -> int:
+    """The first step k >= k0 whose state X_k leaves the finite region, by
+    replaying the block from X_{k0 - 1} = ``x_row``."""
+    x = x_row[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, gamma in enumerate(gammas):
+            x = stepper(x, gamma, us[t][None, :], kaps[t][None, :] if kaps is not None else None)
+            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_BOUND:
+                return k0 + t
+    return k0 + len(gammas) - 1
+
+
+def _head(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading C-ordered block of a flat buffer, in ``shape``."""
+    return flat[:math.prod(shape)].reshape(shape)
+
+
+def _buffers(sizes: Sequence[int], shared: bool) -> list[np.ndarray]:
+    """Flat float64 buffers of the given lengths; with ``shared``, all in
+    one anonymous shared mapping that a forked worker sees too."""
+    if not shared:
+        return [np.empty(n) for n in sizes]
+    import mmap
+
+    memory = np.frombuffer(mmap.mmap(-1, 8 * max(sum(sizes), 1)), dtype=np.float64)
+    ends = np.cumsum(sizes).tolist()
+    return [memory[end - n:end] for n, end in zip(sizes, ends)]
 
 
 def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
@@ -238,64 +339,128 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
            sinks: Sequence[StateSink], raise_on_divergence: bool) -> BatchResult:
     if innovation.dimension != model.noise_dim:
         raise ValueError("innovation dimension must match the model's noise dimension")
-    stepper = make_stepper(scheme, model)
-    advance = getattr(stepper, "block", None)
-    r_count = len(replications)
+    r_count, d, n = len(replications), model.dim, model.noise_dim
     gens = [trajectory_generators(master_seed, r) for r in replications]
     gens_u = [g[0] for g in gens]
     gens_k = [g[1] for g in gens]
-    need_kappa = scheme == "talay2" and kappa_count(model.noise_dim) > 0
-    excluded: dict[int, int] = {}
-    # slab[t] is the state before step k + t of the block; slab[0] carries
-    # over from the previous block's last row
-    slab = np.empty((CHUNK + 1, r_count, model.dim))
-    slab[0] = np.asarray(x0, dtype=np.float64).reshape(1, model.dim)
-    by_rep = np.empty(r_count * CHUNK * model.dim)
-    k = 1
-    while k <= n_steps:
-        m = min(CHUNK, n_steps - k + 1)
-        gammas = steps.gamma_block(k, k + m)
-        us, kaps = _draw_blocks(innovation, gens_u, gens_k, m, need_kappa)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if advance is not None:
-                advance(slab, gammas, us)
-            else:
-                for t, gamma in enumerate(gammas.tolist()):
-                    slab[t + 1] = stepper(slab[t], gamma, us[t], kaps[t] if need_kappa else None)
-        # the guard runs once per block; the offending step index is
-        # recovered by replaying the block for the diverged row
-        x = slab[m]
-        bad = ~np.all(np.isfinite(x), axis=-1) | (np.max(np.abs(x), axis=-1) > DIVERGENCE_BOUND)
-        if np.any(bad):
-            for r_idx in np.nonzero(bad)[0]:
-                if replications[r_idx] in excluded:
-                    continue
-                step_at = _locate_divergence(stepper, slab[0, r_idx], gammas.tolist(),
-                                             us[:, r_idx], kaps[:, r_idx] if need_kappa else None, k)
-                if raise_on_divergence:
-                    raise DivergenceError(step_at, replication=replications[r_idx])
-                excluded[replications[r_idx]] = step_at
-            # a diverged row restarts from 0, and the sinks never see its
-            # states: its replication is excluded
-            slab[:m + 1, bad] = 0.0
+    n_kappa = kappa_count(n) if scheme == "talay2" else 0
+    blocks = [(k, min(CHUNK, n_steps - k + 1)) for k in range(1, n_steps + 1, CHUNK)]
+    forked = len(blocks) > 1 and hasattr(os, "fork") and threading.active_count() == 1
+    slots = 2 if forked else 1
+    # a block's states go over its innovations once the kernel has spent
+    # them, so one slot holds both
+    slab, *flat = _buffers([(CHUNK + 1) * r_count * d]
+                           + [CHUNK * r_count * size for size in (max(n, d), n_kappa) for _ in range(slots)],
+                           shared=forked)
+    block_slots, kap_slots = flat[:slots], flat[slots:]
+    slab = slab.reshape(CHUNK + 1, r_count, d)
+    slab[0] = np.asarray(x0, dtype=np.float64).reshape(1, d)
+    kernel = _Kernel(make_stepper(scheme, model), steps, replications, slab, raise_on_divergence)
+
+    def inputs(j: int):
+        """Block j's innovations and signs, as views of its slot."""
+        m, s = blocks[j][1], j % slots
+        return (_head(block_slots[s], (m, r_count, n)),
+                _head(kap_slots[s], (m, r_count, n_kappa)) if n_kappa else None)
+
+    def rows(j: int):
+        """Block j's replication-major states, as a view of its slot."""
+        return _head(block_slots[j % slots], (r_count, blocks[j][1], d))
+
+    def draw(j: int) -> None:
+        us, kaps = inputs(j)
+        innovation.sample(gens_u, size=len(us), out=us)
+        if kaps is not None:
+            np.stack([sample_kappa(g, n, size=len(us)) for g in gens_k], axis=1, out=kaps)
+
+    def feed(j: int) -> None:
         # one replication-major copy per block, shared by every sink
-        rows = by_rep[:r_count * m * model.dim].reshape(r_count, m, model.dim)
-        np.copyto(rows, slab[:m].swapaxes(0, 1))
+        states = rows(j).swapaxes(0, 1)
         for sink in sinks:
-            sink.observe_block(k, rows.swapaxes(0, 1))
-        slab[0] = x
-        k += m
+            sink.observe_block(blocks[j][0], states)
+
+    def advance(j: int) -> list[tuple[int, int]]:
+        return kernel.block(blocks[j][0], *inputs(j), rows(j))
+
+    excluded: dict[int, int] = {}
+    if forked:
+        _run_forked(len(blocks), advance, draw, feed, excluded)
+    else:
+        for j in range(len(blocks)):
+            draw(j)
+            excluded.update(advance(j))
+            feed(j)
     return BatchResult(final_states=slab[0].copy(), excluded=sorted(excluded.items()), n_steps=n_steps)
 
 
-def _locate_divergence(stepper, x_row, gammas, us, kaps, k0) -> int:
-    x = x_row[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, gamma in enumerate(gammas):
-            x = stepper(x, gamma, us[t][None, :], kaps[t][None, :] if kaps is not None else None)
-            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_BOUND:
-                return k0 + t + 1
-    return k0 + len(gammas)
+def _run_forked(count: int, advance, draw, feed, excluded: dict) -> None:
+    """Run ``count`` >= 2 blocks with ``advance`` in a forked worker.  Block j
+    lives in slot j % 2, first as its innovations, then as its states: while
+    the worker advances block j + 1, this process feeds block j to the sinks,
+    draws block j + 2 into the slot block j has left and sends the go-ahead
+    for block j + 2.  The worker answers each block with the pairs that
+    diverged in it, or with the exception it raised."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    conn, worker_conn = context.Pipe()
+    worker = context.Process(target=_kernel_worker, args=(count, advance, worker_conn, conn),
+                             daemon=True)
+
+    def talk(op, *args):
+        """A pipe operation; a worker that has gone raises RuntimeError."""
+        try:
+            return op(*args)
+        except (EOFError, ConnectionError):
+            worker.join()
+            raise RuntimeError(f"the kernel worker exited with code {worker.exitcode}") from None
+
+    def go(j: int) -> None:
+        if j < count:
+            draw(j)
+            talk(conn.send, None)
+
+    done = False
+    try:
+        worker.start()
+        worker_conn.close()
+        go(0)
+        go(1)
+        for j in range(count):
+            reply = talk(conn.recv)
+            if isinstance(reply, BaseException):
+                raise reply
+            excluded.update(reply)
+            feed(j)
+            go(j + 2)
+        done = True
+    finally:
+        if worker.pid is not None:
+            if not done:
+                worker.kill()
+            worker.join()
+        conn.close()
+        worker_conn.close()
+
+
+def _kernel_worker(count: int, advance, conn, parent_conn) -> None:
+    """The forked worker's loop: advance each block once its go-ahead
+    arrives, and reply with its diverged pairs or with the exception."""
+    parent_conn.close()
+    try:
+        for j in range(count):
+            conn.recv()
+            try:
+                conn.send(advance(j))
+            except Exception as err:
+                try:
+                    conn.send(err)
+                except Exception:  # it does not pickle: send its text
+                    conn.send(RuntimeError(f"{type(err).__name__}: {err}"))
+                while True:  # take go-aheads until the parent ends this process
+                    conn.recv()
+    except (EOFError, ConnectionError):
+        pass  # the parent is gone
 
 
 def simulate(scheme: str, model: DiffusionModel, step_schedule: StepSchedule,

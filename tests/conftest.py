@@ -56,6 +56,20 @@ def poly1d_model(b_coeffs, s_coeffs, fd_only: bool = False) -> DiffusionModel:
     )
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running; the simulation
+    driver's kernel worker must end with its call on every exit path."""
+    yield
+    import multiprocessing
+
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    assert not left, f"child processes left running: {left}"
+
+
 @pytest.fixture
 def zero_model() -> DiffusionModel:
     return poly1d_model([0.0], [0.0])

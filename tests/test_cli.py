@@ -173,7 +173,7 @@ def test_divergence_message_names_count_step_and_gamma1(capsys, tmp_path):
         code, _, err = run_cli(capsys, *args)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == 1
-    assert "51 of 60 replications diverged, the earliest at step 6" in err
+    assert "51 of 60 replications diverged, the earliest at step 5" in err
     assert "step.gamma1 = 1.0" in err and "try a smaller --gamma1" in err
     assert "[(" not in err
     code, _, err = run_cli(capsys, *args, "--gamma1", "0.1")

@@ -582,6 +582,36 @@ def test_regime_b_shift_against_the_exact_decreasing_step_mean():
     assert abs(exact[2] / _regime_b_shift(euler, -1.0, 10**5) - 1.0) < 0.04
 
 
+def test_known_law_takes_nu_mf_from_quadrature_alone(tmp_path):
+    # ou1d has a known law: no per-state Mf, and the shift is nu(Mf) / l_hat
+    for cfg, nu_m in ((ExperimentConfig(scheme="euler", xi=1.0 / 3.0, n_steps=2000, replications=4,
+                                        checkpoints=(2000,)), -1.0),
+                      (ExperimentConfig(scheme="talay2", weight_kind="trapezoidal", xi=0.2,
+                                        n_steps=2000, replications=4, checkpoints=(2000,)), 0.5)):
+        rep = run_clt_experiment(cfg)
+        assert rep.regime == "B_mixed"
+        assert rep.ergodic_correction_mean is None
+        assert rep.predicted_shift[2000] == pytest.approx(_regime_b_shift(cfg, nu_m, 2000), rel=1e-12)
+        emit(rep, "json", tmp_path / "clt.json")
+        assert json.loads((tmp_path / "clt.json").read_text())["ergodic_correction_mean"] is None
+
+
+@pytest.mark.parametrize("mapping", [
+    {"model.id": "ou_nd", "model.dim": "2", "f": "x1^2"},
+    {"model.id": "double_well", "step.gamma1": "0.25"},
+], ids=["ou_nd", "double_well"])
+def test_unknown_law_keeps_the_ergodic_mf_average(mapping):
+    cfg = ExperimentConfig.from_mapping({**mapping, "scheme": "euler", "step.xi": "0.3333333333333333",
+                                         "n_steps": "2000", "replications": "4",
+                                         "checkpoints": "2000"})
+    rep = run_clt_experiment(cfg)
+    assert rep.regime == "B_mixed"
+    assert isinstance(rep.ergodic_correction_mean, float)
+    # with no law, the shift averages the same per-state Mf
+    assert rep.predicted_shift[2000] == pytest.approx(rep.ergodic_correction_mean / rep.l_hat[2000],
+                                                      rel=1e-12)
+
+
 def test_ks_distance_matches_scipy():
     from scipy import stats
 

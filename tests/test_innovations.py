@@ -121,6 +121,34 @@ def test_draws_share_no_memory(kind):
     assert not np.shares_memory(a, b)
 
 
+@pytest.mark.parametrize("kind", ["three_point", "rademacher", "gaussian"])
+def test_block_draw_into_out_is_the_allocated_draw(kind):
+    dist = InnovationDist(kind, 2)
+    want = dist.sample([trajectory_generators(31, r)[0] for r in range(3)], 40)
+    out = np.full((40, 3, 2), np.nan)
+    got = dist.sample([trajectory_generators(31, r)[0] for r in range(3)], 40, out=out)
+    assert got is out and np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    with pytest.raises(ValueError):
+        dist.sample([trajectory_generators(31, 0)[0]], 40, out=out)
+
+
+@pytest.mark.parametrize("kind", ["three_point", "rademacher"])
+def test_block_draw_holds_one_float64_block(kind):
+    # the values go over the raw draws' memory: one 1.56 MiB block of
+    # 1024 x 200 values plus uint8 masks, not a second float64 block
+    import tracemalloc
+
+    dist = InnovationDist(kind, 1)
+    gens = [trajectory_generators(3, r)[0] for r in range(200)]
+    tracemalloc.start()
+    try:
+        dist.sample(gens, 1024)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.1, peak
+
+
 def test_cached_joint_outcomes_are_read_only():
     dist = InnovationDist("three_point", 2)
     outcomes = joint_outcomes(dist, with_kappa=True)

@@ -2,7 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +345,100 @@ def test_constant_fields_are_bound_when_the_kernel_is_built():
     calls.clear()
     block(np.zeros((4, 2, 1)), np.full(3, 0.01), np.ones((3, 2, 1)))
     assert calls == Counter(b=3)
+
+
+# ---------------------------------------------------------------------------
+# the kernel worker
+
+
+def test_divergence_on_the_worker_path_reports_the_first_bad_step():
+    # X_k = 1.01^k crosses the bound near k = 2777, in the third block
+    growth = poly1d_model([0.0, 1.0], [0.0])
+    st = StepSchedule("constant", 0.01)
+    step = make_stepper("euler", growth)
+    x, first = np.ones(1), 0
+    while abs(x[0]) <= 1e12:
+        first += 1
+        x = step(x, st.gamma(first), np.zeros(1), None)
+    assert 2 * CHUNK < first <= 3 * CHUNK
+    with pytest.raises(DivergenceError) as err:
+        simulate("euler", growth, st, TP, 4000, 1.0, rng_seed=4)
+    assert (err.value.step_index, err.value.replication) == (first, 0)
+    res = simulate_batch("euler", growth, st, TP, 4000, 1.0, 4, 3)
+    assert res.excluded == [(r, first) for r in range(3)]
+    assert np.all(np.isfinite(res.final_states))
+
+
+class _FieldError(Exception):
+    pass
+
+
+def test_worker_and_sink_errors_reach_the_caller_and_leave_no_process():
+    calls = []
+
+    def b(xs):
+        calls.append(None)
+        if len(calls) > CHUNK + 10:
+            raise _FieldError(os.getpid())
+        return OU.b(xs)
+
+    failing = dataclasses.replace(OU, b=b)
+    st = StepSchedule("power_law", 0.5, 1.0 / 3.0)
+    with pytest.raises(_FieldError) as err:
+        simulate_batch("euler", failing, st, TP, 3 * CHUNK, 0.4, 2, 3)
+    assert err.value.args[0] != os.getpid()  # raised in the worker
+    assert calls == []
+
+    class FailingSink:
+        def observe_block(self, k0, states):
+            if k0 > CHUNK:
+                raise KeyError("sink")
+
+    with pytest.raises(KeyError):
+        simulate_batch("euler", OU, st, TP, 4 * CHUNK, 0.4, 2, 3, sinks=[FailingSink()])
+
+    caller = os.getpid()
+
+    def exiting(xs):
+        if os.getpid() == caller:
+            raise AssertionError("the kernel ran in the caller")
+        os._exit(3)
+
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        simulate_batch("euler", dataclasses.replace(OU, b=exiting), st, TP, 2 * CHUNK, 0.4, 2, 3)
+    assert multiprocessing.active_children() == []
+
+
+def test_kernel_runs_in_the_worker_for_two_blocks_on_one_thread():
+    calls = Counter()
+
+    def b(xs):
+        calls["b"] += 1
+        return OU.b(xs)
+
+    counted = dataclasses.replace(OU, b=b)
+    st = StepSchedule("power_law", 0.5, 1.0 / 3.0)
+    simulate_batch("euler", counted, st, TP, CHUNK, 0.4, 2, 3)
+    assert calls["b"] == CHUNK  # one block: inline
+    calls.clear()
+    forked = simulate_batch("euler", counted, st, TP, CHUNK + 1, 0.4, 2, 3)
+    assert calls["b"] == 0  # two blocks: the worker steps
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        inline = simulate_batch("euler", counted, st, TP, CHUNK + 1, 0.4, 2, 3)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert calls["b"] == CHUNK + 1  # another thread alive: inline
+    assert forked.final_states.tobytes() == inline.final_states.tobytes()
+
+
+def test_importing_the_package_loads_neither_multiprocessing_nor_mmap():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, ergostep; print(sorted({'multiprocessing', 'mmap'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
