@@ -10,13 +10,16 @@ within round-off of an offline recomputation.  Accumulation starts at k = 1;
 burn-in, when wanted, is the caller's slicing concern.
 
 Every state goes through one fold.  It walks a block of m pre-step states
-in tiles of max(1, 32768 // m) replications: each tile is taken as a
+in tiles of max(1, 16384 // m) replications: each tile is taken as a
 C-contiguous replication-major array (T, m, d), every observable is
 evaluated on it, and each replication's row of eta-weighted values is
 reduced by one contiguous pairwise sum; the assembled per-replication
-partials are added to a compensated accumulator once per block.  A tile,
-its values and their temporaries stay in cache.  The simulation drivers
-hand blocks to ``observe_block`` as (m, R, d) views of replication-major
+partials are added to a compensated accumulator once per block.  The tile
+is sized to the allocator, not to a cache: each float64 temporary an
+observable makes on it is 128 KiB.  At twice that, glibc returned the freed
+temporaries to the system after every tile and faulted them in again on
+the next, which cost more than the arithmetic.  The simulation drivers hand
+blocks to ``observe_block`` as (m, R, d) views of replication-major
 memory, so for a whole driver block the tile is a view and nothing is
 copied; a time-major block, or a part of a driver block split at a
 checkpoint or the burn-in, is copied one tile at a time.  The sums are the
@@ -38,9 +41,9 @@ import numpy as np
 from .accum import VectorKahan
 from .schedules import WeightSchedule
 
-# states per observable call: a tile of replications and its temporaries
-# stay in a core's L2 cache
-_TILE_STATES = 32768
+# states per observable call: a float64 temporary of a tile is 128 KiB, small
+# enough that the allocator keeps it in the heap between tiles
+_TILE_STATES = 16384
 
 
 @dataclass(frozen=True)

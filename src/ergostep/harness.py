@@ -398,7 +398,7 @@ class CltReport:
     normalizers: dict[int, float]
     predicted_variance: float
     variance_source: str                       # analytic | ergodic
-    ergodic_variance: float
+    ergodic_variance: float | None
     predicted_shift: dict[int, float]
     l_hat: dict[int, float]
     ergodic_correction_mean: float | None
@@ -468,8 +468,9 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         else:
             m_operator = lambda xs: m2_talay(model, f, xs, innovation, Enumerate()).value
 
-    # the invariant average of the correction operator: by quadrature when
-    # the law is known, else by the ergodic average of Mf over the states
+    # the invariant averages of the correction operator and of Vf: by
+    # quadrature when the law is known, else by the ergodic averages of Mf
+    # and Vf over the states
     law = config.invariant_law()
     nu_m = None
     if m_operator is not None and law is not None:
@@ -483,6 +484,8 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         main.register("Af", af.fn)
         if per_state_m:
             main.register("Mf", m_operator)
+        if law is not None:
+            return {"main": main}
         clock = WeightedEmpiricalMeasure(weights=variance_clock(steps), batch_shape=(block_size,))
         clock.register("Vf", vf_fn)
         return {"main": main, "clock": clock}
@@ -525,12 +528,13 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
             shifts[c] = 0.0
 
     final = checkpoints[-1]
-    ergodic_variance = float(np.mean(snaps[final]["clock"]["Vf"][keep]))
+    ergodic_variance = None
     if law is not None:
         predicted_variance = catalog.gauss_hermite_expectation(
             vf_fn, mean=0.0, std=math.sqrt(law.moments[2]))
         variance_source = "analytic"
     else:
+        ergodic_variance = float(np.mean(snaps[final]["clock"]["Vf"][keep]))
         predicted_variance = ergodic_variance
         variance_source = "ergodic"
     if per_state_m:

@@ -72,6 +72,12 @@ run, a caller with other Python threads alive (``threads > 1`` partitions)
 and a platform without ``fork`` run the same per-block functions inline,
 through a one-slot ring.  Either way every float operation is the same,
 and so are the bits.
+
+``BatchResult.seconds`` splits the driver's wall time: ``kernel`` is the
+time spent in ``_Kernel.block`` (the worker sends its time back with each
+answer), ``draw`` and ``feed`` are this process's draws and sink feeds, and
+``wait`` is its time blocked on the worker's answers, 0 inline.  The timers
+read the clock only; no report carries them.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -165,12 +172,14 @@ def make_stepper(scheme: str, model: DiffusionModel):
 
             s = _bound_scalar(model.sigma, 2)
             if s is not None:
+                b = model.b
+
                 def block(slab, gammas, us):
                     m = len(gammas)
                     np.multiply((np.sqrt(gammas) * s)[:, None, None], us, out=slab[1:m + 1])
                     rows = list(slab[:m + 1])
                     for x, nxt, gamma in zip(rows, rows[1:], gammas.tolist()):
-                        np.add(x + gamma * model.b(x), nxt, out=nxt)
+                        nxt += x + gamma * b(x)
 
                 step.block = block
         else:
@@ -241,11 +250,17 @@ def _bound_scalar(field, rank: int) -> float | None:
 # simulation driver
 
 
+# the driver's wall-time split: the kernel's busy time, the caller's draws
+# and sink feeds, and the caller's time blocked on the kernel worker
+_DRIVE_SIDES = ("kernel", "draw", "feed", "wait")
+
+
 @dataclass
 class BatchResult:
     final_states: np.ndarray          # (R, d)
     excluded: list = field(default_factory=list)  # (replication, step) pairs
     n_steps: int = 0
+    seconds: dict = field(default_factory=lambda: dict.fromkeys(_DRIVE_SIDES, 0.0))
 
 
 class _Kernel:
@@ -367,39 +382,53 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
         """Block j's replication-major states, as a view of its slot."""
         return _head(block_slots[j % slots], (r_count, blocks[j][1], d))
 
+    seconds = dict.fromkeys(_DRIVE_SIDES, 0.0)
+
     def draw(j: int) -> None:
+        t0 = time.perf_counter()
         us, kaps = inputs(j)
         innovation.sample(gens_u, size=len(us), out=us)
         if kaps is not None:
             np.stack([sample_kappa(g, n, size=len(us)) for g in gens_k], axis=1, out=kaps)
+        seconds["draw"] += time.perf_counter() - t0
 
     def feed(j: int) -> None:
+        t0 = time.perf_counter()
         # one replication-major copy per block, shared by every sink
         states = rows(j).swapaxes(0, 1)
         for sink in sinks:
             sink.observe_block(blocks[j][0], states)
+        seconds["feed"] += time.perf_counter() - t0
 
-    def advance(j: int) -> list[tuple[int, int]]:
-        return kernel.block(blocks[j][0], *inputs(j), rows(j))
+    def advance(j: int) -> tuple[list[tuple[int, int]], float]:
+        """Block j's diverged pairs and the kernel's seconds on it."""
+        t0 = time.perf_counter()
+        diverged = kernel.block(blocks[j][0], *inputs(j), rows(j))
+        return diverged, time.perf_counter() - t0
 
     excluded: dict[int, int] = {}
     if forked:
-        _run_forked(len(blocks), advance, draw, feed, excluded)
+        _run_forked(len(blocks), advance, draw, feed, excluded, seconds)
     else:
         for j in range(len(blocks)):
             draw(j)
-            excluded.update(advance(j))
+            diverged, kernel_s = advance(j)
+            excluded.update(diverged)
+            seconds["kernel"] += kernel_s
             feed(j)
-    return BatchResult(final_states=slab[0].copy(), excluded=sorted(excluded.items()), n_steps=n_steps)
+    return BatchResult(final_states=slab[0].copy(), excluded=sorted(excluded.items()), n_steps=n_steps,
+                       seconds=seconds)
 
 
-def _run_forked(count: int, advance, draw, feed, excluded: dict) -> None:
+def _run_forked(count: int, advance, draw, feed, excluded: dict, seconds: dict) -> None:
     """Run ``count`` >= 2 blocks with ``advance`` in a forked worker.  Block j
     lives in slot j % 2, first as its innovations, then as its states: while
     the worker advances block j + 1, this process feeds block j to the sinks,
     draws block j + 2 into the slot block j has left and sends the go-ahead
     for block j + 2.  The worker answers each block with the pairs that
-    diverged in it, or with the exception it raised."""
+    diverged in it and the kernel's seconds, or with the exception it
+    raised; ``seconds`` gains the kernel's time and this process's time
+    blocked on the answers."""
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
@@ -427,10 +456,14 @@ def _run_forked(count: int, advance, draw, feed, excluded: dict) -> None:
         go(0)
         go(1)
         for j in range(count):
+            t0 = time.perf_counter()
             reply = talk(conn.recv)
+            seconds["wait"] += time.perf_counter() - t0
             if isinstance(reply, BaseException):
                 raise reply
-            excluded.update(reply)
+            diverged, kernel_s = reply
+            excluded.update(diverged)
+            seconds["kernel"] += kernel_s
             feed(j)
             go(j + 2)
         done = True
@@ -445,7 +478,8 @@ def _run_forked(count: int, advance, draw, feed, excluded: dict) -> None:
 
 def _kernel_worker(count: int, advance, conn, parent_conn) -> None:
     """The forked worker's loop: advance each block once its go-ahead
-    arrives, and reply with its diverged pairs or with the exception."""
+    arrives, and reply with its diverged pairs and seconds or with the
+    exception."""
     parent_conn.close()
     try:
         for j in range(count):

@@ -210,7 +210,8 @@ def test_tiled_fold_is_bit_identical_to_serial(batch, case):
     w = WeightSchedule("proportional", StepSchedule("power_law", 1.0, 1.0 / 3.0))
     rng, _ = trajectory_generators(17, 0)
     blocks = [rng.normal(size=(m,) + batch + (model.dim,)) for m in (1024, 1024, 37)]
-    assert 1024 * math.prod(batch) > 3 * _TILE_STATES  # four tiles, the last ragged
+    # more than three tiles of 1024-step rows, the last ragged
+    assert 1024 * math.prod(batch) > 3 * _TILE_STATES and math.prod(batch) % (_TILE_STATES // 1024)
 
     batched = WeightedEmpiricalMeasure(weights=w, batch_shape=batch)
     for name, fn in obs.items():
@@ -277,7 +278,8 @@ def test_fold_tiles_of_a_replication_major_block_are_views():
     meas = WeightedEmpiricalMeasure(batch_shape=(70,))
     meas.register("x", probe)
     meas._fold(block, np.ones(1024))
-    assert len(views) == 3 and all(views)
+    tiles = -(-70 // max(1, _TILE_STATES // 1024))
+    assert tiles > 1 and len(views) == tiles and all(views)
 
 
 def test_buffer_disabled_raises():

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ergostep import harness
 from ergostep.harness import (
     CONFIG_KEYS,
     ConfigError,
@@ -24,6 +25,7 @@ from ergostep.harness import (
     run_rate_experiment,
 )
 from ergostep.catalog import ou1d
+from ergostep.model import vf_operator
 from ergostep.schedules import StepSchedule, order_weights
 from ergostep.schemes import make_stepper, trajectory_generators
 
@@ -266,8 +268,6 @@ def test_clt_euler_requires_proportional_weights():
 ])
 def test_clt_gaussian_innovations_rejected_before_simulating(monkeypatch, scheme, weight, xi):
     # regimes B and C enumerate Mf over the innovation's finite support
-    from ergostep import harness
-
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before rejecting the config")
 
@@ -610,6 +610,37 @@ def test_unknown_law_keeps_the_ergodic_mf_average(mapping):
     # with no law, the shift averages the same per-state Mf
     assert rep.predicted_shift[2000] == pytest.approx(rep.ergodic_correction_mean / rep.l_hat[2000],
                                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("mapping", [
+    {"model.id": "ou1d"},
+    {"model.id": "ou_nd", "model.dim": "2", "f": "x1^2"},
+    {"model.id": "double_well", "step.gamma1": "0.25"},
+], ids=["ou1d", "ou_nd", "double_well"])
+def test_known_law_evaluates_no_vf_per_state(mapping, monkeypatch, tmp_path):
+    shapes = []
+
+    def vf(model, f, xs):
+        shapes.append(np.shape(xs))
+        return vf_operator(model, f, xs)
+
+    monkeypatch.setattr(harness, "vf_operator", vf)
+    cfg = ExperimentConfig.from_mapping({**mapping, "scheme": "euler", "step.xi": "0.3333333333333333",
+                                         "n_steps": "2000", "replications": "4",
+                                         "checkpoints": "2000"})
+    rep = run_clt_experiment(cfg)
+    emit(rep, "json", tmp_path / "clt.json")
+    reported = json.loads((tmp_path / "clt.json").read_text())["ergodic_variance"]
+    if mapping["model.id"] == "ou1d":
+        # nu(Vf) by quadrature: Vf sees the 64 Gauss-Hermite nodes, never a tile of states
+        assert shapes == [(64, 1)]
+        assert rep.ergodic_variance is None and reported is None
+        assert rep.variance_source == "analytic"
+        assert rep.predicted_variance == pytest.approx(8.0, rel=1e-12)
+    else:
+        assert any(len(shape) == 3 for shape in shapes)
+        assert isinstance(rep.ergodic_variance, float) and reported == rep.ergodic_variance
+        assert rep.variance_source == "ergodic" and rep.predicted_variance == rep.ergodic_variance
 
 
 def test_ks_distance_matches_scipy():

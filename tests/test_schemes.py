@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import broadcast_ou, poly1d_model
-from ergostep.catalog import monomial1d, ou1d, ou_nd
+from ergostep.catalog import _const_field, monomial1d, ou1d, ou_nd
 from ergostep.empirical import WeightedEmpiricalMeasure
 from ergostep.innovations import InnovationDist, joint_outcomes
 from ergostep.model import generator_apply, generator_observable
@@ -30,6 +30,8 @@ from ergostep.schemes import (
 
 OU = ou1d(1.0, math.sqrt(2.0))
 TP = InnovationDist("three_point", 1)
+# a drift without batch axes, as the field contract allows
+CONST_DRIFT = dataclasses.replace(OU, b=_const_field([0.5]), db=_const_field([[0.0]]))
 
 
 def x(v):
@@ -292,8 +294,8 @@ class _RecordingSink:
 
 
 @pytest.mark.parametrize("scheme,model", [
-    ("euler", OU), ("euler", broadcast_ou(1.0, math.sqrt(2.0))), ("talay2", OU),
-], ids=["euler-bound-sigma", "euler-batched-sigma", "talay2"])
+    ("euler", OU), ("euler", broadcast_ou(1.0, math.sqrt(2.0))), ("euler", CONST_DRIFT), ("talay2", OU),
+], ids=["euler-bound-sigma", "euler-batched-sigma", "euler-constant-drift", "talay2"])
 def test_sinks_see_the_kernel_loop_block_by_block(scheme, model):
     st = StepSchedule("power_law", 0.5, 1.0 / 3.0)
     n, reps, offset = 2 * CHUNK + 300, 6, 3
@@ -316,6 +318,19 @@ def test_sinks_see_the_kernel_loop_block_by_block(scheme, model):
         k += m
     assert k == n + 1
     assert res.final_states.tobytes() == x.tobytes()
+
+
+def test_constant_drift_euler_block_entry_is_the_step_loop():
+    step = make_stepper("euler", CONST_DRIFT)
+    gammas = StepSchedule("power_law", 0.5, 1.0 / 3.0).gamma_block(1, 9)
+    us = TP.sample([trajectory_generators(5, r)[0] for r in range(4)], len(gammas))
+    slab = np.empty((len(gammas) + 1, 4, 1))
+    slab[0] = np.linspace(-1.0, 1.0, 4)[:, None]
+    want = [slab[0].copy()]
+    for t, gamma in enumerate(gammas.tolist()):
+        want.append(step(want[-1], gamma, us[t], None))
+    step.block(slab, gammas, us)
+    assert slab.tobytes() == np.array(want).tobytes()
 
 
 def test_only_the_bound_sigma_euler_kernel_has_a_block_entry():
@@ -433,6 +448,10 @@ def test_kernel_runs_in_the_worker_for_two_blocks_on_one_thread():
         other.join(timeout=10)
     assert calls["b"] == CHUNK + 1  # another thread alive: inline
     assert forked.final_states.tobytes() == inline.final_states.tobytes()
+    # the worker sends its kernel time back; inline, nothing waits on it
+    assert set(forked.seconds) == set(inline.seconds) == {"kernel", "draw", "feed", "wait"}
+    assert forked.seconds["kernel"] > 0.0 and inline.seconds["kernel"] > 0.0
+    assert inline.seconds["wait"] == 0.0
 
 
 def test_importing_the_package_loads_neither_multiprocessing_nor_mmap():
