@@ -17,16 +17,15 @@ reduced by one contiguous pairwise sum; the assembled per-replication
 partials are added to a compensated accumulator once per block.  The tile
 is sized to the allocator, not to a cache: each float64 temporary an
 observable makes on it is 128 KiB.  At twice that, glibc returned the freed
-temporaries to the system after every tile and faulted them in again on
-the next, which cost more than the arithmetic.  The simulation drivers hand
-blocks to ``observe_block`` as (m, R, d) views of replication-major
-memory, so for a whole driver block the tile is a view and nothing is
-copied; a time-major block, or a part of a driver block split at a
-checkpoint or the burn-in, is copied one tile at a time.  The sums are the
-same bits whatever the block's memory order.  ``observe_block`` takes the
-weights from the attached schedule; ``record`` folds one state as a block
-of one.  A replication's row is the
-same whichever tile holds it, so serial, batched and partitioned execution
+temporaries to the system after every tile and faulted them in again on the
+next, which cost more than the arithmetic.  The simulation drivers hand
+blocks to ``observe_block`` as time-major (m, R, d) views of their ring
+slots, so each tile is copied out of the block, one tile at a time; a block
+that is replication-major in memory gives views, and nothing is copied.
+The sums are the same bits whatever the block's memory order.
+``observe_block`` takes the weights from the attached schedule; ``record``
+folds one state as a block of one.  A replication's row is the same
+whichever tile holds it, so serial, batched and partitioned execution
 perform an identical sequence of float operations per replication.
 """
 

@@ -147,8 +147,7 @@ class InnovationDist:
             return out
         if self.kind == "rademacher":
             # bits 0 and 1 to exactly -1.0 and 1.0
-            np.copyto(out, (raw != 0.0).view(np.uint8))
-            out *= 2.0
+            np.multiply((raw != 0.0).view(np.uint8), 2.0, out=out, dtype=np.float64)
             out -= 1.0
             return out
         # the number of the cut points 1/6 and 5/6 that u passes, 0, 1 or 2,
@@ -156,8 +155,7 @@ class InnovationDist:
         # in uint8 and casting once beats a float add of the masks
         passed = (raw >= 1.0 / 6.0).view(np.uint8)
         passed += (raw >= 5.0 / 6.0).view(np.uint8)
-        np.copyto(out, passed)
-        out -= 1.0
+        np.subtract(passed, 1.0, out=out, dtype=np.float64)
         out *= _SQRT3
         return out
 

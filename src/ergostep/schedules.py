@@ -70,12 +70,13 @@ class StepSchedule:
             raise ValueError("power_law exponent xi must lie in (0, 1)")
 
     def gamma(self, n: int) -> float:
-        """gamma_n for n >= 1 (gamma_0 exists only as the trapezoidal convention)."""
+        """gamma_n for n >= 1 (gamma_0 exists only as the trapezoidal
+        convention), with the bits of ``gamma_block``, the steps the
+        simulation driver takes: numpy's power and Python's ** can round
+        differently in the last bit."""
         if n < 1:
             raise ValueError("step index n must be >= 1")
-        if self.kind == "constant":
-            return self.gamma1
-        return self.gamma1 * float(n) ** (-self.xi)
+        return float(self.gamma_block(n, n + 1)[0])
 
     def gamma_block(self, start: int, stop: int) -> np.ndarray:
         """Vector of gamma_n for n in [start, stop)."""
@@ -115,17 +116,6 @@ class WeightSchedule:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind != "power" and not self.c > 0:
             raise ValueError("weight constant c must be positive")
-
-    def eta(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("weight index n must be >= 1")
-        g = self.reference
-        if self.kind == "proportional":
-            return self.c * g.gamma(n)
-        if self.kind == "trapezoidal":
-            prev = 0.0 if n == 1 else g.gamma(n - 1)
-            return self.c * (prev + g.gamma(n)) / 2.0
-        return g.gamma(n) ** self.r
 
     def eta_block(self, start: int, stop: int) -> np.ndarray:
         g = self.reference

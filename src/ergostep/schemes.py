@@ -39,39 +39,48 @@ the block and rows 1 .. len(gammas) receive the states after each step.
 The 1-d Euler kernel has one when sigma is bound (a value without batch
 axes).  It writes every noise increment sqrt(gamma_k) sigma U_k into the
 slab with one multiplication (``np.sqrt`` rounds as ``math.sqrt`` does)
-and then adds x + gamma b(x) onto it row by row, the same float operations
-as the per-step kernel.  The driver takes the block entry when the kernel
-has one and steps the kernel otherwise; the probes and the divergence
-replay always call ``step``.
+and then adds x + gamma b(x) onto it row by row through one scratch row,
+the same float operations as the per-step kernel.  ``us`` may be the
+memory of slab rows 1 .. len(gammas).  The driver takes the block entry
+when the kernel has one and steps the kernel otherwise; the probes always
+call ``step``.
 
 Each trajectory owns two counter-based Philox streams keyed by
 (master_seed, replication_index): one for innovation draws, one for the
-sign draws (row-major over the upper triangle, i < j).  Innovations are
-generated in fixed-size blocks, one ``InnovationDist.sample`` call over all
-the streams of a batch per block, and states are handed to sinks in the
-same blocks, so running replications one at a time and running them as a
-vectorized batch perform bit-identical float sequences per replication.
-A block reaches the sinks with shape (len, R, d), as a view of one
-replication-major copy (R, len, d) that all sinks share, so a sink that
-walks replications reads contiguous memory.
+sign draws (row-major over the upper triangle, i < j), which the driver
+builds only for a scheme that draws signs (talay2 with N >= 2).
+Innovations are generated in fixed-size blocks, one
+``InnovationDist.sample`` call over all the streams of a batch per block,
+and states are handed to sinks in the same blocks, so running replications
+one at a time and running them as a vectorized batch perform bit-identical
+float sequences per replication.
+
+A block lives in one ring slot from draw to fold: the slot is the block's
+slab.  Its innovations fill the slot from the back, (len, R, N) in C order,
+and its states from the front, (len + 1, R, d), with row 0 the carry, the
+previous block's last state.  A slot holds CHUNK * max(N, d) + d floats per
+replication, so state row t + 1 only overwrites innovation rows <= t, which
+the kernel has spent, for d = N, d > N and d < N alike.  Every sink reads
+the same time-major rows 0 .. len - 1 of the slot in place, with shape
+(len, R, d).  The divergence guard checks each block's last row, and
+locates a replication found outside the finite region at the first of its
+states in the block that is non-finite or beyond ``DIVERGENCE_BOUND``.
 
 The kernel has to run its steps in order, but the draws and the sinks only
 feed it and read it, so for a run of two blocks or more the driver forks
-one worker for the kernel.  The worker advances the slab, runs the
-divergence guard and its replay, zeroes the excluded rows and writes the
-replication-major copy over the block's spent innovations in a two-slot
-ring; this process keeps the generators and the sinks, feeds block j to
-the sinks from the ring and draws block j + 2 into the slot block j leaves
-while the worker advances block j + 1.  The ring and the slab live in one
-anonymous shared ``mmap``, and the two sides exchange one short message
-per block: the go-ahead for a block, and the worker's answer (the pairs
-that diverged, or the exception a field or the guard raised, which the
-driver re-raises).  The worker ends with its ``_drive`` call on every exit
-path.  ``fork`` is safe only in a single-threaded process, so a one-block
-run, a caller with other Python threads alive (``threads > 1`` partitions)
-and a platform without ``fork`` run the same per-block functions inline,
-through a one-slot ring.  Either way every float operation is the same,
-and so are the bits.
+one worker for the kernel.  The worker runs only the recurrence and the
+guard, over a two-slot ring, and keeps the carry in its own memory; this
+process keeps the generators and the sinks, feeds block j to the sinks from
+its slot and then draws block j + 2 into that slot, while the worker
+advances block j + 1.  The ring lives in one anonymous shared ``mmap``, and
+the two sides exchange one short message per block: the go-ahead for a
+block, and the worker's answer (the pairs that diverged, or the exception a
+field or the guard raised, which the driver re-raises).  The worker ends
+with its ``_drive`` call on every exit path.  ``fork`` is safe only in a
+single-threaded process, so a one-block run, a caller with other Python
+threads alive (``threads > 1`` partitions) and a platform without ``fork``
+run the same per-block functions inline, through a one-slot ring.  Either
+way every float operation is the same, and so are the bits.
 
 ``BatchResult.seconds`` splits the driver's wall time: ``kernel`` is the
 time spent in ``_Kernel.block`` (the worker sends its time back with each
@@ -130,8 +139,9 @@ class SchemeState:
 class StateSink(Protocol):
     """Consumer of pre-step states, fed in blocks of consecutive steps.
 
-    A block is a view of memory the driver reuses for the next block; a
-    sink that keeps states copies them."""
+    A driver block is a time-major (len, R, d) view of the block's ring
+    slot, which the driver reuses for a later block; a sink that keeps
+    states copies them."""
 
     def observe_block(self, k0: int, states: np.ndarray) -> None: ...
 
@@ -143,9 +153,11 @@ def trajectory_generators(master_seed: int, replication: int = 0):
     with tag 0 for innovations and tag 1 for signs, so draw order within
     one stream is independent of block size and execution schedule.
     """
-    u = np.random.Generator(np.random.Philox(np.random.SeedSequence((master_seed, replication, 0))))
-    k = np.random.Generator(np.random.Philox(np.random.SeedSequence((master_seed, replication, 1))))
-    return u, k
+    return _stream(master_seed, replication, 0), _stream(master_seed, replication, 1)
+
+
+def _stream(master_seed: int, replication: int, tag: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((master_seed, replication, tag))))
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +190,14 @@ def make_stepper(scheme: str, model: DiffusionModel):
                     m = len(gammas)
                     np.multiply((np.sqrt(gammas) * s)[:, None, None], us, out=slab[1:m + 1])
                     rows = list(slab[:m + 1])
+                    t = np.empty_like(rows[0])
+                    mul, add = np.multiply, np.add
+                    # nxt += x + gamma b(x) through one scratch row: IEEE
+                    # + and * commute, so the roundings are the same
                     for x, nxt, gamma in zip(rows, rows[1:], gammas.tolist()):
-                        nxt += x + gamma * b(x)
+                        mul(b(x), gamma, t)
+                        add(t, x, t)
+                        add(nxt, t, nxt)
 
                 step.block = block
         else:
@@ -264,29 +282,30 @@ class BatchResult:
 
 
 class _Kernel:
-    """The time-sequential side of the driver: the slab of states, advanced
-    one block at a time, with the divergence guard and its replay.
+    """The time-sequential side of the driver: advances each block's slab
+    in place, with the divergence guard.
 
     slab[t] is the state before step k + t of the block being advanced;
-    slab[0] carries over from the previous block's last row."""
+    slab[0] is the carry, the previous block's last row."""
 
     def __init__(self, stepper, steps: StepSchedule, replications: Sequence[int],
-                 slab: np.ndarray, raise_on_divergence: bool):
+                 x0: np.ndarray, raise_on_divergence: bool):
         self.stepper = stepper
         self.steps = steps
         self.replications = replications
-        self.slab = slab
+        self.carry = np.tile(x0, (len(replications), 1))
         self.raise_on_divergence = raise_on_divergence
         self.excluded: set[int] = set()
 
-    def block(self, k: int, us: np.ndarray, kaps: np.ndarray | None,
-              rows: np.ndarray) -> list[tuple[int, int]]:
-        """Advance the len(us) steps from step k, write their pre-step
-        states into the replication-major ``rows`` (R, len(us), d), and
-        return the (replication, step) pairs that diverged in the block.
-        ``rows`` may share memory with ``us``: it is written last."""
+    def block(self, k: int, slab: np.ndarray, us: np.ndarray,
+              kaps: np.ndarray | None) -> list[tuple[int, int]]:
+        """Advance the len(us) steps from step k through ``slab``
+        (len(us) + 1, R, d) and return the (replication, step) pairs that
+        diverged in the block.  ``us`` may share memory with slab rows
+        1 .. len(us), as long as row t + 1 overlaps only rows <= t of it."""
         m = len(us)
-        slab, stepper = self.slab, self.stepper
+        stepper = self.stepper
+        slab[0] = self.carry
         gammas = self.steps.gamma_block(k, k + m)
         advance = getattr(stepper, "block", None)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -295,45 +314,41 @@ class _Kernel:
             else:
                 for t, gamma in enumerate(gammas.tolist()):
                     slab[t + 1] = stepper(slab[t], gamma, us[t], None if kaps is None else kaps[t])
-        # the guard runs once per block; the offending step index is
-        # recovered by replaying the block for the diverged row
+        # the guard runs once per block; a diverged row's first bad state
+        # is found by scanning the row's own states
         x = slab[m]
-        bad = ~np.all(np.isfinite(x), axis=-1) | (np.max(np.abs(x), axis=-1) > DIVERGENCE_BOUND)
+        bad = _outside(x)
         diverged = []
         if np.any(bad):
             for r_idx in np.nonzero(bad)[0]:
                 rep = self.replications[r_idx]
                 if rep in self.excluded:
                     continue
-                step_at = _locate_divergence(stepper, slab[0, r_idx], gammas.tolist(), us[:, r_idx],
-                                             None if kaps is None else kaps[:, r_idx], k)
+                step_at = k + int(np.argmax(_outside(slab[1:, r_idx])))
                 if self.raise_on_divergence:
                     raise DivergenceError(step_at, replication=rep)
                 self.excluded.add(rep)
                 diverged.append((rep, step_at))
             # a diverged row restarts from 0, and the sinks never see its
             # states: its replication is excluded
-            slab[:m + 1, bad] = 0.0
-        np.copyto(rows, slab[:m].swapaxes(0, 1))
-        slab[0] = x
+            slab[:, bad] = 0.0
+        self.carry[...] = x
         return diverged
 
 
-def _locate_divergence(stepper, x_row, gammas, us, kaps, k0) -> int:
-    """The first step k >= k0 whose state X_k leaves the finite region, by
-    replaying the block from X_{k0 - 1} = ``x_row``."""
-    x = x_row[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, gamma in enumerate(gammas):
-            x = stepper(x, gamma, us[t][None, :], kaps[t][None, :] if kaps is not None else None)
-            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_BOUND:
-                return k0 + t
-    return k0 + len(gammas) - 1
+def _outside(x: np.ndarray) -> np.ndarray:
+    """Which states (..., d) have left the finite region."""
+    return ~np.all(np.isfinite(x), axis=-1) | (np.max(np.abs(x), axis=-1) > DIVERGENCE_BOUND)
 
 
 def _head(flat: np.ndarray, shape: tuple) -> np.ndarray:
     """The leading C-ordered block of a flat buffer, in ``shape``."""
     return flat[:math.prod(shape)].reshape(shape)
+
+
+def _tail(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """The trailing C-ordered block of a flat buffer, in ``shape``."""
+    return flat[len(flat) - math.prod(shape):].reshape(shape)
 
 
 def _buffers(sizes: Sequence[int], shared: bool) -> list[np.ndarray]:
@@ -348,6 +363,16 @@ def _buffers(sizes: Sequence[int], shared: bool) -> list[np.ndarray]:
     return [memory[end - n:end] for n, end in zip(sizes, ends)]
 
 
+def _initial_state(x0, d: int) -> np.ndarray:
+    """x0 as a state of shape (d,); a scalar sets every coordinate."""
+    x = np.asarray(x0, dtype=np.float64)
+    if x.ndim == 0:
+        return np.full(d, x)
+    if x.shape != (d,):
+        raise ValueError(f"x0 must be a scalar or have shape ({d},), got shape {x.shape}")
+    return x
+
+
 def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
            innovation: InnovationDist, n_steps: int, x0: np.ndarray,
            master_seed: int, replications: Sequence[int],
@@ -355,32 +380,30 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
     if innovation.dimension != model.noise_dim:
         raise ValueError("innovation dimension must match the model's noise dimension")
     r_count, d, n = len(replications), model.dim, model.noise_dim
-    gens = [trajectory_generators(master_seed, r) for r in replications]
-    gens_u = [g[0] for g in gens]
-    gens_k = [g[1] for g in gens]
+    gens_u = [_stream(master_seed, r, 0) for r in replications]
     n_kappa = kappa_count(n) if scheme == "talay2" else 0
+    # only a scheme that draws signs builds their streams
+    gens_k = [_stream(master_seed, r, 1) for r in replications] if n_kappa else []
     blocks = [(k, min(CHUNK, n_steps - k + 1)) for k in range(1, n_steps + 1, CHUNK)]
     forked = len(blocks) > 1 and hasattr(os, "fork") and threading.active_count() == 1
     slots = 2 if forked else 1
-    # a block's states go over its innovations once the kernel has spent
-    # them, so one slot holds both
-    slab, *flat = _buffers([(CHUNK + 1) * r_count * d]
-                           + [CHUNK * r_count * size for size in (max(n, d), n_kappa) for _ in range(slots)],
-                           shared=forked)
-    block_slots, kap_slots = flat[:slots], flat[slots:]
-    slab = slab.reshape(CHUNK + 1, r_count, d)
-    slab[0] = np.asarray(x0, dtype=np.float64).reshape(1, d)
-    kernel = _Kernel(make_stepper(scheme, model), steps, replications, slab, raise_on_divergence)
+    # a slot is one block's slab: its states fill it from the front and its
+    # innovations from the back, so the state after step t overwrites only
+    # innovations of steps <= t, which the kernel has spent
+    ring_size = (CHUNK * max(n, d) + d) * r_count
+    flat = _buffers([ring_size] * slots + [CHUNK * r_count * n_kappa] * slots, shared=forked)
+    ring, kap_ring = flat[:slots], flat[slots:]
+    kernel = _Kernel(make_stepper(scheme, model), steps, replications, x0, raise_on_divergence)
 
     def inputs(j: int):
         """Block j's innovations and signs, as views of its slot."""
         m, s = blocks[j][1], j % slots
-        return (_head(block_slots[s], (m, r_count, n)),
-                _head(kap_slots[s], (m, r_count, n_kappa)) if n_kappa else None)
+        return (_tail(ring[s], (m, r_count, n)),
+                _head(kap_ring[s], (m, r_count, n_kappa)) if n_kappa else None)
 
-    def rows(j: int):
-        """Block j's replication-major states, as a view of its slot."""
-        return _head(block_slots[j % slots], (r_count, blocks[j][1], d))
+    def slab(j: int) -> np.ndarray:
+        """Block j's states (m + 1, R, d), as a view of its slot."""
+        return _head(ring[j % slots], (blocks[j][1] + 1, r_count, d))
 
     seconds = dict.fromkeys(_DRIVE_SIDES, 0.0)
 
@@ -394,8 +417,8 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
 
     def feed(j: int) -> None:
         t0 = time.perf_counter()
-        # one replication-major copy per block, shared by every sink
-        states = rows(j).swapaxes(0, 1)
+        # the pre-step states, time-major rows of the slot
+        states = slab(j)[:-1]
         for sink in sinks:
             sink.observe_block(blocks[j][0], states)
         seconds["feed"] += time.perf_counter() - t0
@@ -403,7 +426,7 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
     def advance(j: int) -> tuple[list[tuple[int, int]], float]:
         """Block j's diverged pairs and the kernel's seconds on it."""
         t0 = time.perf_counter()
-        diverged = kernel.block(blocks[j][0], *inputs(j), rows(j))
+        diverged = kernel.block(blocks[j][0], slab(j), *inputs(j))
         return diverged, time.perf_counter() - t0
 
     excluded: dict[int, int] = {}
@@ -416,14 +439,14 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
             excluded.update(diverged)
             seconds["kernel"] += kernel_s
             feed(j)
-    return BatchResult(final_states=slab[0].copy(), excluded=sorted(excluded.items()), n_steps=n_steps,
-                       seconds=seconds)
+    return BatchResult(final_states=slab(len(blocks) - 1)[-1].copy(), excluded=sorted(excluded.items()),
+                       n_steps=n_steps, seconds=seconds)
 
 
 def _run_forked(count: int, advance, draw, feed, excluded: dict, seconds: dict) -> None:
     """Run ``count`` >= 2 blocks with ``advance`` in a forked worker.  Block j
-    lives in slot j % 2, first as its innovations, then as its states: while
-    the worker advances block j + 1, this process feeds block j to the sinks,
+    lives in slot j % 2, its innovations and then its states: while the
+    worker advances block j + 1, this process feeds block j to the sinks,
     draws block j + 2 into the slot block j has left and sends the go-ahead
     for block j + 2.  The worker answers each block with the pairs that
     diverged in it and the kernel's seconds, or with the exception it
@@ -509,7 +532,7 @@ def simulate(scheme: str, model: DiffusionModel, step_schedule: StepSchedule,
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    x0 = _initial_state(x0, model.dim)
     if n_steps == 0:
         return SchemeState(x=x0, n=0, gamma_n=float("nan"),
                            rng_stream=(rng_seed, replication))
@@ -543,9 +566,9 @@ def simulate_batch(scheme: str, model: DiffusionModel, step_schedule: StepSchedu
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    x0 = _initial_state(x0, model.dim)
     reps = list(range(replication_offset, replication_offset + replications))
     if n_steps == 0:
-        return BatchResult(final_states=np.tile(x0.reshape(1, -1), (replications, 1)))
+        return BatchResult(final_states=np.tile(x0, (replications, 1)))
     return _drive(scheme, model, step_schedule, innovation, n_steps, x0,
                   master_seed, reps, sinks, raise_on_divergence=False)

@@ -389,7 +389,7 @@ def test_clt_burn_in_statistic_sums_past_burn_in():
     etas = cfg.weights().eta_block(1, n + 1)
     clock = math.fsum(steps.gamma(k) for k in range(b + 1, n + 1))
     aux = order_weights(steps, 1)
-    aux_sum = math.fsum(aux.eta(k) for k in range(b + 1, n + 1))
+    aux_sum = math.fsum(aux.eta_block(b + 1, n + 1))
     class Log:
         def __init__(self):
             self.blocks = []

@@ -93,6 +93,7 @@ def test_three_point_draws_match_cut_point_formula():
     u = ref.random((300, 4, 2))
     want = np.where(u < 1.0 / 6.0, -SQ3, np.where(u < 5.0 / 6.0, 0.0, SQ3))
     assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not np.any(np.signbit(got[got == 0.0]))  # the middle value is +0.0
 
 
 @pytest.mark.parametrize("kind", ["three_point", "rademacher", "gaussian"])

@@ -25,6 +25,17 @@ def test_gamma_constant():
     assert s.gamma(999) == 0.01
 
 
+def test_gamma_has_the_bits_of_the_block_the_driver_steps_with():
+    # at xi = 1/3, Python's ** and numpy's power disagree in the last bit on
+    # thousands of the first 1e5 steps; gamma(n) must be the step taken
+    s = StepSchedule("power_law", 1.0, 1.0 / 3.0)
+    block = s.gamma_block(1, 100_001)
+    assert [s.gamma(n) for n in range(1, 100_001)] == block.tolist()
+    for start in (2, 3, 1025, 99_999):
+        assert s.gamma_block(start, 100_001).tolist() == block[start - 1:].tolist()
+    assert StepSchedule("constant", 0.01).gamma(10**9) == 0.01
+
+
 def test_gamma_rejects_zero_index():
     s = StepSchedule("constant", 0.01)
     with pytest.raises(ValueError):
@@ -68,14 +79,14 @@ def test_big_gamma_cache_random_access_matches_forward():
 def test_eta_trapezoidal_convention():
     steps = StepSchedule("constant", 0.1)
     w = WeightSchedule("trapezoidal", steps, c=1.0)
-    assert w.eta(1) == 0.05  # gamma_0 = 0 convention
-    assert w.eta(5) == pytest.approx(0.1, abs=1e-16)
+    assert w.eta_block(1, 2)[0] == 0.05  # gamma_0 = 0 convention
+    assert w.eta_block(5, 6)[0] == pytest.approx(0.1, abs=1e-16)
 
 
 def test_eta_power():
     steps = StepSchedule("power_law", 1.0, 1.0 / 3.0)
     w = WeightSchedule("power", steps, r=2.0)
-    assert w.eta(8) == pytest.approx(0.25, abs=1e-15)  # (8^(-1/3))^2
+    assert w.eta_block(8, 9)[0] == pytest.approx(0.25, abs=1e-15)  # (8^(-1/3))^2
 
 
 def test_big_h_trapezoidal_constant_steps():
@@ -113,8 +124,9 @@ def test_trapezoidal_identity_exact():
         rhs = 1.7 * (steps.big_gamma(n) + steps.big_gamma(n - 1)) / 2.0
         assert lhs == rhs
         # and the termwise sum agrees within the stated accumulation bound
-        direct = math.fsum(w.eta(k) for k in range(1, n + 1))
-        assert abs(lhs - direct) <= 8 * EPS * n * w.eta(1)
+        etas = w.eta_block(1, n + 1)
+        direct = math.fsum(etas)
+        assert abs(lhs - direct) <= 8 * EPS * n * etas[0]
 
 
 def test_monotone_partial_sums():
@@ -158,7 +170,7 @@ def test_ratio_trend_matches_regime_rule(xi, q):
 def test_variance_clock_is_gamma_weights():
     steps = StepSchedule("power_law", 1.0, 0.5)
     clock = variance_clock(steps)
-    assert clock.eta(7) == steps.gamma(7)
+    assert clock.eta_block(7, 8)[0] == steps.gamma(7)
     assert clock.big_h(100) == pytest.approx(steps.big_gamma(100), rel=1e-14)
 
 
@@ -172,7 +184,7 @@ def test_config_round_trip():
     s2 = cfg.steps()
     w2 = cfg.weights(s2)
     assert s2.gamma(17) == steps.gamma(17)
-    assert w2.eta(17) == w.eta(17)
+    assert np.array_equal(w2.eta_block(1, 40), w.eta_block(1, 40))
 
 
 def test_copies_agree():

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import broadcast_ou, poly1d_model
+from ergostep import schemes
 from ergostep.catalog import _const_field, monomial1d, ou1d, ou_nd
 from ergostep.empirical import WeightedEmpiricalMeasure
-from ergostep.innovations import InnovationDist, joint_outcomes
+from ergostep.innovations import InnovationDist, joint_outcomes, sample_kappa
 from ergostep.model import generator_apply, generator_observable
 from ergostep.schedules import StepSchedule, WeightSchedule
 from ergostep.schemes import (
@@ -318,6 +319,78 @@ def test_sinks_see_the_kernel_loop_block_by_block(scheme, model):
         k += m
     assert k == n + 1
     assert res.final_states.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("n", [500, 2500], ids=["inline", "worker"])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2), (2, 1)], ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("scheme", ["euler", "talay2"])
+def test_driver_with_noise_dim_unlike_dim_is_the_step_loop(scheme, shape, n):
+    # a block's states and innovations share its ring slot; their rows
+    # differ in width when d != N
+    d, noise = shape
+    rng = np.random.default_rng(d * 10 + noise)
+    model = ou_nd(np.eye(d) + 0.1 * rng.uniform(-1.0, 1.0, (d, d)), rng.uniform(-1.0, 1.0, shape))
+    dist = InnovationDist("three_point", noise)
+    st = StepSchedule("power_law", 0.5, 1.0 / 3.0)
+    reps, offset = 4, 2
+    x0 = np.linspace(0.3, -0.2, d)
+    sink = _RecordingSink()
+    res = simulate_batch(scheme, model, st, dist, n, x0, 21, reps, sinks=[sink],
+                         replication_offset=offset)
+    step = make_stepper(scheme, model)
+    gens = [trajectory_generators(21, r) for r in range(offset, offset + reps)]
+    signs = scheme == "talay2" and noise > 1
+    x = np.tile(x0, (reps, 1))
+    k = 1
+    for k0, states in sink.blocks:
+        m = states.shape[0]
+        assert k0 == k and states.shape == (m, reps, d)
+        us = dist.sample([g[0] for g in gens], m)
+        kaps = np.stack([sample_kappa(g[1], noise, size=m) for g in gens], axis=1) if signs else None
+        want = np.empty_like(states)
+        for t, gamma in enumerate(st.gamma_block(k, k + m).tolist()):
+            want[t] = x
+            x = step(x, gamma, us[t], None if kaps is None else kaps[t])
+        assert states.tobytes() == want.tobytes()
+        k += m
+    assert k == n + 1
+    assert res.excluded == [] and res.final_states.tobytes() == x.tobytes()
+
+
+def test_scalar_x0_sets_every_coordinate():
+    model = ou_nd(np.eye(2), np.eye(2))
+    dist = InnovationDist("three_point", 2)
+    st = StepSchedule("power_law", 0.5, 1.0 / 3.0)
+    one = simulate("euler", model, st, dist, 300, 0.3, rng_seed=5)
+    assert one.x.tobytes() == simulate("euler", model, st, dist, 300, [0.3, 0.3], rng_seed=5).x.tobytes()
+    batch = simulate_batch("talay2", model, st, dist, 300, 0.3, 5, 3)
+    assert batch.final_states.tobytes() == simulate_batch(
+        "talay2", model, st, dist, 300, np.full(2, 0.3), 5, 3).final_states.tobytes()
+    assert simulate("euler", model, st, dist, 0, 0.3, rng_seed=5).x.tolist() == [0.3, 0.3]
+    assert simulate_batch("euler", model, st, dist, 0, 0.3, 5, 3).final_states.shape == (3, 2)
+    for bad in ([0.3], [0.1, 0.2, 0.3], [[0.1, 0.2]]):
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            simulate_batch("euler", model, st, dist, 300, bad, 5, 3)
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            simulate("euler", model, st, dist, 0, bad, rng_seed=5)
+
+
+@pytest.mark.parametrize("scheme,noise,tags", [
+    ("euler", 2, {0}), ("talay2", 1, {0}), ("talay2", 2, {0, 1}),
+])
+def test_sign_streams_are_built_only_when_the_scheme_draws_signs(monkeypatch, scheme, noise, tags):
+    built = []
+    stream = schemes._stream
+
+    def counted(seed, replication, tag):
+        built.append(tag)
+        return stream(seed, replication, tag)
+
+    monkeypatch.setattr(schemes, "_stream", counted)
+    model = ou_nd(np.eye(2), np.eye(2)[:, :noise])
+    simulate_batch(scheme, model, StepSchedule("constant", 0.01), InnovationDist("three_point", noise),
+                   50, 0.0, 3, 4)
+    assert set(built) == tags and len(built) == 4 * len(tags)
 
 
 def test_constant_drift_euler_block_entry_is_the_step_loop():
