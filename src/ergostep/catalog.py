@@ -95,10 +95,21 @@ def ou_nd(theta_matrix, sigma_matrix) -> DiffusionModel:
     )
 
 
+# the config keys each catalog model reads besides model.id
+_MODEL_KEYS = {"ou1d": ("model.theta", "model.sigma"), "double_well": ("model.sigma",),
+               "ou_nd": ("model.theta", "model.sigma", "model.dim")}
+
+
 def model_from_config(cfg: dict) -> DiffusionModel:
     """The catalog model of parsed config values: ``model.id`` a name,
-    ``model.theta`` and ``model.sigma`` floats, ``model.dim`` an int."""
+    ``model.theta`` and ``model.sigma`` floats, ``model.dim`` an int.  A key
+    the chosen model does not read is refused, not dropped."""
     mid = cfg.get("model.id", "ou1d")
+    if mid not in _MODEL_KEYS:
+        raise ValueError(f"unknown model id {mid!r}")
+    ignored = sorted(set(cfg) - {"model.id", *_MODEL_KEYS[mid]})
+    if ignored:
+        raise ValueError(f"model {mid!r} does not take {ignored[0]}")
     if mid == "ou1d":
         return ou1d(theta=float(cfg.get("model.theta", 1.0)),
                     sigma=float(cfg.get("model.sigma", math.sqrt(2.0))))
@@ -111,7 +122,6 @@ def model_from_config(cfg: dict) -> DiffusionModel:
         th = float(cfg.get("model.theta", 1.0)) * np.eye(d)
         sg = float(cfg.get("model.sigma", math.sqrt(2.0))) * np.eye(d)
         return ou_nd(th, sg)
-    raise ValueError(f"unknown model id {mid!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +244,7 @@ def quadratic_lyapunov(alpha: float, beta: float, p: float = 1.0, a: float = 1.0
         d = x.shape[-1]
         return np.broadcast_to(2.0 * np.eye(d), x.shape[:-1] + (d, d))
 
-    return LyapunovSpec(v=v, grad_v=grad, hess_v=hess, v_star=1.0,
-                        alpha=alpha, beta=beta, p=p, a=a)
+    return LyapunovSpec(v=v, grad_v=grad, hess_v=hess, alpha=alpha, beta=beta, p=p, a=a)
 
 
 # ---------------------------------------------------------------------------

@@ -214,22 +214,6 @@ def wasserstein1_atoms(xs: np.ndarray, weights: np.ndarray, law: AnalyticLaw1D) 
     return total
 
 
-def wasserstein1_to(measure: WeightedEmpiricalMeasure, law: AnalyticLaw1D):
-    """W1 between the measure's buffered atoms and an analytic 1-d law.
-
-    Returns a scalar for an unbatched measure, else one distance per
-    replication.
-    """
-    states, weights = measure.buffer()
-    if states.shape[-1] != 1:
-        raise ValueError("unsupported dimension: Wasserstein distance needs d = 1")
-    if len(measure.batch_shape) == 0:
-        return wasserstein1_atoms(states[..., 0], weights, law)
-    flat = states[..., 0].reshape(states.shape[0], -1)
-    out = np.array([wasserstein1_atoms(flat[:, r], weights, law) for r in range(flat.shape[1])])
-    return out.reshape(measure.batch_shape)
-
-
 # ---------------------------------------------------------------------------
 # cross-replication summary statistics
 

@@ -15,10 +15,11 @@ On top of these the module evaluates:
   * the asymptotic-variance density  Vf = |sigma^T grad f|^2
     = sum_n (Df; sigma_n)^2, one directional derivative per noise column
     sigma_n of sigma
-  * the columnwise drift-diffusion coupling field sigma_tilde and the
-    generator applied to the drift, Ab
   * each scheme's increment list delta_j, one step being
-    x + sum_j gamma^{j/2} delta_j, which the kernels of ``schemes`` sum
+    x + sum_j gamma^{j/2} delta_j, which the kernels of ``schemes`` sum;
+    the talay2 list holds the columnwise drift-diffusion coupling field
+    sigma_tilde (delta_3 = 1/2 sigma_tilde U) and the generator applied to
+    the drift (delta_4 = 1/2 Ab)
   * the bias operators Mf = -C_{q+1} f (m1_euler, m1_talay, m2_talay) of a
     scheme of weak order q, read off the same list: C_p is the gamma^p
     coefficient of E f(X_gamma) = f(x) + sum_p gamma^p C_p f(x).  Their
@@ -129,21 +130,6 @@ class Observable:
         return self.dirderiv(x, order, tuple(dirs))
 
 
-def linear_combination(coeffs: Sequence[float], observables: Sequence[Observable]) -> Observable:
-    """a_1 f_1 + ... + a_m f_m as an Observable (derivatives combine linearly)."""
-    cs = [float(c) for c in coeffs]
-    order = min(o.max_order for o in observables)
-
-    def fn(x):
-        return sum(c * o.fn(x) for c, o in zip(cs, observables))
-
-    def dd(x, k, dirs):
-        return sum(c * o.d(x, k, dirs) for c, o in zip(cs, observables))
-
-    name = " + ".join(f"{c}*{o.name or 'f'}" for c, o in zip(cs, observables))
-    return Observable(fn=fn, dirderiv=dd, max_order=order, name=name)
-
-
 # ---------------------------------------------------------------------------
 # diffusion model
 
@@ -246,20 +232,17 @@ class DiffusionModel:
 
 @dataclass(frozen=True)
 class LyapunovSpec:
-    """Lyapunov data V >= v_star with psi_p(y) = y**p and phi(y) = y**a."""
+    """Lyapunov data V with psi_p(y) = y**p and phi(y) = y**a."""
 
     v: Callable
     grad_v: Callable
     hess_v: Callable
-    v_star: float
     alpha: float
     beta: float
     p: float = 1.0
     a: float = 1.0
 
     def __post_init__(self):
-        if not self.v_star > 0:
-            raise ValueError("v_star must be positive")
         if not 0.0 < self.a <= 1.0:
             raise ValueError("phi exponent a must lie in (0, 1]")
         if not self.alpha > 0:
@@ -306,38 +289,6 @@ def vf_operator(model: DiffusionModel, f: Observable, x: np.ndarray):
     return _batched(out, x)
 
 
-def sigma_tilde(model: DiffusionModel, x: np.ndarray) -> np.ndarray:
-    """Columnwise coupling field, shape (..., d, N):
-
-        sigma_tilde_i = (Db) sigma_i + (D sigma_i) b
-                        + 1/2 sum_{l,j} (sigma sigma^T)_{l,j} d2_{l,j} sigma_i
-
-    The gamma^{3/2} increment of the weak-order-two step is 1/2 sigma_tilde U;
-    one-step weak order two pins both halves.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return _sigma_tilde(model.b(x), model.sigma(x), model.drift_jacobian(x),
-                        model.diffusion_jacobian(x), model.diffusion_hessian(x),
-                        model.diffusion_matrix(x))
-
-
-def drift_generator(model: DiffusionModel, x: np.ndarray) -> np.ndarray:
-    """Ab(x) componentwise: (Ab)_k = <b, grad b_k> + 1/2 (sigma sigma^T) : D^2 b_k."""
-    x = np.asarray(x, dtype=np.float64)
-    return _drift_generator(model.b(x), model.drift_jacobian(x), model.drift_hessian(x),
-                            model.diffusion_matrix(x))
-
-
-def _sigma_tilde(b, s, db, ds, d2s, a):
-    out = np.einsum("...ij,...jn->...in", db, s)
-    out = out + np.einsum("...inj,...j->...in", ds, b)
-    return out + 0.5 * np.einsum("...inlj,...lj->...in", d2s, a)
-
-
-def _drift_generator(b, db, d2b, a):
-    return np.einsum("...kj,...j->...k", db, b) + 0.5 * np.einsum("...kij,...ij->...k", d2b, a)
-
-
 def increments(scheme: str, model: DiffusionModel, x: np.ndarray) -> list:
     """One step of ``scheme`` from states x, x + sum_j gamma^{j/2} delta_j,
     as a list of (j, draw, delta_j) in the order the step kernel sums them:
@@ -347,9 +298,15 @@ def increments(scheme: str, model: DiffusionModel, x: np.ndarray) -> list:
               delta_3 = 1/2 sigma_tilde U,  delta_4 = 1/2 Ab
 
     with Theta = (D sigma; sigma W^T) for the sign-compensated surrogate W of
-    ``assemble_w``.  delta_j is an array when ``draw`` is False and a
-    function of the draw (u, kappa) when it is True.  Each model field is
-    evaluated once, at x.
+    ``assemble_w``, the columnwise coupling field
+
+      sigma_tilde_n = (Db) sigma_n + (D sigma_n) b
+                      + 1/2 sum_{l,j} (sigma sigma^T)_{l,j} d2_{l,j} sigma_n
+
+    and (Ab)_k = <b, grad b_k> + 1/2 (sigma sigma^T) : D^2 b_k.  One-step
+    weak order two pins both halves of sigma_tilde.  delta_j is an array
+    when ``draw`` is False and a function of the draw (u, kappa) when it is
+    True.  Each model field is evaluated once, at x.
     """
     b, s = model.b(x), model.sigma(x)
 
@@ -360,7 +317,12 @@ def increments(scheme: str, model: DiffusionModel, x: np.ndarray) -> list:
         return [(2, False, b), (1, True, noise)]
     db, ds = model.drift_jacobian(x), model.diffusion_jacobian(x)
     a = np.einsum("...in,...jn->...ij", s, s)
-    coup = 0.5 * _sigma_tilde(b, s, db, ds, model.diffusion_hessian(x), a)
+    sigma_tilde = (np.einsum("...ij,...jn->...in", db, s)
+                   + np.einsum("...inj,...j->...in", ds, b)
+                   + 0.5 * np.einsum("...inlj,...lj->...in", model.diffusion_hessian(x), a))
+    coup = 0.5 * sigma_tilde
+    ab = (np.einsum("...kj,...j->...k", db, b)
+          + 0.5 * np.einsum("...kij,...ij->...k", model.drift_hessian(x), a))
 
     def drift(u, kappa):
         return b + 0.5 * np.einsum("...ail,...lj,...ij->...a", ds, s, assemble_w(u, kappa))
@@ -369,7 +331,7 @@ def increments(scheme: str, model: DiffusionModel, x: np.ndarray) -> list:
         return np.einsum("...in,...n->...i", coup, u)
 
     return [(1, True, noise), (2, True, drift), (3, True, coupling),
-            (4, False, 0.5 * _drift_generator(b, db, model.drift_hessian(x), a))]
+            (4, False, 0.5 * ab)]
 
 
 # ---------------------------------------------------------------------------

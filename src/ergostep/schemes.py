@@ -12,8 +12,9 @@ step x + sum_j gamma^{j/2} delta_j over its list ``model.increments``:
                 + gamma^{3/2} 1/2 sigma_tilde(x) U + gamma^2 1/2 Ab
 
 where W is the symmetric sign-compensated surrogate for the Brownian
-iterated integrals and sigma_tilde is ``model.sigma_tilde``, whose
-diffusion-Hessian contraction carries weight 1/2.  The 1/2 weights on the
+iterated integrals and sigma_tilde is the coupling field of the talay2 list
+``model.increments`` (delta_3 = 1/2 sigma_tilde U), whose diffusion-Hessian
+contraction carries weight 1/2.  The 1/2 weights on the
 three correction increments are forced by the one-step weak-order-two
 expansion E[f(X_gamma)] = f + gamma Af + gamma^2/2 A^2 f + O(gamma^3), which
 the test suite checks by exhaustive enumeration.  With the symmetric +-1/2
@@ -132,8 +133,6 @@ class SchemeState:
 
     x: np.ndarray
     n: int
-    gamma_n: float
-    rng_stream: tuple
 
 
 class StateSink(Protocol):
@@ -534,14 +533,11 @@ def simulate(scheme: str, model: DiffusionModel, step_schedule: StepSchedule,
         raise ValueError("n_steps must be non-negative")
     x0 = _initial_state(x0, model.dim)
     if n_steps == 0:
-        return SchemeState(x=x0, n=0, gamma_n=float("nan"),
-                           rng_stream=(rng_seed, replication))
+        return SchemeState(x=x0, n=0)
     wrapped = [_SqueezeSink(s) for s in sinks]
     res = _drive(scheme, model, step_schedule, innovation, n_steps, x0,
                  rng_seed, [replication], wrapped, raise_on_divergence=True)
-    return SchemeState(x=res.final_states[0], n=n_steps,
-                       gamma_n=step_schedule.gamma(n_steps),
-                       rng_stream=(rng_seed, replication))
+    return SchemeState(x=res.final_states[0], n=n_steps)
 
 
 class _SqueezeSink:

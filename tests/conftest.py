@@ -5,7 +5,7 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
-from ergostep.model import DiffusionModel
+from ergostep.model import DiffusionModel, Observable
 
 
 def broadcast_ou(theta: float, sigma: float) -> DiffusionModel:
@@ -54,6 +54,19 @@ def poly1d_model(b_coeffs, s_coeffs, fd_only: bool = False) -> DiffusionModel:
         dsigma=lambda x: shape(sp_.deriv(1)(x[..., 0]), 3),
         d2sigma=lambda x: shape(sp_.deriv(2)(x[..., 0]), 4),
     )
+
+
+def linear_combination(coeffs: Sequence[float], observables: Sequence[Observable]) -> Observable:
+    """a_1 f_1 + ... + a_m f_m as an Observable (derivatives combine linearly)."""
+    cs = [float(c) for c in coeffs]
+
+    def fn(x):
+        return sum(c * o.fn(x) for c, o in zip(cs, observables))
+
+    def dd(x, k, dirs):
+        return sum(c * o.d(x, k, dirs) for c, o in zip(cs, observables))
+
+    return Observable(fn=fn, dirderiv=dd, max_order=min(o.max_order for o in observables))
 
 
 @pytest.fixture(autouse=True)

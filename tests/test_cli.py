@@ -274,6 +274,9 @@ def test_rate_default_checkpoints_end_at_small_n_steps(capsys, tmp_path):
     (["wasserstein", "--buffer-capacity", "0"], "buffer_capacity"),
     (["clt", "--model", "ou_nd", "--config", "model.dim = 2.5"], "model.dim"),
     (["clt", "--model", "ou_nd", "--config", "model.dim = 0"], "model.dim"),
+    (["simulate", "--model", "double_well", "--theta", "2.5", "--gamma1", "0.1"], "model.theta"),
+    (["clt", "--config", "model.dim = 3"], "model.dim"),
+    (["wasserstein", "--model", "ou_nd"], "invariant law"),
 ])
 def test_out_of_range_value_exit_two_names_key(capsys, tmp_path, argv, key):
     if "--config" in argv:  # the text after --config is the file's content

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import poly1d_model
+from conftest import linear_combination, poly1d_model
 from ergostep.catalog import coordinate_monomial, model_from_config, monomial1d, ou1d, quadratic_lyapunov
 from ergostep.diagnostics import (
     default_grid,
@@ -17,7 +17,7 @@ from ergostep.diagnostics import (
 )
 from ergostep.harness import emit
 from ergostep.innovations import InnovationDist, joint_outcomes
-from ergostep.model import MonteCarlo, generator_apply, generator_observable, linear_combination
+from ergostep.model import MonteCarlo, generator_apply, generator_observable
 from ergostep.schemes import DivergenceError, make_stepper
 
 OU = ou1d(1.0, math.sqrt(2.0))

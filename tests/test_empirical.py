@@ -15,7 +15,6 @@ from ergostep.empirical import (
     WeightedEmpiricalMeasure,
     merge_statistics,
     wasserstein1_atoms,
-    wasserstein1_to,
 )
 from ergostep.innovations import InnovationDist
 from ergostep.model import Enumerate, generator_observable, m1_euler, vf_operator
@@ -339,18 +338,13 @@ def test_w1_lower_bound_mean_difference_and_triangle():
         assert dac >= abs(mean_a - mean_c) - 1e-12
 
 
-def test_w1_measure_api_and_dimension_guard():
-    law = normal_law()
+def test_w1_of_a_measure_buffer():
     m = WeightedEmpiricalMeasure(buffer_capacity=8)
     m.register("x", monomial1d(1).fn)
     m.record(np.array([0.0]), 1.0)
-    assert wasserstein1_to(m, law) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
-
-    m2 = WeightedEmpiricalMeasure(buffer_capacity=8)
-    m2.register("x", lambda s: s[..., 0])
-    m2.record(np.array([0.0, 0.0]), 1.0)
-    with pytest.raises(ValueError, match="dimension"):
-        wasserstein1_to(m2, law)
+    states, weights = m.buffer()
+    got = wasserstein1_atoms(states[..., 0], weights, normal_law())
+    assert got == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
 
 
 def test_w1_generic_law_quadrature_fallback():

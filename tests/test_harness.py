@@ -473,7 +473,8 @@ def test_statistic_normalizer_identities():
 def test_clt_regime_c_normalization():
     cfg = ExperimentConfig(scheme="euler", xi=0.2, n_steps=1500, replications=4,
                            seed=6, checkpoints=(1500,))
-    rep = run_clt_experiment(cfg)
+    with pytest.warns(UserWarning, match="regime C at xi"):
+        rep = run_clt_experiment(cfg)
     assert rep.regime == "C_bias"
     st = cfg.steps()
     from ergostep.schedules import order_weights

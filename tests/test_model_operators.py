@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import broadcast_ou, directional_fd, poly1d_model
+from conftest import broadcast_ou, directional_fd, linear_combination, poly1d_model
 from ergostep.catalog import coordinate_monomial, double_well, gauss_hermite_expectation, monomial1d, ou1d, ou_nd
 from ergostep.cli import TALAY_RATIO_WINDOW
 from ergostep.diagnostics import weak_order_probe
@@ -22,15 +22,12 @@ from ergostep.model import (
     MonteCarlo,
     Observable,
     _expansion_coefficient,
-    drift_generator,
     generator_apply,
     generator_observable,
-    linear_combination,
     m1_euler,
     m1_talay,
     m2_talay,
     increments,
-    sigma_tilde,
     vf_operator,
 )
 from ergostep.schedules import StepSchedule
@@ -76,6 +73,19 @@ def test_vf_operator_values():
 # derived fields
 
 
+def sigma_tilde(model: DiffusionModel, xs: np.ndarray) -> np.ndarray:
+    """The coupling field, column n read as 2 delta_3(e_n) off the talay2
+    increment list."""
+    [coupling] = [delta for j, _, delta in increments("talay2", model, xs) if j == 3]
+    return np.stack([2.0 * coupling(e, None) for e in np.eye(model.noise_dim)], axis=-1)
+
+
+def drift_generator(model: DiffusionModel, xs: np.ndarray) -> np.ndarray:
+    """Ab, read as 2 delta_4 off the talay2 increment list."""
+    [ab_half] = [delta for j, _, delta in increments("talay2", model, xs) if j == 4]
+    return 2.0 * ab_half
+
+
 def test_sigma_tilde_ou_constant():
     for v in (-2.0, 0.0, 3.5):
         assert sigma_tilde(OU, x(v))[0, 0] == pytest.approx(-math.sqrt(2.0), rel=1e-14)
@@ -105,6 +115,17 @@ def test_sigma_tilde_fd_fallback_matches_analytic():
         a = sigma_tilde(analytic, x(v))[0, 0]
         b = sigma_tilde(fd, x(v))[0, 0]
         assert b == pytest.approx(a, rel=2e-4, abs=2e-4)
+
+
+def test_sigma_tilde_columns_of_a_matrix_diffusion():
+    # for ou_nd, D sigma = D^2 sigma = 0 and D^2 b = 0, so sigma_tilde = Db sigma
+    # and Ab = Db b
+    th = np.array([[1.0, 0.3], [-0.2, 0.8]])
+    sg = np.array([[1.1, 0.2, 0.5], [-0.4, 0.9, 0.0]])
+    m = ou_nd(th, sg)
+    xs = np.array([[0.3, -1.2], [2.0, 0.5]])
+    assert sigma_tilde(m, xs) == pytest.approx(np.broadcast_to(-th @ sg, (2, 2, 3)), abs=1e-15)
+    assert drift_generator(m, xs) == pytest.approx(xs @ (th @ th).T, abs=1e-15)
 
 
 def test_talay_coupling_halves_hessian_weight():

@@ -221,7 +221,6 @@ def test_euler_scalar_branch_matches_component_formula(model_name):
 @pytest.mark.parametrize("scheme", ["euler", "talay2"])
 def test_general_branch_matches_written_out_kernel(scheme):
     from ergostep.innovations import assemble_w, sample_kappa
-    from ergostep.model import drift_generator, sigma_tilde
 
     m = ou_nd(np.array([[1.0, 0.3], [-0.2, 0.8]]), np.array([[1.1, 0.2], [-0.4, 0.9]]))
     rng = np.random.default_rng(4)
@@ -236,11 +235,14 @@ def test_general_branch_matches_written_out_kernel(scheme):
         else:
             theta = np.einsum("...ail,...lj,...ij->...a", m.diffusion_jacobian(xs), m.sigma(xs),
                               assemble_w(us, kaps))
-            coup = 0.5 * sigma_tilde(m, xs)
+            # D sigma, D^2 sigma and D^2 b vanish: sigma_tilde = Db sigma, Ab = Db b
+            db = m.drift_jacobian(xs)
+            coup = 0.5 * np.einsum("...ij,...jn->...in", db, m.sigma(xs))
+            ab = np.einsum("...kj,...j->...k", db, m.b(xs))
             want = (xs + math.sqrt(gamma) * su
                     + gamma * (m.b(xs) + 0.5 * theta)
                     + gamma**1.5 * np.einsum("...in,...n->...i", coup, us)
-                    + 0.5 * gamma**2 * drift_generator(m, xs))
+                    + 0.5 * gamma**2 * ab)
         got = step(xs, gamma, us, kaps if scheme == "talay2" else None)
         assert got.shape == (64, 2)
         assert np.array_equal(got, want)
@@ -255,14 +257,14 @@ def test_innovation_dimension_checked():
 def test_double_well_drift_generator_and_weak_order():
     from ergostep.catalog import double_well
     from ergostep.diagnostics import weak_order_probe
+    from ergostep.model import increments
 
     m = double_well(math.sqrt(2.0))
-    # Ab = b'b + sigma^2/2 b'' with b = x - x^3
+    # Ab = b'b + sigma^2/2 b'' with b = x - x^3, read as 2 delta_4 of the talay2 list
     for v in (-1.5, 0.3, 2.0):
-        from ergostep.model import drift_generator
-
+        [ab_half] = [delta for j, _, delta in increments("talay2", m, x(v)) if j == 4]
         expected = (1 - 3 * v * v) * (v - v**3) + 1.0 * (-6.0 * v)
-        assert drift_generator(m, x(v))[0] == pytest.approx(expected, rel=1e-12)
+        assert 2.0 * ab_half[0] == pytest.approx(expected, rel=1e-12)
     res = weak_order_probe("talay2", m, monomial1d(4), x(0.5), [2.0**-7, 2.0**-8], TP)
     assert 6.0 <= res.ratios[0] <= 10.0
     res_e = weak_order_probe("euler", m, monomial1d(4), x(0.5), [2.0**-7, 2.0**-8], TP)
