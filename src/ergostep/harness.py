@@ -2,9 +2,9 @@
 empirical measures: regime classification, normalized statistics at
 checkpoints, rate regression, and report emission.
 
-Replications run as vectorized blocks with independent per-replication
-streams; block partitioning (``threads``) never changes per-replication
-results, and aggregation is a deterministic reduction in replication-index
+Replications run as one vectorized batch with independent per-replication
+streams, so partitioning the replications never changes a per-replication
+result, and aggregation is a deterministic reduction in replication-index
 order.  Checkpoint statistics reuse a single trajectory per replication
 (nested checkpoints), so values at different checkpoints of one replication
 are correlated; rate fits inherit that caveat.
@@ -17,7 +17,6 @@ import dataclasses
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -60,8 +59,7 @@ CONFIG_KEYS = {
 }
 
 # lower bounds of the integer keys that have one
-_AT_LEAST = {"n_steps": 1, "replications": 1, "threads": 1, "burn_in": 0, "buffer_capacity": 0,
-             "model.dim": 1}
+_AT_LEAST = {"n_steps": 1, "replications": 1, "burn_in": 0, "buffer_capacity": 0, "model.dim": 1}
 
 
 def _parse_int(text: str) -> int:
@@ -138,6 +136,12 @@ class ExperimentConfig:
     buffer_capacity: int = 0
     threads: int = 1
     burn_in: int = 0
+
+    def __post_init__(self):
+        # every replication owns its stream, so partitions could never change
+        # a result; the key stays for existing configs and accepts only 1
+        if self.threads != 1:
+            raise ConfigError(f"bad value for threads: must be 1, got {self.threads!r}")
 
     @classmethod
     def from_mapping(cls, cfg: dict[str, str], overrides: dict[str, str] | None = None) -> "ExperimentConfig":
@@ -329,39 +333,22 @@ class CheckpointRecorder:
             self.buffer_snaps[c] = (states.copy(), wts.copy())
 
 
-def _run_blocks(config: ExperimentConfig, make_measures, checkpoints,
+def _run_blocks(config: ExperimentConfig, measures, checkpoints,
                 snapshot_buffer: str | None = None):
-    """Run all replications in thread-partitioned vectorized blocks.
+    """Run all replications as one vectorized batch into ``measures``, each
+    with ``batch_shape=(config.replications,)``.
 
-    ``make_measures(block_size)`` builds the per-block measure dict.
-    Returns (recorders in replication order, excluded pairs, indices of the
-    kept replications); more than 5% excluded raises ``ExperimentError``.
+    Returns (the recorder, excluded pairs, indices of the kept
+    replications); more than 5% excluded raises ``ExperimentError``.
     """
     model = config.model()
-    steps = config.steps()
-    innovation = config.innovation(model)
     r_total = config.replications
-    block = math.ceil(r_total / config.threads)
-    offsets = list(range(0, r_total, block))
-
-    def run_one(offset: int):
-        count = min(block, r_total - offset)
-        recorder = CheckpointRecorder(make_measures(count), checkpoints,
-                                      snapshot_buffer=snapshot_buffer,
-                                      burn_in=config.burn_in)
-        res = simulate_batch(config.scheme, model, steps, innovation,
-                             config.n_steps, np.full(model.dim, config.x0),
-                             master_seed=config.seed, replications=count,
-                             sinks=[recorder], replication_offset=offset)
-        return recorder, res
-
-    if len(offsets) == 1:
-        results = [run_one(off) for off in offsets]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run_one, offsets))
-
-    excluded = [pair for _, res in results for pair in res.excluded]
+    recorder = CheckpointRecorder(measures, checkpoints, snapshot_buffer=snapshot_buffer,
+                                  burn_in=config.burn_in)
+    res = simulate_batch(config.scheme, model, config.steps(), config.innovation(model),
+                         config.n_steps, np.full(model.dim, config.x0),
+                         master_seed=config.seed, replications=r_total, sinks=[recorder])
+    excluded = res.excluded
     if len(excluded) > 0.05 * r_total:
         earliest = min(step for _, step in excluded)
         raise ExperimentError(
@@ -369,20 +356,7 @@ def _run_blocks(config: ExperimentConfig, make_measures, checkpoints,
             f"{earliest}, with step.gamma1 = {config.gamma1!r}; try a smaller --gamma1")
     dropped = {rep for rep, _ in excluded}
     keep = np.array([r for r in range(r_total) if r not in dropped], dtype=int)
-    return [rec for rec, _ in results], excluded, keep
-
-
-def _merge_snapshots(recorders, checkpoints):
-    merged: dict[int, dict[str, dict[str, np.ndarray]]] = {}
-    for c in checkpoints:
-        merged[int(c)] = {}
-        for key in recorders[0].snapshots[c]:
-            names = recorders[0].snapshots[c][key]
-            merged[int(c)][key] = {
-                name: np.concatenate([rec.snapshots[c][key][name] for rec in recorders])
-                for name in names
-            }
-    return merged
+    return recorder, excluded, keep
 
 
 # ---------------------------------------------------------------------------
@@ -478,20 +452,19 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
                                                  std=math.sqrt(law.moments[2]))
     per_state_m = m_operator is not None and nu_m is None
 
-    def make_measures(block_size):
-        main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(block_size,),
-                                        buffer_capacity=config.buffer_capacity)
-        main.register("Af", af.fn)
-        if per_state_m:
-            main.register("Mf", m_operator)
-        if law is not None:
-            return {"main": main}
-        clock = WeightedEmpiricalMeasure(weights=variance_clock(steps), batch_shape=(block_size,))
-        clock.register("Vf", vf_fn)
-        return {"main": main, "clock": clock}
+    batch = (config.replications,)
+    main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=batch,
+                                    buffer_capacity=config.buffer_capacity)
+    main.register("Af", af.fn)
+    if per_state_m:
+        main.register("Mf", m_operator)
+    measures = {"main": main}
+    if law is None:
+        measures["clock"] = WeightedEmpiricalMeasure(weights=variance_clock(steps), batch_shape=batch)
+        measures["clock"].register("Vf", vf_fn)
 
-    recorders, excluded, keep = _run_blocks(config, make_measures, checkpoints)
-    snaps = _merge_snapshots(recorders, checkpoints)
+    recorder, excluded, keep = _run_blocks(config, measures, checkpoints)
+    snaps = recorder.snapshots
 
     aux = order_weights(steps, q)
     weights = config.weights(steps)
@@ -607,34 +580,25 @@ def run_ergodic_experiment(config: ExperimentConfig, want_w1: bool | None = None
         want_w1 = law is not None and config.buffer_capacity > 0
     if want_w1 and law is None:
         raise ConfigError("Wasserstein trace needs a model with a catalog invariant law")
-    if want_w1 and model.dim != 1:
-        raise ConfigError("unsupported dimension: Wasserstein trace needs d = 1")
     if want_w1 and config.buffer_capacity <= 0:
         raise ConfigError("Wasserstein trace needs buffer_capacity > 0")
     checkpoints = _validated_checkpoints(config)
     steps = config.steps()
 
-    def make_measures(block_size):
-        main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(block_size,),
-                                        buffer_capacity=config.buffer_capacity if want_w1 else 0)
-        main.register("f", f.fn)
-        return {"main": main}
+    main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(config.replications,),
+                                    buffer_capacity=config.buffer_capacity if want_w1 else 0)
+    main.register("f", f.fn)
 
-    recorders, excluded, keep = _run_blocks(config, make_measures, checkpoints,
-                                            snapshot_buffer="main" if want_w1 else None)
-    snaps = _merge_snapshots(recorders, checkpoints)
-    values = {int(c): snaps[c]["main"]["f"][keep] for c in checkpoints}
+    recorder, excluded, keep = _run_blocks(config, {"main": main}, checkpoints,
+                                           snapshot_buffer="main" if want_w1 else None)
+    values = {int(c): recorder.snapshots[c]["main"]["f"][keep] for c in checkpoints}
     w1 = None
     mean_w1 = None
     if want_w1:
         w1 = {}
         for c in checkpoints:
-            per_rep = []
-            for rec in recorders:
-                states, wts = rec.buffer_snaps[c]
-                for r in range(states.shape[1]):
-                    per_rep.append(wasserstein1_atoms(states[:, r, 0], wts, law))
-            w1[int(c)] = np.array(per_rep)[keep]
+            states, wts = recorder.buffer_snaps[c]
+            w1[int(c)] = np.array([wasserstein1_atoms(states[:, r, 0], wts, law) for r in keep])
         mean_w1 = {c: float(np.mean(v)) for c, v in w1.items()}
     return ErgodicReport(
         checkpoints=[int(c) for c in checkpoints],
@@ -703,16 +667,13 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     steps = config.steps()
     checkpoints = _validated_checkpoints(config)
 
-    def make_measures(block_size):
-        main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(block_size,))
-        main.register("Af", af.fn)
-        return {"main": main}
+    main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(config.replications,))
+    main.register("Af", af.fn)
 
-    recorders, excluded, keep = _run_blocks(config, make_measures, checkpoints)
-    snaps = _merge_snapshots(recorders, checkpoints)
+    recorder, excluded, keep = _run_blocks(config, {"main": main}, checkpoints)
     points = []
     for c in checkpoints:
-        vals = snaps[c]["main"]["Af"][keep]
+        vals = recorder.snapshots[c]["main"]["Af"][keep]
         points.append((int(c), float(np.sqrt(np.mean(vals**2)))))
     slope, ci = fit_loglog(points)
     theo = -min(q * config.xi, 0.5 - config.xi / 2.0)

@@ -78,9 +78,9 @@ the two sides exchange one short message per block: the go-ahead for a
 block, and the worker's answer (the pairs that diverged, or the exception a
 field or the guard raised, which the driver re-raises).  The worker ends
 with its ``_drive`` call on every exit path.  ``fork`` is safe only in a
-single-threaded process, so a one-block run, a caller with other Python
-threads alive (``threads > 1`` partitions) and a platform without ``fork``
-run the same per-block functions inline, through a one-slot ring.  Either
+single-threaded process, so a one-block run, a library caller with Python
+threads of its own alive and a platform without ``fork`` run the same
+per-block functions inline, through a one-slot ring.  Either
 way every float operation is the same, and so are the bits.
 
 ``BatchResult.seconds`` splits the driver's wall time: ``kernel`` is the

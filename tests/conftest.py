@@ -5,7 +5,9 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
+from ergostep.empirical import WeightedEmpiricalMeasure
 from ergostep.model import DiffusionModel, Observable
+from ergostep.schemes import simulate_batch
 
 
 def broadcast_ou(theta: float, sigma: float) -> DiffusionModel:
@@ -69,18 +71,37 @@ def linear_combination(coeffs: Sequence[float], observables: Sequence[Observable
     return Observable(fn=fn, dirderiv=dd, max_order=min(o.max_order for o in observables))
 
 
+def partitioned_batch(scheme, model, steps, innovation, n, x0, seed, parts, weights, fn):
+    """One ``simulate_batch`` per replication range [lo, hi) in ``parts``,
+    each feeding a fresh measure of ``fn`` under ``weights``: the final
+    states and nu_n(fn), concatenated in replication order."""
+    finals, values = [], []
+    for lo, hi in parts:
+        meas = WeightedEmpiricalMeasure(weights=weights, batch_shape=(hi - lo,))
+        meas.register("f", fn)
+        res = simulate_batch(scheme, model, steps, innovation, n, x0, master_seed=seed,
+                             replications=hi - lo, sinks=[meas], replication_offset=lo)
+        finals.append(res.final_states)
+        values.append(meas.value("f"))
+    return np.concatenate(finals), np.concatenate(values)
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process running; the simulation
-    driver's kernel worker must end with its call on every exit path."""
+    """Fail a test that leaves a child process or a Python thread running.
+    The simulation driver's kernel worker must end with its call on every
+    exit path, and a leaked thread would send every later run down the
+    driver's inline path, so the worker path would lose its coverage."""
     yield
     import multiprocessing
+    import threading
 
     left = multiprocessing.active_children()
     for child in left:
         child.kill()
         child.join()
     assert not left, f"child processes left running: {left}"
+    assert threading.active_count() == 1, f"threads left running: {threading.enumerate()}"
 
 
 @pytest.fixture

@@ -15,13 +15,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import partitioned_batch
 from ergostep.catalog import monomial1d, ou1d, quadratic_lyapunov
 from ergostep.diagnostics import moment_match_report, recursive_control_probe, weak_order_probe
 from ergostep.empirical import WeightedEmpiricalMeasure, merge_statistics
 from ergostep.harness import ExperimentConfig, classify_regime, ks_normality, run_clt_experiment, run_ergodic_experiment, run_rate_experiment
 from ergostep.innovations import InnovationDist, assemble_w, joint_outcomes
+from ergostep.model import generator_observable
 from ergostep.schedules import StepSchedule, WeightSchedule, order_weights
-from ergostep.schemes import simulate, simulate_batch
+from ergostep.schemes import simulate
 
 MASTER_SEED = 20260809
 RATE_GRID = (10_000, 30_000, 100_000, 300_000, 1_000_000)
@@ -210,20 +212,21 @@ def test_criterion_8d_seed_determinism():
         s = simulate("talay2", OU, steps, TP, 3000, 0.0, rng_seed=MASTER_SEED,
                      sinks=[meas], replication=r)
         serial.append((s.x[0], meas.value("f")))
-    bm = WeightedEmpiricalMeasure(weights=w, batch_shape=(8,))
-    bm.register("f", monomial1d(2).fn)
-    batch = simulate_batch("talay2", OU, steps, TP, 3000, 0.0,
-                           master_seed=MASTER_SEED, replications=8, sinks=[bm])
-    same_x = np.array_equal(batch.final_states[:, 0], np.array([v for v, _ in serial]))
-    same_f = np.array_equal(bm.value("f"), np.array([v for _, v in serial]))
+    run = ("talay2", OU, steps, TP, 3000, 0.0, MASTER_SEED)
+    batch_x, batch_f = partitioned_batch(*run, [(0, 8)], w, monomial1d(2).fn)
+    same_x = np.array_equal(batch_x[:, 0], np.array([v for v, _ in serial]))
+    same_f = np.array_equal(batch_f, np.array([v for _, v in serial]))
+    parts_x, parts_f = partitioned_batch(*run, [(0, 3), (3, 8)], w, monomial1d(2).fn)
+    same_parts = parts_x.tobytes() == batch_x.tobytes() and parts_f.tobytes() == batch_f.tobytes()
 
-    base = dict(scheme="euler", n_steps=2000, replications=8, seed=MASTER_SEED,
-                checkpoints=(2000,))
-    a = run_clt_experiment(ExperimentConfig(**base, threads=1))
-    b = run_clt_experiment(ExperimentConfig(**base, threads=4))
-    same_stats = np.array_equal(a.statistics[2000], b.statistics[2000])
-    check("8d", "serial and parallel execution agree bit-for-bit per replication",
-          same_x and same_f and same_stats)
+    # the CLT statistic is its normalizer times the partitioned nu_n(Af)
+    rep = run_clt_experiment(ExperimentConfig(scheme="euler", n_steps=2000, replications=8,
+                                              seed=MASTER_SEED, checkpoints=(2000,)))
+    _, af_parts = partitioned_batch("euler", OU, steps, TP, 2000, 0.0, MASTER_SEED,
+                                    [(0, 3), (3, 8)], w, generator_observable(OU, monomial1d(2)).fn)
+    same_stats = rep.statistics[2000].tobytes() == (rep.normalizers[2000] * af_parts).tobytes()
+    check("8d", "serial, batched and partitioned runs agree bit-for-bit per replication",
+          same_x and same_f and same_parts and same_stats)
 
 
 def test_criterion_8e_regime_classifier_grid():

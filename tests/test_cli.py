@@ -204,13 +204,14 @@ def test_internal_error_exit_three(capsys, tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # flags and config keys
 
-# a value for each flag's key that differs from its default
+# a value for each flag's key that differs from its default, except threads,
+# whose only value is its default
 FLAG_VALUES = {
     "model.id": "double_well", "model.theta": "2.5", "model.sigma": "0.5",
     "scheme": "talay2", "innovation": "rademacher", "f": "x^4",
     "step.gamma1": "0.5", "step.xi": "0.2", "weight.kind": "trapezoidal", "weight.c": "2.0",
     "n_steps": "1e4", "replications": "7", "seed": "11", "checkpoints": "10,100",
-    "x0": "-0.5", "buffer_capacity": "64", "burn_in": "3", "threads": "2",
+    "x0": "-0.5", "buffer_capacity": "64", "burn_in": "3", "threads": "1",
 }
 
 
@@ -230,7 +231,9 @@ def test_flag_resolves_like_config_key(tmp_path, flag, key):
     parser = cli.build_parser()
     from_flag = cli._load_config(parser.parse_args(["clt", flag, FLAG_VALUES[key]]))
     from_file = cli._load_config(parser.parse_args(["clt", "--config", str(cfg)]))
-    assert from_flag == from_file != ExperimentConfig()
+    assert from_flag == from_file
+    # the benchmark passes --threads 1 and a mapping with threads = 1
+    assert (from_flag == ExperimentConfig()) == (key == "threads")
 
 
 def test_rate_defaults_follow_config_file_n_steps(capsys, tmp_path):
@@ -277,6 +280,8 @@ def test_rate_default_checkpoints_end_at_small_n_steps(capsys, tmp_path):
     (["simulate", "--model", "double_well", "--theta", "2.5", "--gamma1", "0.1"], "model.theta"),
     (["clt", "--config", "model.dim = 3"], "model.dim"),
     (["wasserstein", "--model", "ou_nd"], "invariant law"),
+    (["clt", "--threads", "2"], "threads"),
+    (["clt", "--config", "threads = 4"], "threads"),
 ])
 def test_out_of_range_value_exit_two_names_key(capsys, tmp_path, argv, key):
     if "--config" in argv:  # the text after --config is the file's content

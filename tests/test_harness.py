@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import partitioned_batch
 from ergostep import harness
 from ergostep.harness import (
     CONFIG_KEYS,
@@ -25,7 +26,7 @@ from ergostep.harness import (
     run_rate_experiment,
 )
 from ergostep.catalog import ou1d
-from ergostep.model import vf_operator
+from ergostep.model import generator_observable, vf_operator
 from ergostep.schedules import StepSchedule, order_weights
 from ergostep.schemes import make_stepper, trajectory_generators
 
@@ -192,7 +193,7 @@ def test_rate_experiment_validation():
 def test_rate_experiment_small_run():
     cfg = ExperimentConfig(scheme="euler", weight_kind="proportional", xi=1.0 / 3.0,
                            n_steps=8000, replications=50, seed=11,
-                           checkpoints=(1000, 3000, 8000), threads=2)
+                           checkpoints=(1000, 3000, 8000))
     rep = run_rate_experiment(cfg)
     assert len(rep.points) == 3
     assert rep.theoretical_exponent == pytest.approx(-1.0 / 3.0)
@@ -222,11 +223,16 @@ def test_clt_small_run_regimes_and_fields():
 
 
 def test_clt_thread_partition_is_bit_stable():
-    base = dict(scheme="talay2", weight_kind="trapezoidal", n_steps=2000,
-                replications=8, seed=5, checkpoints=(2000,))
-    a = run_clt_experiment(ExperimentConfig(**base, threads=1))
-    b = run_clt_experiment(ExperimentConfig(**base, threads=4))
-    assert np.array_equal(a.statistics[2000], b.statistics[2000])
+    # replications [0, 3) and [3, 8) in two batches give the bits of one batch of 8
+    cfg = ExperimentConfig(scheme="talay2", weight_kind="trapezoidal", n_steps=2000,
+                           replications=8, seed=5, checkpoints=(2000,))
+    model = cfg.model()
+    af = generator_observable(model, cfg.observable(model))
+    run = (cfg.scheme, model, cfg.steps(), cfg.innovation(model), cfg.n_steps, cfg.x0, cfg.seed)
+    whole = partitioned_batch(*run, [(0, 8)], cfg.weights(), af.fn)
+    parts = partitioned_batch(*run, [(0, 3), (3, 8)], cfg.weights(), af.fn)
+    assert parts[0].tobytes() == whole[0].tobytes()
+    assert parts[1].tobytes() == whole[1].tobytes()
 
 
 def test_clt_zero_diffusion_degenerates():
