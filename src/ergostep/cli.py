@@ -47,7 +47,6 @@ from .harness import (
     run_rate_experiment,
 )
 from .innovations import INNOVATION_KINDS
-from .model import Enumerate
 from .schedules import WEIGHT_KINDS
 from .schemes import SCHEME_KINDS, DivergenceError
 
@@ -188,8 +187,7 @@ def _cmd_probe(args) -> int:
     # V = 1 + |x|^2 on the catalog OU (theta = 1, sigma = sqrt(2)) has
     # AV = 2 + 2d - 2V, so beta = 2 + 2d is the tight constant at alpha = 2
     lyap = quadratic_lyapunov(alpha=2.0, beta=2.0 + 2.0 * model.dim)
-    rc = recursive_control_probe(config.scheme, model, lyap, gamma=probe_gamma,
-                                 quadrature=Enumerate())
+    rc = recursive_control_probe(config.scheme, model, lyap, gamma=probe_gamma)
     payload = {
         "weak_order": wo,
         "weak_order_window": list(window),

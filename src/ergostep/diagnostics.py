@@ -2,8 +2,10 @@
 mean reversion, innovation moment matching, and one-step weak order.
 
 The weak-order and mean-reversion probes take their one-step expectations
-over ``schemes.make_stepper``, the kernel the simulation driver runs, and
-raise ``DivergenceError`` when such an expectation is not finite.
+over ``schemes.make_stepper``, the kernel the simulation driver runs, as
+exact sums over the innovation's finite support, and raise
+``DivergenceError`` when such an expectation is not finite.  So a verdict
+is pass or fail, never a matter of sampling error.
 
 Probes are pure functions of their inputs; reports are assembled in grid
 order, so identical inputs produce identical reports.
@@ -19,28 +21,18 @@ from fractions import Fraction
 import numpy as np
 
 from .innovations import InnovationDist, gaussian_moment
-from .model import (
-    DiffusionModel,
-    Enumerate,
-    LyapunovSpec,
-    Observable,
-    Quadrature,
-    _expect,
-    generator_apply,
-    generator_observable,
-)
+from .model import DiffusionModel, LyapunovSpec, Observable, _expect, generator_apply, generator_observable
 from .schemes import DivergenceError, make_stepper
 
 PASS_TOL_ABS = 1e-8
 PASS_TOL_REL = 0.02
-MC_INCONCLUSIVE_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
 class ProbeReport:
     grid: np.ndarray
     margins: np.ndarray
-    verdict: str  # "pass" | "fail" | "inconclusive"
+    verdict: str  # "pass" | "fail"
     worst_point: np.ndarray
     metadata: dict = field(default_factory=dict)
 
@@ -74,8 +66,7 @@ def lambda_p_grid_max(lyapunov: LyapunovSpec, grid: np.ndarray) -> float:
 
 
 def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: LyapunovSpec,
-                            gamma: float, grid: np.ndarray | None = None,
-                            quadrature: Quadrature = Enumerate()) -> ProbeReport:
+                            gamma: float, grid: np.ndarray | None = None) -> ProbeReport:
     """Margin of the discrete-time mean-reversion inequality on a grid.
 
     margin(x) = psi_p(V)/V * p * (beta - alpha phi(V))
@@ -86,8 +77,8 @@ def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: Lyapun
     non-cancelling magnitude of the two sides: small steps satisfy the
     inequality only up to O(gamma^{3/2}) remainders, and a slack
     proportional to |rhs| itself would spuriously fail wherever the
-    right-hand side crosses zero.  Monte Carlo standard errors above 10%
-    of scale(x) make the verdict inconclusive rather than pass/fail.
+    right-hand side crosses zero.  The expectation is the exact sum over
+    the three-point innovation's support.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -106,23 +97,18 @@ def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: Lyapun
     scale = lyapunov.psi(v) / v * lyapunov.p * (abs(lyapunov.beta) + lyapunov.alpha * lyapunov.phi(v))
     step = make_stepper(scheme, model)
     with np.errstate(over="ignore", invalid="ignore"):
-        ev, se = _expect(lambda u, kap: psi_v(step(grid, gamma, u, kap)), model, innovation,
-                         quadrature, with_kappa=scheme == "talay2", x=grid)
+        ev = _expect(lambda u, kap: psi_v(step(grid, gamma, u, kap)), innovation,
+                     with_kappa=scheme == "talay2")
     if not np.all(np.isfinite(ev)):
         raise DivergenceError(None)
     pseudo = (ev - psi_v(grid)) / gamma
     margins = rhs - pseudo
     tol = np.maximum(PASS_TOL_ABS, PASS_TOL_REL * scale)
     worst = int(np.argmin(margins + tol))
-    inconclusive = bool(np.any(se / gamma > MC_INCONCLUSIVE_FRACTION * scale))
-    if inconclusive:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass" if bool(np.all(margins >= -tol)) else "fail"
     return ProbeReport(
         grid=grid,
         margins=margins,
-        verdict=verdict,
+        verdict="pass" if bool(np.all(margins >= -tol)) else "fail",
         worst_point=grid[worst],
         metadata={
             "gamma": gamma,
@@ -133,7 +119,6 @@ def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: Lyapun
             "a": lyapunov.a,
             "lambda_p_grid_max": lambda_p_grid_max(lyapunov, grid),
             "lambda_p_is_grid_max_not_supremum": True,
-            "max_stderr": float(np.max(se / gamma)) if np.any(se) else 0.0,
         },
     )
 
@@ -223,8 +208,8 @@ def weak_order_probe(scheme: str, model: DiffusionModel, f: Observable, x,
             a2f = generator_apply(model, generator_observable(model, f), x)
         errs = []
         for gamma in gammas:
-            mean, _ = _expect(lambda u, kap: np.asarray(f.fn(step(x, gamma, u, kap)), dtype=np.float64),
-                              model, innovation, Enumerate(), with_kappa=scheme == "talay2", x=x)
+            mean = _expect(lambda u, kap: np.asarray(f.fn(step(x, gamma, u, kap)), dtype=np.float64),
+                           innovation, with_kappa=scheme == "talay2")
             if not np.isfinite(mean):
                 raise DivergenceError(None)
             target = target0 + gamma * af

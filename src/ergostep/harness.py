@@ -25,7 +25,7 @@ import numpy as np
 from . import catalog
 from .empirical import SummaryStats, WeightedEmpiricalMeasure, merge_statistics, wasserstein1_atoms
 from .innovations import InnovationDist
-from .model import DiffusionModel, Enumerate, Observable, generator_observable, m1_euler, m1_talay, m2_talay, vf_operator
+from .model import DiffusionModel, Observable, generator_observable, m1_euler, m1_talay, m2_talay, vf_operator
 from .schedules import StepSchedule, WeightSchedule, order_weights, variance_clock
 from .schemes import simulate_batch
 
@@ -203,11 +203,15 @@ class ExperimentConfig:
             raise ConfigError(str(err)) from err
 
     def scheme_order(self) -> int:
+        """The order q that the weight family targets: 1 for proportional,
+        2 for trapezoidal weights, which only talay2 reaches."""
         if self.weight_kind == "proportional":
             return 1
-        if self.weight_kind == "trapezoidal":
-            return 2
-        raise ConfigError("CLT experiments need proportional or trapezoidal weights")
+        if self.weight_kind != "trapezoidal":
+            raise ConfigError("CLT experiments need proportional or trapezoidal weights")
+        if self.scheme == "euler":
+            raise ConfigError("weight family must match scheme order (euler is order one)")
+        return 2
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -233,8 +237,8 @@ def classify_regime(step: StepSchedule, weight_kind: str, q: int,
     """Regime of the normalized statistic: the analytic rule compares xi
     against 1/(2q+1); the numeric trend of sqrt(Gamma_n) / H_{gamma^{q+1},n}
     over a log grid corroborates it.  A conclusive numeric trend that
-    contradicts the analytic rule raises (internal inconsistency); an
-    inconclusive trend near the boundary defers to the analytic rule.
+    contradicts the analytic rule raises (internal inconsistency); a trend
+    that settles neither way near the boundary defers to the analytic rule.
     """
     if step.kind != "power_law":
         raise ConfigError("regime classification needs power-law steps")
@@ -403,8 +407,6 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     model = config.model()
     steps = config.steps()
     q = config.scheme_order()
-    if config.scheme == "euler" and q != 1:
-        raise ConfigError("weight family must match scheme order (euler is order one)")
     decision = classify_regime(steps, config.weight_kind, q, n_max=max(config.n_steps, 10**4))
     innovation = config.innovation(model)
     required = 2 * q + 1
@@ -435,12 +437,9 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
                 f"regime {decision.regime} enumerates Mf over the innovation's finite support, "
                 f"and gaussian innovations have none; use three_point or rademacher "
                 f"innovations, or a regime-A xi > 1/{2 * q + 1}")
-        if config.scheme == "euler":
-            m_operator = lambda xs: m1_euler(model, f, xs, innovation, Enumerate()).value
-        elif q == 1:
-            m_operator = lambda xs: m1_talay(model, f, xs, innovation, Enumerate()).value
-        else:
-            m_operator = lambda xs: m2_talay(model, f, xs, innovation, Enumerate()).value
+        operator = {("euler", 1): m1_euler, ("talay2", 1): m1_talay,
+                    ("talay2", 2): m2_talay}[config.scheme, q]
+        m_operator = lambda xs: operator(model, f, xs, innovation)
 
     # the invariant averages of the correction operator and of Vf: by
     # quadrature when the law is known, else by the ergodic averages of Mf
@@ -570,14 +569,12 @@ class ErgodicReport:
         return ("checkpoint_n", "replication", "value") + (("w1",) if self.w1 is not None else ())
 
 
-def run_ergodic_experiment(config: ExperimentConfig, want_w1: bool | None = None) -> ErgodicReport:
+def run_ergodic_experiment(config: ExperimentConfig, want_w1: bool) -> ErgodicReport:
     """Per-replication ergodic averages nu_n(f) at checkpoints, with W1
-    distances to the catalog invariant law when available."""
+    distances to the catalog invariant law when ``want_w1``."""
     model = config.model()
     f = config.observable(model)
     law = config.invariant_law()
-    if want_w1 is None:
-        want_w1 = law is not None and config.buffer_capacity > 0
     if want_w1 and law is None:
         raise ConfigError("Wasserstein trace needs a model with a catalog invariant law")
     if want_w1 and config.buffer_capacity <= 0:
@@ -659,8 +656,6 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     if len(config.checkpoints) < 3:
         raise ConfigError("rate experiments need at least 3 grid points")
     q = config.scheme_order()
-    if config.scheme == "euler" and q != 1:
-        raise ConfigError("weight family must match scheme order (euler is order one)")
     model = config.model()
     f = config.observable(model)
     af = generator_observable(model, f)

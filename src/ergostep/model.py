@@ -27,9 +27,10 @@ On top of these the module evaluates:
   * Af as an Observable with derivatives through order two, so that
     A^2 f, the weak-order-two target, is the generator applied to it
 
-Expectations over the innovation (and sign draws) are evaluated either by
-exact enumeration of finite supports or by Monte Carlo with a reported
-standard error.
+Expectations over the innovation (and sign draws) are exact sums over
+their finite supports, and every derivative of b and sigma is the model's
+analytic field: an operation that needs a missing one raises
+``InsufficientDerivativesError``.
 
 All callbacks are vectorized over leading batch axes: states have shape
 (..., d), drifts (..., d), diffusions (..., d, N).  A field or derivative
@@ -49,15 +50,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .innovations import InnovationDist, assemble_w, joint_outcomes, sample_kappa
-
-_EPS = np.finfo(np.float64).eps
-FD_STEP_GRAD = _EPS ** (1.0 / 3.0)
-FD_STEP_HESS = _EPS ** 0.25
+from .innovations import InnovationDist, assemble_w, joint_outcomes
 
 
 def _batched(value, x: np.ndarray) -> np.ndarray:
@@ -69,43 +66,12 @@ def _batched(value, x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(value, x.shape[:-1])
 
 
-def _pad_axes(arr: np.ndarray, k: int) -> np.ndarray:
-    arr = np.asarray(arr)
-    return arr.reshape(arr.shape + (1,) * k)
-
-
 class InsufficientOrderError(ValueError):
     """Observable cannot supply derivatives of the required order."""
 
 
 class InsufficientDerivativesError(ValueError):
     """Model lacks analytic derivative data required by the operation."""
-
-
-class Quadrature:
-    pass
-
-
-@dataclass(frozen=True)
-class Enumerate(Quadrature):
-    """Exact expectation over the finite innovation (and sign) support."""
-
-
-@dataclass(frozen=True)
-class MonteCarlo(Quadrature):
-    """Monte Carlo expectation with ``samples`` draws from a seeded stream."""
-
-    samples: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples <= 0:
-            raise ValueError("Monte Carlo quadrature needs at least one sample")
-
-
-class OperatorValue(NamedTuple):
-    value: float | np.ndarray
-    stderr: float
 
 
 @dataclass(frozen=True)
@@ -149,10 +115,11 @@ class DiffusionModel:
     operators built on the model still return batch-shaped values.
 
     Derivative data runs through order two, which is all that the increment
-    lists, the bias operators and A^2 f read.  A missing first or second
-    derivative falls back to central finite differences, except in
-    ``generator_observable``, which needs all four analytic.  The two
-    fields after ``d2sigma`` are unread.
+    lists, the bias operators and A^2 f read.  The four derivative fields
+    are optional: the Euler kernel and its bias operator read only b and
+    sigma, and whatever reads a missing one raises
+    ``InsufficientDerivativesError`` naming it.  The two fields after
+    ``d2sigma`` are unread.
     """
 
     dim: int
@@ -170,64 +137,37 @@ class DiffusionModel:
 
     # -- derivative access ---------------------------------------------------
 
+    def _derivative(self, name: str) -> Callable:
+        """The derivative field ``name``; raises when the model lacks it."""
+        field = getattr(self, name)
+        if field is None:
+            raise InsufficientDerivativesError(
+                f"the model lacks the analytic derivative field {name!r}; talay2 and the "
+                f"generator observable need b and sigma differentiated through order two")
+        return field
+
+    def require_derivatives(self) -> None:
+        """Raise ``InsufficientDerivativesError`` naming the first missing
+        field of db, d2b, dsigma and d2sigma."""
+        for name in ("db", "d2b", "dsigma", "d2sigma"):
+            self._derivative(name)
+
     def drift_jacobian(self, x: np.ndarray) -> np.ndarray:
-        if self.db is not None:
-            return self.db(x)
-        return self._fd_jacobian(self.b, x, 1)
+        return self._derivative("db")(x)
 
     def drift_hessian(self, x: np.ndarray) -> np.ndarray:
-        if self.d2b is not None:
-            return self.d2b(x)
-        return self._fd_hessian(self.b, x, 1)
+        return self._derivative("d2b")(x)
 
     def diffusion_jacobian(self, x: np.ndarray) -> np.ndarray:
-        if self.dsigma is not None:
-            return self.dsigma(x)
-        return self._fd_jacobian(self.sigma, x, 2)
+        return self._derivative("dsigma")(x)
 
     def diffusion_hessian(self, x: np.ndarray) -> np.ndarray:
-        if self.d2sigma is not None:
-            return self.d2sigma(x)
-        return self._fd_hessian(self.sigma, x, 2)
+        return self._derivative("d2sigma")(x)
 
     def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
         """a = sigma sigma^T, shape (..., d, d)."""
         s = self.sigma(x)
         return np.einsum("...in,...jn->...ij", s, s)
-
-    # -- finite-difference fallback -------------------------------------------
-
-    def _fd_jacobian(self, fn, x, value_rank):
-        x = np.asarray(x, dtype=np.float64)
-        h = FD_STEP_GRAD * (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
-        hv = _pad_axes(np.squeeze(h, -1), value_rank)
-        cols = []
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = 1.0
-            cols.append((fn(x + h * e) - fn(x - h * e)) / (2.0 * hv))
-        return np.stack(cols, axis=-1)
-
-    def _fd_hessian(self, fn, x, value_rank):
-        x = np.asarray(x, dtype=np.float64)
-        h = FD_STEP_HESS * (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
-        hv = _pad_axes(np.squeeze(h, -1), value_rank)
-        f0 = np.asarray(fn(x), dtype=np.float64)
-        out = np.empty(np.broadcast_shapes(f0.shape, hv.shape) + (self.dim, self.dim))
-        for j in range(self.dim):
-            ej = np.zeros(self.dim)
-            ej[j] = 1.0
-            out[..., j, j] = (fn(x + h * ej) - 2.0 * f0 + fn(x - h * ej)) / (hv * hv)
-            for k in range(j + 1, self.dim):
-                ek = np.zeros(self.dim)
-                ek[k] = 1.0
-                mixed = (
-                    fn(x + h * (ej + ek)) - fn(x + h * (ej - ek))
-                    - fn(x - h * (ej - ek)) + fn(x - h * (ej + ek))
-                ) / (4.0 * hv * hv)
-                out[..., j, k] = mixed
-                out[..., k, j] = mixed
-        return out
 
 
 @dataclass(frozen=True)
@@ -338,35 +278,14 @@ def increments(scheme: str, model: DiffusionModel, x: np.ndarray) -> list:
 # expansion coefficients and bias operators
 
 
-def _expect(fn, model: DiffusionModel, innovation: InnovationDist, quadrature: Quadrature,
-            with_kappa: bool, x: np.ndarray):
-    """E[fn(u, kappa)] per state of ``x``, by enumeration or Monte Carlo.
-
-    ``fn`` maps one (u, kappa) draw to a value that broadcasts against the
-    batch axes of ``x``.  The Monte Carlo path feeds it every draw at once
-    along a new leading axis that broadcasts against the batch axes of
-    ``x``, and reduces over that axis only, so mean and stderr carry the
-    batch shape of ``x``.
-    """
-    if isinstance(quadrature, Enumerate):
-        total = 0.0
-        for u, kap, p in joint_outcomes(innovation, with_kappa=with_kappa):
-            total = total + p * fn(u, kap)
-        return total, 0.0
-    if not isinstance(quadrature, MonteCarlo):
-        raise TypeError(f"unknown quadrature {quadrature!r}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(quadrature.seed)))
-    n = quadrature.samples
-    us = innovation.sample(rng, size=n)
-    kaps = sample_kappa(rng, innovation.dimension, size=n) if with_kappa else np.zeros((n, 0))
-    lead = (n,) + (1,) * (np.ndim(x) - 1)
-    vals = np.asarray(fn(us.reshape(lead + us.shape[-1:]), kaps.reshape(lead + kaps.shape[-1:])),
-                      dtype=np.float64)
-    # a value that depends on neither the draw nor the state lacks their axes
-    vals = np.broadcast_to(vals, (n,) + np.shape(x)[:-1])
-    mean = vals.mean(axis=0)
-    stderr = vals.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.full(mean.shape, np.inf)
-    return mean, stderr
+def _expect(fn, innovation: InnovationDist, with_kappa: bool):
+    """E[fn(u, kappa)], the sum over the innovation's (and, with
+    ``with_kappa``, the signs') finite support.  ``fn`` maps one outcome to
+    a value; a batch of states rides along in its axes."""
+    total = 0.0
+    for u, kap, p in joint_outcomes(innovation, with_kappa=with_kappa):
+        total = total + p * fn(u, kap)
+    return total
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,8 +302,7 @@ def _expansion_terms(marks: tuple, p: int) -> tuple[tuple, tuple]:
 
 
 def _expansion_coefficient(scheme: str, p: int, model: DiffusionModel, f: Observable,
-                           x: np.ndarray, innovation: InnovationDist,
-                           quadrature: Quadrature) -> OperatorValue:
+                           x: np.ndarray, innovation: InnovationDist) -> np.ndarray:
     """C_p f(x), the gamma^p coefficient of E f(X_gamma) = f(x) + sum_p gamma^p C_p f(x)
     for the step of ``scheme``.  Taylor-expanding f around x in the
     increments of ``increments`` gives
@@ -413,31 +331,28 @@ def _expansion_coefficient(scheme: str, p: int, model: DiffusionModel, f: Observ
     def drawn_terms(u, kap):
         return total(drawn, [dl(u, kap) if draw else dl for _, draw, dl in incs])
 
-    value, se = _expect(drawn_terms, model, innovation, quadrature, scheme == "talay2", x)
+    value = _expect(drawn_terms, innovation, scheme == "talay2")
     if fixed:
         value = total(fixed, [dl for _, _, dl in incs]) + value
-    return OperatorValue(_batched(value, x), se)
+    return _batched(value, x)
 
 
 def m1_euler(model: DiffusionModel, f: Observable, x: np.ndarray,
-             innovation: InnovationDist, quadrature: Quadrature = Enumerate()) -> OperatorValue:
+             innovation: InnovationDist) -> np.ndarray:
     """Bias operator of the Euler kernel, Mf = -C_2 f."""
-    value, se = _expansion_coefficient("euler", 2, model, f, x, innovation, quadrature)
-    return OperatorValue(-value, se)
+    return -_expansion_coefficient("euler", 2, model, f, x, innovation)
 
 
 def m1_talay(model: DiffusionModel, f: Observable, x: np.ndarray,
-             innovation: InnovationDist, quadrature: Quadrature = Enumerate()) -> OperatorValue:
+             innovation: InnovationDist) -> np.ndarray:
     """First-order bias operator of the weak-order-two kernel, Mf = -C_2 f."""
-    value, se = _expansion_coefficient("talay2", 2, model, f, x, innovation, quadrature)
-    return OperatorValue(-value, se)
+    return -_expansion_coefficient("talay2", 2, model, f, x, innovation)
 
 
 def m2_talay(model: DiffusionModel, f: Observable, x: np.ndarray,
-             innovation: InnovationDist, quadrature: Quadrature = Enumerate()) -> OperatorValue:
+             innovation: InnovationDist) -> np.ndarray:
     """Second-order bias operator of the weak-order-two kernel, Mf = -C_3 f."""
-    value, se = _expansion_coefficient("talay2", 3, model, f, x, innovation, quadrature)
-    return OperatorValue(-value, se)
+    return -_expansion_coefficient("talay2", 3, model, f, x, innovation)
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +389,11 @@ def generator_observable(model: DiffusionModel, f: Observable) -> Observable:
     A^2 f = ``generator_apply(model, Af, x)``, the weak-order-two target.
 
     Derivatives are assembled by the Leibniz rule from f's dirderiv and the
-    model's analytic fields (b, db, d2b) and (sigma, dsigma, d2sigma);
-    finite-difference derivative data is refused because differencing the
-    fields inside A^2 f is too noisy.
+    model's analytic fields (b, db, d2b) and (sigma, dsigma, d2sigma).
     """
     if f.max_order < 2:
         raise InsufficientOrderError("insufficient observable order: generator needs order 2")
-    if any(t is None for t in (model.db, model.d2b, model.dsigma, model.d2sigma)):
-        raise InsufficientDerivativesError(
-            "generator observable requires analytic drift/diffusion derivatives through order 2"
-        )
+    model.require_derivatives()
     drift = (model.b, model.db, model.d2b)
     diffusion = (model.sigma, model.dsigma, model.d2sigma)
     d = model.dim

@@ -203,6 +203,9 @@ def make_stepper(scheme: str, model: DiffusionModel):
             step = _summed_step(scheme, model)
         return step
 
+    # talay2 reads every derivative field: refuse a model without one here,
+    # before the driver draws anything
+    model.require_derivatives()
     if d == 1 and n == 1:
         s = _bound_scalar(model.sigma, 2)
         db = _bound_scalar(model.drift_jacobian, 2)
@@ -363,12 +366,17 @@ def _buffers(sizes: Sequence[int], shared: bool) -> list[np.ndarray]:
 
 
 def _initial_state(x0, d: int) -> np.ndarray:
-    """x0 as a state of shape (d,); a scalar sets every coordinate."""
+    """x0 as a state of shape (d,); a scalar sets every coordinate.  The
+    sinks see x0 as the first pre-step state, so it must lie in the finite
+    region that the divergence guard keeps every later state in."""
     x = np.asarray(x0, dtype=np.float64)
     if x.ndim == 0:
-        return np.full(d, x)
-    if x.shape != (d,):
+        x = np.full(d, x)
+    elif x.shape != (d,):
         raise ValueError(f"x0 must be a scalar or have shape ({d},), got shape {x.shape}")
+    if _outside(x):
+        raise ValueError(f"x0 must be finite with every |coordinate| <= {DIVERGENCE_BOUND:g}, "
+                         f"got {x.tolist()}")
     return x
 
 

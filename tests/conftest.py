@@ -31,8 +31,9 @@ def poly1d_model(b_coeffs, s_coeffs, fd_only: bool = False) -> DiffusionModel:
     """1-d model with polynomial drift/diffusion and exact derivatives.
 
     Coefficients follow numpy's Polynomial convention (coeffs[k] * x^k).
-    ``fd_only`` drops the analytic derivative callbacks to exercise the
-    central-difference fallback.
+    ``fd_only`` drops the analytic derivative callbacks, leaving b and sigma
+    alone: enough for the Euler kernel, refused by whatever reads a
+    derivative.
     """
     P = np.polynomial.Polynomial
     bp, sp_ = P(list(b_coeffs)), P(list(s_coeffs))

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -282,6 +284,7 @@ def test_rate_default_checkpoints_end_at_small_n_steps(capsys, tmp_path):
     (["wasserstein", "--model", "ou_nd"], "invariant law"),
     (["clt", "--threads", "2"], "threads"),
     (["clt", "--config", "threads = 4"], "threads"),
+    (["clt", "--x0", "1e300", "--n-steps", "2000", "--replications", "4"], "x0"),
 ])
 def test_out_of_range_value_exit_two_names_key(capsys, tmp_path, argv, key):
     if "--config" in argv:  # the text after --config is the file's content
@@ -318,3 +321,12 @@ def test_benchmark_tracer_patches_and_restores_the_clt_path(capsys, tmp_path, mo
     for name in ("catalog.field_calls", "model.operator_states", "innovations.draw_calls"):
         assert metrics[name] > 0, name
     assert model.generator_observable is original
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own checks and tracer, at its tiny sizes: a change to
+    # src that breaks a workload's check or a traced name fails here
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -17,7 +17,7 @@ from ergostep.diagnostics import (
 )
 from ergostep.harness import emit
 from ergostep.innovations import InnovationDist, joint_outcomes
-from ergostep.model import MonteCarlo, generator_apply, generator_observable
+from ergostep.model import generator_apply, generator_observable
 from ergostep.schemes import DivergenceError, make_stepper
 
 OU = ou1d(1.0, math.sqrt(2.0))
@@ -65,13 +65,6 @@ def test_recursive_control_divergence_raises():
     with pytest.raises(DivergenceError):
         recursive_control_probe("euler", cubic, quadratic_lyapunov(alpha=2.0, beta=4.0),
                                 gamma=0.1, grid=np.array([[1e120]]))
-
-
-def test_recursive_control_monte_carlo_inconclusive():
-    lyap = quadratic_lyapunov(alpha=2.0, beta=4.0)
-    report = recursive_control_probe("euler", OU, lyap, gamma=2.0**-8,
-                                     grid=GRID, quadrature=MonteCarlo(8, seed=1))
-    assert report.verdict == "inconclusive"
 
 
 def test_recursive_control_report_json(tmp_path):

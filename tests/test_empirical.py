@@ -17,7 +17,7 @@ from ergostep.empirical import (
     wasserstein1_atoms,
 )
 from ergostep.innovations import InnovationDist
-from ergostep.model import Enumerate, generator_observable, m1_euler, vf_operator
+from ergostep.model import generator_observable, m1_euler, vf_operator
 from ergostep.schedules import StepSchedule, WeightSchedule
 from ergostep.schemes import simulate, trajectory_generators
 
@@ -192,7 +192,7 @@ def _fold_observables(model, f):
     tp = InnovationDist("three_point", model.noise_dim)
     return {
         "Af": af.fn,
-        "Mf": lambda xs: m1_euler(model, f, xs, tp, Enumerate()).value,
+        "Mf": lambda xs: m1_euler(model, f, xs, tp),
         "Vf": lambda xs: vf_operator(model, f, xs),
     }
 

@@ -16,10 +16,8 @@ from ergostep.diagnostics import weak_order_probe
 from ergostep.innovations import InnovationDist
 from ergostep.model import (
     DiffusionModel,
-    Enumerate,
     InsufficientDerivativesError,
     InsufficientOrderError,
-    MonteCarlo,
     Observable,
     _expansion_coefficient,
     generator_apply,
@@ -108,15 +106,6 @@ def test_sigma_tilde_quadratic_diffusion():
         assert sigma_tilde(m, x(v))[0, 0] == pytest.approx(v**4, rel=1e-13)
 
 
-def test_sigma_tilde_fd_fallback_matches_analytic():
-    analytic = poly1d_model([0.3, -1.0], [0.5, 0.2, 0.4])
-    fd = poly1d_model([0.3, -1.0], [0.5, 0.2, 0.4], fd_only=True)
-    for v in (-1.2, 0.4, 2.0):
-        a = sigma_tilde(analytic, x(v))[0, 0]
-        b = sigma_tilde(fd, x(v))[0, 0]
-        assert b == pytest.approx(a, rel=2e-4, abs=2e-4)
-
-
 def test_sigma_tilde_columns_of_a_matrix_diffusion():
     # for ou_nd, D sigma = D^2 sigma = 0 and D^2 b = 0, so sigma_tilde = Db sigma
     # and Ab = Db b
@@ -151,20 +140,17 @@ def test_drift_generator_values():
 
 def test_m1_euler_ou_quadratic():
     for v in (1.0, 0.0, -2.0):
-        got = m1_euler(OU, X2, x(v), TP)
-        assert got.value == pytest.approx(-v * v, abs=1e-13)
-        assert got.stderr == 0.0
+        assert m1_euler(OU, X2, x(v), TP) == pytest.approx(-v * v, abs=1e-13)
 
 
 def test_m1_euler_linear_observable():
-    assert m1_euler(OU, monomial1d(1), x(1.5), TP).value == 0.0
+    assert m1_euler(OU, monomial1d(1), x(1.5), TP) == 0.0
 
 
 def test_m1_talay_ou_quadratic():
     # -C_2 x^2 = -1/2 A^2 x^2 = 2 - 2x^2, whose invariant average is 0
     for v in (1.0, 0.0, -1.7):
-        got = m1_talay(OU, X2, x(v), TP)
-        assert got.value == pytest.approx(2.0 - 2.0 * v * v, abs=1e-12)
+        assert m1_talay(OU, X2, x(v), TP) == pytest.approx(2.0 - 2.0 * v * v, abs=1e-12)
 
 
 def test_m1_talay_constant_coefficients_closed_form():
@@ -172,10 +158,10 @@ def test_m1_talay_constant_coefficients_closed_form():
     f = linear_combination([2.0, -0.7], [monomial1d(2), monomial1d(1)])  # quadratic
     for v in (0.0, 1.0, -2.0):
         closed = -0.5 * float(f.d(x(v), 2, (m.b(x(v)), m.b(x(v)))))
-        got = m1_talay(m, f, x(v), TP).value
+        got = m1_talay(m, f, x(v), TP)
         assert got == pytest.approx(closed, abs=1e-15)
         # the Euler defect coincides when every correction field vanishes
-        assert m1_euler(m, f, x(v), TP).value == pytest.approx(closed, abs=1e-15)
+        assert m1_euler(m, f, x(v), TP) == pytest.approx(closed, abs=1e-15)
 
 
 def test_m2_talay_ou_quadratic_symbolic_cross_check():
@@ -183,20 +169,18 @@ def test_m2_talay_ou_quadratic_symbolic_cross_check():
     # c = sqrt(2) (sqrt(g) - g^{3/2}/2), so E f(X_g) = a^2 x^2 + c^2 and its
     # g^3 coefficient is C_3 x^2 = 1/2 - x^2
     for v in (0.0, 1.0, -1.3, 2.2):
-        got = m2_talay(OU, X2, x(v), TP)
-        assert got.value == pytest.approx(v * v - 0.5, abs=1e-12)
+        assert m2_talay(OU, X2, x(v), TP) == pytest.approx(v * v - 0.5, abs=1e-12)
 
 
 def test_m2_talay_constant_observable():
-    assert m2_talay(OU, monomial1d(0), x(1.0), TP).value == 0.0
+    assert m2_talay(OU, monomial1d(0), x(1.0), TP) == 0.0
 
 
 def test_m2_talay_linear_observable():
     # f = x: only (Df; delta_6) could contribute, and the kernel is a
     # polynomial of degree 4 in sqrt(gamma)
     for v in (0.5, -2.0):
-        got = m2_talay(OU, monomial1d(1), x(v), TP)
-        assert got.value == pytest.approx(0.0, abs=1e-13)
+        assert m2_talay(OU, monomial1d(1), x(v), TP) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_operator_linearity():
@@ -208,42 +192,11 @@ def test_operator_linearity():
     pt = x(0.8)
     for op in (
         lambda h: generator_apply(OU, h, pt),
-        lambda h: m1_euler(OU, h, pt, TP).value,
-        lambda h: m1_talay(OU, h, pt, TP).value,
-        lambda h: m2_talay(OU, h, pt, TP).value,
+        lambda h: m1_euler(OU, h, pt, TP),
+        lambda h: m1_talay(OU, h, pt, TP),
+        lambda h: m2_talay(OU, h, pt, TP),
     ):
         assert op(comb) == pytest.approx(a * op(f) + b * op(g), rel=1e-10, abs=1e-10)
-
-
-def test_mc_quadrature_within_four_se_of_enumeration():
-    f = monomial1d(4)
-    en = m1_euler(OU, f, x(1.3), TP).value
-    mc = m1_euler(OU, f, x(1.3), TP, MonteCarlo(10**6, seed=11))
-    assert mc.stderr > 0
-    assert abs(mc.value - en) <= 4.0 * mc.stderr
-
-    en2 = m2_talay(OU, f, x(0.7), TP).value
-    mc2 = m2_talay(OU, f, x(0.7), TP, MonteCarlo(10**6, seed=12))
-    assert abs(mc2.value - en2) <= 4.0 * mc2.stderr
-
-
-@pytest.mark.parametrize("op", [m1_talay, m2_talay])
-def test_mc_quadrature_serves_a_grid_of_states(op):
-    # the draws are shared across states and reduced per state, so each
-    # grid row matches the single-state estimate from the same seed
-    f = monomial1d(6)
-    grid = np.array([[-0.8], [0.3], [1.3]])
-    mc = op(OU, f, grid, TP, MonteCarlo(4000, seed=5))
-    assert mc.value.shape == (3,) and mc.stderr.shape == (3,)
-    for i, row in enumerate(grid):
-        one = op(OU, f, row, TP, MonteCarlo(4000, seed=5))
-        assert mc.value[i] == pytest.approx(one.value, rel=1e-12)
-        assert mc.stderr[i] == pytest.approx(one.stderr, rel=1e-9)
-
-
-def test_mc_zero_samples_rejected():
-    with pytest.raises(ValueError):
-        MonteCarlo(0)
 
 
 def test_m1_requires_order_four():
@@ -268,10 +221,10 @@ def test_expansion_coefficients_have_the_weak_order_property(model):
         f = linear_combination(rng.normal(size=degree + 1), [monomial1d(k) for k in range(degree + 1)])
         af = generator_apply(model, f, xs)
         for scheme in ("euler", "talay2"):
-            c1 = _expansion_coefficient(scheme, 1, model, f, xs, TP, Enumerate()).value
+            c1 = _expansion_coefficient(scheme, 1, model, f, xs, TP)
             np.testing.assert_allclose(c1, af, rtol=1e-12, atol=1e-12)
         a2f = generator_apply(model, generator_observable(model, f), xs)
-        c2 = _expansion_coefficient("talay2", 2, model, f, xs, TP, Enumerate()).value
+        c2 = _expansion_coefficient("talay2", 2, model, f, xs, TP)
         np.testing.assert_allclose(c2, 0.5 * a2f, rtol=1e-12, atol=1e-12)
 
 
@@ -287,7 +240,7 @@ def test_bias_average_matches_the_constant_step_oracle(op, scheme, q, limit):
     a = step(np.ones((1, 1)), gamma, np.zeros((1, 1)), None)[0, 0]
     c = step(np.zeros((1, 1)), gamma, np.ones((1, 1)), None)[0, 0]
     oracle = (2.0 - 2.0 * c * c / (1.0 - a * a)) / gamma**q
-    nu_m = gauss_hermite_expectation(lambda xs: op(OU, X2, xs, TP).value)
+    nu_m = gauss_hermite_expectation(lambda xs: op(OU, X2, xs, TP))
     assert nu_m == pytest.approx(limit, abs=1e-12)
     assert abs(nu_m - oracle) <= gamma
 
@@ -306,7 +259,7 @@ def test_euler_bias_operator_evaluates_fields_once():
     f = Observable(fn=X2.fn, dirderiv=counted("dirderiv", X2.dirderiv), max_order=X2.max_order)
     model = DiffusionModel(dim=1, noise_dim=1, b=counted("b", OU.b), sigma=counted("sigma", OU.sigma))
     xs = np.random.default_rng(2).normal(size=(1024, 8, 1))
-    value = m1_euler(model, f, xs, TP).value
+    value = m1_euler(model, f, xs, TP)
     assert np.array_equal(value, -xs[..., 0] ** 2)
     assert calls["dirderiv"] <= 7
     assert calls["b"] == 1 and calls["sigma"] == 1
@@ -407,31 +360,30 @@ def test_generator_observable_refuses_fd_models():
         generator_observable(fd_model, monomial1d(4))
 
 
-def test_analytic_derivatives_match_finite_differences():
-    analytic = poly1d_model([0.4, -1.2, 0.3], [0.9, 0.1, 0.2])
-    fd = poly1d_model([0.4, -1.2, 0.3], [0.9, 0.1, 0.2], fd_only=True)
-    for v in (-2.0, 0.3, 1.7):
-        pt = x(v)
-        assert fd.drift_jacobian(pt) == pytest.approx(analytic.drift_jacobian(pt), rel=1e-6, abs=1e-8)
-        assert fd.drift_hessian(pt) == pytest.approx(analytic.drift_hessian(pt), rel=1e-4, abs=1e-5)
-        assert fd.diffusion_jacobian(pt) == pytest.approx(analytic.diffusion_jacobian(pt), rel=1e-6, abs=1e-8)
-        assert fd.diffusion_hessian(pt) == pytest.approx(analytic.diffusion_hessian(pt), rel=1e-4, abs=1e-5)
+@pytest.mark.parametrize("model, missing", [
+    (poly1d_model([0.0, -1.0], [1.0], fd_only=True), "db"),
+    (dataclasses.replace(ou_nd(np.eye(2), np.eye(2)), dsigma=None), "dsigma"),
+], ids=["d1_fd_only", "d2_without_dsigma"])
+def test_talay2_refuses_models_without_analytic_derivatives(model, missing):
+    xs = np.zeros((3, model.dim))
+    inn = InnovationDist("three_point", model.noise_dim)
+    f = coordinate_monomial((2,) + (0,) * (model.dim - 1))
+    with pytest.raises(InsufficientDerivativesError, match=repr(missing)):
+        make_stepper("talay2", model)
+    with pytest.raises(InsufficientDerivativesError, match=repr(missing)):
+        m2_talay(model, f, xs, inn)
+    # the Euler kernel and its bias operator read only b and sigma
+    assert make_stepper("euler", model)(xs, 0.1, np.zeros((3, model.noise_dim)), None).shape == xs.shape
+    assert m1_euler(model, f, xs, inn).shape == (3,)
 
 
 def test_m2_talay_double_well_quadrature_consistency():
-    # a drift with a nonzero second derivative, through enumeration and Monte Carlo
-    from ergostep.catalog import double_well
-
+    # linearity holds on a drift with a nonzero second derivative too
     m = double_well(math.sqrt(2.0))
-    f = monomial1d(2)
-    en = m2_talay(m, f, x(0.6), TP).value
-    mc = m2_talay(m, f, x(0.6), TP, MonteCarlo(200_000, seed=21))
-    assert mc.stderr > 0
-    assert abs(mc.value - en) <= 4.0 * mc.stderr
-    # linearity holds on the double-well generator too
+    en = m2_talay(m, monomial1d(2), x(0.6), TP)
     g = linear_combination([0.5, 1.5], [monomial1d(2), monomial1d(1)])
-    lhs = m2_talay(m, g, x(0.6), TP).value
-    rhs = 0.5 * en + 1.5 * m2_talay(m, monomial1d(1), x(0.6), TP).value
+    lhs = m2_talay(m, g, x(0.6), TP)
+    rhs = 0.5 * en + 1.5 * m2_talay(m, monomial1d(1), x(0.6), TP)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -442,11 +394,11 @@ def test_m2_talay_double_well_quadrature_consistency():
 OU_2D = ou_nd(np.eye(2), math.sqrt(2.0) * np.eye(2))
 TP_2D = InnovationDist("three_point", 2)
 BOUNDARY_OPS = {
-    "generator_apply": lambda m, f, xs, inn, q: generator_apply(m, f, xs),
-    "vf_operator": lambda m, f, xs, inn, q: vf_operator(m, f, xs),
-    "m1_euler": lambda m, f, xs, inn, q: m1_euler(m, f, xs, inn, q).value,
-    "m1_talay": lambda m, f, xs, inn, q: m1_talay(m, f, xs, inn, q).value,
-    "m2_talay": lambda m, f, xs, inn, q: m2_talay(m, f, xs, inn, q).value,
+    "generator_apply": lambda m, f, xs, inn: generator_apply(m, f, xs),
+    "vf_operator": lambda m, f, xs, inn: vf_operator(m, f, xs),
+    "m1_euler": m1_euler,
+    "m1_talay": m1_talay,
+    "m2_talay": m2_talay,
 }
 
 
@@ -464,12 +416,9 @@ def test_operators_return_batch_shape(dim, degree):
     for batch in [(), (5,), (2, 3)]:
         xs = rng.normal(size=batch + (dim,))
         for name, op in BOUNDARY_OPS.items():
-            for quad in (Enumerate(), MonteCarlo(8, seed=1)):
-                if name in ("generator_apply", "vf_operator") and isinstance(quad, MonteCarlo):
-                    continue
-                val = op(model, f, xs, inn, quad)
-                assert np.shape(val) == batch, (name, quad, batch)
-                assert np.all(np.isfinite(val))
+            val = op(model, f, xs, inn)
+            assert np.shape(val) == batch, (name, batch)
+            assert np.all(np.isfinite(val))
 
 
 def test_unbatched_fields_are_bit_identical_to_broadcast_fields():
@@ -485,7 +434,7 @@ def test_unbatched_fields_are_bit_identical_to_broadcast_fields():
     for k in range(5):
         f = monomial1d(k)
         for name, op in BOUNDARY_OPS.items():
-            got, want = op(hoisted, f, xs, TP, Enumerate()), op(ref, f, xs, TP, Enumerate())
+            got, want = op(hoisted, f, xs, TP), op(ref, f, xs, TP)
             assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (name, k)
     steps = StepSchedule("power_law", 0.5, 1.0 / 3.0)
     for scheme in ("euler", "talay2"):

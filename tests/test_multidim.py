@@ -57,8 +57,7 @@ def test_generator_observable_2d_gradient():
 
 
 def test_m1_euler_2d_against_symbolic():
-    got = m1_euler(MODEL, F, PT, TP2)
-    assert got.value == pytest.approx(-2.9301, abs=1e-10)
+    assert m1_euler(MODEL, F, PT, TP2) == pytest.approx(-2.9301, abs=1e-10)
 
 
 def test_vf_operator_2d():

@@ -377,6 +377,19 @@ def test_scalar_x0_sets_every_coordinate():
             simulate("euler", model, st, dist, 0, bad, rng_seed=5)
 
 
+@pytest.mark.parametrize("x0", [1e300, -1e13, math.nan, math.inf, [0.3, 1e13], [math.nan, 0.0]])
+def test_x0_outside_the_finite_region_is_refused(x0):
+    # the sinks see x0 as the first pre-step state, and the divergence
+    # guard checks only the states that steps produce
+    model = ou_nd(np.eye(2), np.eye(2))
+    dist = InnovationDist("three_point", 2)
+    st = StepSchedule("power_law", 0.5, 1.0 / 3.0)
+    with pytest.raises(ValueError, match="x0"):
+        simulate_batch("euler", model, st, dist, 300, x0, 5, 3)
+    with pytest.raises(ValueError, match="x0"):
+        simulate("talay2", model, st, dist, 0, x0, rng_seed=5)
+
+
 @pytest.mark.parametrize("scheme,noise,tags", [
     ("euler", 2, {0}), ("talay2", 1, {0}), ("talay2", 2, {0, 1}),
 ])
