@@ -15,8 +15,9 @@ computed from the resolved config and apply only to keys that neither the
 file nor a flag set; ``simulate`` always runs one replication.  Exit codes:
 
   0  success (with ``--assert``: every tolerance met)
-  1  the experiment failed: a tolerance missed under ``--assert``, a
-     diverged trajectory, or an experiment error
+  1  the experiment failed: a tolerance missed under ``--assert``, more
+     than 5% of the replications diverged, a ``probe`` expectation that
+     is not finite, or an experiment error
   2  usage or configuration error: a bad flag or config value, or any
      other value the library rejects with ``ValueError``
   3  internal error (any other exception), a bug in ergostep; ``-v``
@@ -39,7 +40,6 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentError,
-    InternalInconsistencyError,
     emit,
     parse_config_file,
     run_clt_experiment,
@@ -254,7 +254,7 @@ def main(argv=None) -> int:
     except ValueError as err:  # ConfigError, and every value the library rejects
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ExperimentError, InternalInconsistencyError, DivergenceError) as err:
+    except (ExperimentError, DivergenceError) as err:
         print(f"experiment failed: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # anything else is a bug in ergostep

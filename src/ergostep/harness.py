@@ -38,10 +38,6 @@ class ExperimentError(RuntimeError):
     """An experiment failed its own validity conditions."""
 
 
-class InternalInconsistencyError(RuntimeError):
-    """Numeric trend conclusively contradicts the analytic regime rule."""
-
-
 KS_CRITICAL_1PCT = 1.628
 
 # Each config key and the ExperimentConfig field it sets; the field's
@@ -223,9 +219,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RegimeDecision:
+    """The analytic regime and, beside it, ``ratio_span``: the ratio
+    sqrt(Gamma_n) / H_{gamma^{q+1},n} at n_max over its value at n = 1e3."""
+
     regime: str            # A_centered | B_mixed | C_bias
-    analytic: str
-    numeric_trend: str     # diverges | decays | bounded
     ratio_span: float
     xi: float
     q: int
@@ -234,11 +231,10 @@ class RegimeDecision:
 
 def classify_regime(step: StepSchedule, weight_kind: str, q: int,
                     n_max: int = 10**7) -> RegimeDecision:
-    """Regime of the normalized statistic: the analytic rule compares xi
-    against 1/(2q+1); the numeric trend of sqrt(Gamma_n) / H_{gamma^{q+1},n}
-    over a log grid corroborates it.  A conclusive numeric trend that
-    contradicts the analytic rule raises (internal inconsistency); a trend
-    that settles neither way near the boundary defers to the analytic rule.
+    """Regime of the normalized statistic by the analytic rule, xi against
+    1/(2q+1) (Lamberton & Pages, Bernoulli 2002): A above it, B on it, C
+    below it.  ``ratio_span`` is reported beside the regime, from a 9-point
+    log grid of n up to ``n_max``; it is not checked against the rule.
     """
     if step.kind != "power_law":
         raise ConfigError("regime classification needs power-law steps")
@@ -246,33 +242,17 @@ def classify_regime(step: StepSchedule, weight_kind: str, q: int,
         raise ConfigError("scheme order q must be 1 or 2")
     threshold = 1.0 / (2 * q + 1)
     if abs(step.xi - threshold) <= 1e-9:
-        analytic = "B_mixed"
+        regime = "B_mixed"
     elif step.xi > threshold:
-        analytic = "A_centered"
+        regime = "A_centered"
     else:
-        analytic = "C_bias"
+        regime = "C_bias"
 
     aux = order_weights(step, q)
     grid = np.unique(np.logspace(3, math.log10(n_max), 9).astype(int))
     ratios = np.array([math.sqrt(step.big_gamma(int(n))) / aux.big_h(int(n)) for n in grid])
-    span = float(ratios[-1] / ratios[0])
-    if span > 10.0:
-        trend = "diverges"
-    elif span < 0.1:
-        trend = "decays"
-    else:
-        trend = "bounded"
-
-    if (trend == "diverges" and analytic == "C_bias") or (trend == "decays" and analytic == "A_centered"):
-        raise InternalInconsistencyError(
-            f"numeric trend {trend} contradicts analytic regime {analytic} (xi={step.xi}, q={q})"
-        )
-    if analytic == "B_mixed" and trend != "bounded":
-        raise InternalInconsistencyError(
-            f"boundary regime expected a bounded ratio, numeric trend is {trend}"
-        )
-    return RegimeDecision(regime=analytic, analytic=analytic, numeric_trend=trend,
-                          ratio_span=span, xi=step.xi, q=q, threshold=threshold)
+    return RegimeDecision(regime=regime, ratio_span=float(ratios[-1] / ratios[0]),
+                          xi=step.xi, q=q, threshold=threshold)
 
 
 def _validated_checkpoints(config: ExperimentConfig) -> list[int]:

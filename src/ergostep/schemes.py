@@ -76,12 +76,12 @@ its slot and then draws block j + 2 into that slot, while the worker
 advances block j + 1.  The ring lives in one anonymous shared ``mmap``, and
 the two sides exchange one short message per block: the go-ahead for a
 block, and the worker's answer (the pairs that diverged, or the exception a
-field or the guard raised, which the driver re-raises).  The worker ends
-with its ``_drive`` call on every exit path.  ``fork`` is safe only in a
+field raised, which the driver re-raises).  The worker ends with its
+``_drive`` call on every exit path.  ``fork`` is safe only in a
 single-threaded process, so a one-block run, a library caller with Python
 threads of its own alive and a platform without ``fork`` run the same
-per-block functions inline, through a one-slot ring.  Either
-way every float operation is the same, and so are the bits.
+per-block functions inline, through a one-slot ring.  Either way every
+float operation is the same, and so are the bits.
 
 ``BatchResult.seconds`` splits the driver's wall time: ``kernel`` is the
 time spent in ``_Kernel.block`` (the worker sends its time back with each
@@ -121,10 +121,6 @@ class DivergenceError(RuntimeError):
         where = f"step {step_index}" if step_index is not None else "unknown step"
         rep = f", replication {replication}" if replication is not None else ""
         super().__init__(f"trajectory diverged at {where}{rep}")
-
-    def __reduce__(self):
-        # rebuilt from its fields when it crosses from the kernel worker
-        return DivergenceError, (self.step_index, self.replication)
 
 
 @dataclass(frozen=True)
@@ -290,13 +286,11 @@ class _Kernel:
     slab[t] is the state before step k + t of the block being advanced;
     slab[0] is the carry, the previous block's last row."""
 
-    def __init__(self, stepper, steps: StepSchedule, replications: Sequence[int],
-                 x0: np.ndarray, raise_on_divergence: bool):
+    def __init__(self, stepper, steps: StepSchedule, replications: Sequence[int], x0: np.ndarray):
         self.stepper = stepper
         self.steps = steps
         self.replications = replications
         self.carry = np.tile(x0, (len(replications), 1))
-        self.raise_on_divergence = raise_on_divergence
         self.excluded: set[int] = set()
 
     def block(self, k: int, slab: np.ndarray, us: np.ndarray,
@@ -327,8 +321,6 @@ class _Kernel:
                 if rep in self.excluded:
                     continue
                 step_at = k + int(np.argmax(_outside(slab[1:, r_idx])))
-                if self.raise_on_divergence:
-                    raise DivergenceError(step_at, replication=rep)
                 self.excluded.add(rep)
                 diverged.append((rep, step_at))
             # a diverged row restarts from 0, and the sinks never see its
@@ -382,8 +374,7 @@ def _initial_state(x0, d: int) -> np.ndarray:
 
 def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
            innovation: InnovationDist, n_steps: int, x0: np.ndarray,
-           master_seed: int, replications: Sequence[int],
-           sinks: Sequence[StateSink], raise_on_divergence: bool) -> BatchResult:
+           master_seed: int, replications: Sequence[int], sinks: Sequence[StateSink]) -> BatchResult:
     if innovation.dimension != model.noise_dim:
         raise ValueError("innovation dimension must match the model's noise dimension")
     r_count, d, n = len(replications), model.dim, model.noise_dim
@@ -400,7 +391,7 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
     ring_size = (CHUNK * max(n, d) + d) * r_count
     flat = _buffers([ring_size] * slots + [CHUNK * r_count * n_kappa] * slots, shared=forked)
     ring, kap_ring = flat[:slots], flat[slots:]
-    kernel = _Kernel(make_stepper(scheme, model), steps, replications, x0, raise_on_divergence)
+    kernel = _Kernel(make_stepper(scheme, model), steps, replications, x0)
 
     def inputs(j: int):
         """Block j's innovations and signs, as views of its slot."""
@@ -532,19 +523,18 @@ def simulate(scheme: str, model: DiffusionModel, step_schedule: StepSchedule,
              rng_seed: int, sinks: Sequence[StateSink] = (),
              replication: int = 0) -> SchemeState:
     """Advance one trajectory X_0 = x0 through n_steps decreasing-step
-    transitions, feeding every pre-step state to the sinks.
-
-    Bit-reproducible for a fixed (rng_seed, replication) pair; a divergence
-    aborts with the offending step index.
+    transitions, feeding its pre-step states to the sinks as (len, d)
+    blocks: the one-replication ``simulate_batch`` with index
+    ``replication``, bit-identical to that replication of any batch.  A
+    divergence raises ``DivergenceError`` with the step and replication of
+    the ``excluded`` pair once the run has ended; the sinks' blocks from
+    that step's block on hold the batch's restart from the origin.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
-    x0 = _initial_state(x0, model.dim)
-    if n_steps == 0:
-        return SchemeState(x=x0, n=0)
-    wrapped = [_SqueezeSink(s) for s in sinks]
-    res = _drive(scheme, model, step_schedule, innovation, n_steps, x0,
-                 rng_seed, [replication], wrapped, raise_on_divergence=True)
+    res = simulate_batch(scheme, model, step_schedule, innovation, n_steps, x0, rng_seed, 1,
+                         [_SqueezeSink(s) for s in sinks], replication_offset=replication)
+    if res.excluded:
+        (rep, step_at), = res.excluded
+        raise DivergenceError(step_at, replication=rep)
     return SchemeState(x=res.final_states[0], n=n_steps)
 
 
@@ -565,8 +555,8 @@ def simulate_batch(scheme: str, model: DiffusionModel, step_schedule: StepSchedu
                    replication_offset: int = 0) -> BatchResult:
     """Advance ``replications`` independent trajectories as one vectorized
     batch; replication r uses the same streams as ``simulate`` with
-    ``replication=replication_offset + r``.  Diverged replications are
-    frozen at the origin and reported in ``excluded`` instead of raising.
+    ``replication=replication_offset + r``.  Diverged replications restart
+    from the origin and are reported in ``excluded`` instead of raising.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
@@ -574,5 +564,4 @@ def simulate_batch(scheme: str, model: DiffusionModel, step_schedule: StepSchedu
     reps = list(range(replication_offset, replication_offset + replications))
     if n_steps == 0:
         return BatchResult(final_states=np.tile(x0, (replications, 1)))
-    return _drive(scheme, model, step_schedule, innovation, n_steps, x0,
-                  master_seed, reps, sinks, raise_on_divergence=False)
+    return _drive(scheme, model, step_schedule, innovation, n_steps, x0, master_seed, reps, sinks)

@@ -93,6 +93,8 @@ def test_clt_threads_default_is_one(capsys, tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "clt.json").read_text())
     assert payload["config"]["threads"] == 1
+    # the regime is the analytic rule alone, reported beside the ratio span
+    assert set(payload["regime_decision"]) == {"regime", "ratio_span", "xi", "q", "threshold"}
 
 
 def test_clt_without_ks_says_assert_checked_none(capsys, tmp_path):

@@ -467,6 +467,11 @@ def test_divergence_on_the_worker_path_reports_the_first_bad_step():
     with pytest.raises(DivergenceError) as err:
         simulate("euler", growth, st, TP, 4000, 1.0, rng_seed=4)
     assert (err.value.step_index, err.value.replication) == (first, 0)
+    # simulate's replication r is replication_offset r of a one-replication batch
+    one = simulate_batch("euler", growth, st, TP, 4000, 1.0, 4, 1, replication_offset=2)
+    with pytest.raises(DivergenceError) as err:
+        simulate("euler", growth, st, TP, 4000, 1.0, rng_seed=4, replication=2)
+    assert [(err.value.replication, err.value.step_index)] == one.excluded == [(2, first)]
     res = simulate_batch("euler", growth, st, TP, 4000, 1.0, 4, 3)
     assert res.excluded == [(r, first) for r in range(3)]
     assert np.all(np.isfinite(res.final_states))
