@@ -1,11 +1,13 @@
-"""Built-in models, observables, Lyapunov data, and analytic laws.
+"""Built-in models, observables, Lyapunov data, and the OU invariant law.
 
 Every model here carries exact drift and diffusion derivatives through
 order two, the whole derivative contract of ``model``, so the increment
 lists, the bias operators and the generator as an observable run without
 any finite differencing.  Observables carry exact derivatives through
 order six.  Catalog entries are addressable by name from the experiment
-config (``model.id``, ``f``).
+config (``model.id``, ``f``).  The invariant law of ``ou1d`` is a
+``statistics.NormalDist``, and ``gauss_hermite_expectation`` integrates an
+observable against a normal law.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .empirical import AnalyticLaw1D
 from .model import DiffusionModel, LyapunovSpec, Observable
 
 
@@ -248,35 +249,7 @@ def quadratic_lyapunov(alpha: float, beta: float, p: float = 1.0, a: float = 1.0
 
 
 # ---------------------------------------------------------------------------
-# analytic laws
-
-
-def normal_law(mean: float = 0.0, std: float = 1.0) -> AnalyticLaw1D:
-    dist = NormalDist(mean, std)
-    mu, s = float(mean), float(std)
-
-    def pdf_std(z):
-        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-    def partial_expectation(p1, p2):
-        z1 = dist.inv_cdf(p1) if p1 > 0 else -math.inf
-        z2 = dist.inv_cdf(p2) if p2 < 1 else math.inf
-        t1 = pdf_std((z1 - mu) / s) if math.isfinite(z1) else 0.0
-        t2 = pdf_std((z2 - mu) / s) if math.isfinite(z2) else 0.0
-        return mu * (p2 - p1) + s * (t1 - t2)
-
-    moments = tuple(_normal_moment(mu, s, k) for k in range(7))
-    return AnalyticLaw1D(cdf=dist.cdf, quantile=dist.inv_cdf,
-                         partial_expectation=partial_expectation,
-                         moments=moments, name=f"normal({mu}, {s}^2)")
-
-
-def _normal_moment(mu: float, s: float, k: int) -> float:
-    total = 0.0
-    for j in range(0, k + 1, 2):
-        total += (math.comb(k, j) * mu ** (k - j) * s**j
-                  * math.prod(range(j - 1, 0, -2)))
-    return total
+# normal laws
 
 
 def gauss_hermite_expectation(fn, mean: float = 0.0, std: float = 1.0, nodes: int = 64) -> float:
@@ -289,6 +262,6 @@ def gauss_hermite_expectation(fn, mean: float = 0.0, std: float = 1.0, nodes: in
     return float(np.dot(w, vals) / math.sqrt(math.pi))
 
 
-def ou_invariant_law(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> AnalyticLaw1D:
+def ou_invariant_law(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> NormalDist:
     """Invariant law N(0, sigma^2 / (2 theta)) of the 1-d Ornstein-Uhlenbeck model."""
-    return normal_law(0.0, math.sqrt(sigma**2 / (2.0 * theta)))
+    return NormalDist(0.0, math.sqrt(sigma**2 / (2.0 * theta)))

@@ -1,4 +1,4 @@
-"""Online weighted empirical measures and distances to analytic laws.
+"""Online weighted empirical measures and their W1 distance to a normal law.
 
 A ``WeightedEmpiricalMeasure`` accumulates, for each registered observable f,
 the running weighted sum over pre-step states
@@ -27,12 +27,17 @@ The sums are the same bits whatever the block's memory order.
 folds one state as a block of one.  A replication's row is the same
 whichever tile holds it, so serial, batched and partitioned execution
 perform an identical sequence of float operations per replication.
+
+``wasserstein1_atoms`` gives the W1 distance from weighted atoms, such as
+a measure's buffer, to a ``statistics.NormalDist`` in closed form, one
+vectorized pass over the cells between sorted atoms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -43,34 +48,6 @@ from .schedules import WeightSchedule
 # states per observable call: a float64 temporary of a tile is 128 KiB, small
 # enough that the allocator keeps it in the heap between tiles
 _TILE_STATES = 16384
-
-
-@dataclass(frozen=True)
-class AnalyticLaw1D:
-    """A one-dimensional law given by its cdf and quantile function.
-
-    ``partial_expectation(p1, p2)`` = integral of the quantile over
-    probabilities [p1, p2]; supplied in closed form for catalog laws and
-    approximated by quadrature otherwise.
-    """
-
-    cdf: Callable[[float], float]
-    quantile: Callable[[float], float]
-    partial_expectation: Callable[[float, float], float] | None = None
-    moments: tuple[float, ...] | None = None
-    name: str = ""
-
-    def partial_mean(self, p1: float, p2: float) -> float:
-        if p2 <= p1:
-            return 0.0
-        if self.partial_expectation is not None:
-            return self.partial_expectation(p1, p2)
-        from scipy.integrate import quad
-
-        lo = max(p1, 1e-15)
-        hi = min(p2, 1.0 - 1e-15)
-        val, _ = quad(self.quantile, lo, hi, limit=200)
-        return val
 
 
 class WeightedEmpiricalMeasure:
@@ -181,17 +158,25 @@ class WeightedEmpiricalMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Wasserstein-1 distance to an analytic law
+# Wasserstein-1 distance to a normal law
 
 
-def wasserstein1_atoms(xs: np.ndarray, weights: np.ndarray, law: AnalyticLaw1D) -> float:
-    """Exact W1 between a weighted atomic measure and ``law``.
+def wasserstein1_atoms(xs: np.ndarray, weights: np.ndarray, law: NormalDist) -> float:
+    """Exact W1 between a weighted atomic measure and the normal ``law``.
 
-    Integrates |empirical quantile - law quantile| over probability space;
-    each cell of the empirical quantile step function is handled in closed
-    form through the law's partial expectation, which equals the integral of
-    |F_n - F| over states.
+    W1 on the line is the integral of |F_n - F| over states.  In the law's
+    standard units t = (x - mu) / s, F_n is constant at a level c on each
+    cell [a, b] between consecutive sorted atoms, and G(t) = t Phi(t) + phi(t)
+    is an antiderivative of Phi, so the integral over a cell, split at
+    u = Phi^{-1}(c) clipped to [a, b], is
+
+        c (u - a) - (G(u) - G(a)) + (G(b) - G(u)) - c (b - u).
+
+    The unbounded end cells give G(t_(1)) on the left and G(t_(m)) - t_(m)
+    on the right, and the sum is scaled back by s.
     """
+    from scipy.special import ndtr, ndtri
+
     xs = np.asarray(xs, dtype=np.float64).ravel()
     weights = np.asarray(weights, dtype=np.float64).ravel()
     if xs.size == 0:
@@ -199,19 +184,20 @@ def wasserstein1_atoms(xs: np.ndarray, weights: np.ndarray, law: AnalyticLaw1D) 
     if np.any(weights < 0) or weights.sum() <= 0:
         raise ValueError("atom weights must be non-negative with positive total")
     order = np.argsort(xs, kind="stable")
-    xs = xs[order]
-    ws = weights[order] / weights.sum()
-    cum = np.concatenate([[0.0], np.cumsum(ws)])
-    cum[-1] = 1.0
-    total = 0.0
-    for x, a, b in zip(xs, cum[:-1], cum[1:]):
-        if b <= a:
-            continue
-        s = min(max(law.cdf(x), a), b)
-        # int_a^s (x - Q) dp + int_s^b (Q - x) dp
-        total += x * (s - a) - law.partial_mean(a, s)
-        total += law.partial_mean(s, b) - x * (b - s)
-    return total
+    t = (xs[order] - law.mean) / law.stdev
+    cum = np.cumsum(weights[order])
+
+    def big_g(u):
+        return u * ndtr(u) + np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+
+    g = big_g(t)
+    a, b = t[:-1], t[1:]
+    # a cumulative sum of non-negative terms never falls, so every level is <= 1
+    level = cum[:-1] / cum[-1]
+    u = np.clip(ndtri(level), a, b)
+    g_u = big_g(u)
+    cells = level * (u - a) - (g_u - g[:-1]) + (g[1:] - g_u) - level * (b - u)
+    return law.stdev * (math.fsum(cells) + float(g[0] + (g[-1] - t[-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -274,16 +274,19 @@ class CheckpointRecorder:
     """Feeds pre-step state blocks into measures, snapshotting values at
     checkpoint step counts (splitting blocks exactly at checkpoints).
     Steps k <= burn_in are dropped before they reach the measures; the
-    surviving steps keep their original weights eta_k."""
+    surviving steps keep their original weights eta_k.
+
+    With a ``law``, each checkpoint also stores in ``w1[c]`` the W1 distance
+    from every replication's buffered atoms of ``measures["main"]`` to that
+    law, so no copy of the buffer outlives the checkpoint."""
 
     def __init__(self, measures: dict[str, WeightedEmpiricalMeasure],
-                 checkpoints, snapshot_buffer: str | None = None,
-                 burn_in: int = 0):
+                 checkpoints, law: NormalDist | None = None, burn_in: int = 0):
         self.measures = measures
         self.checkpoints = sorted(int(c) for c in checkpoints)
         self.snapshots: dict[int, dict[str, dict[str, np.ndarray]]] = {}
-        self.buffer_snaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.snapshot_buffer = snapshot_buffer
+        self.w1: dict[int, np.ndarray] = {}
+        self.law = law
         self.burn_in = int(burn_in)
 
     def observe_block(self, k0: int, states: np.ndarray) -> None:
@@ -312,23 +315,23 @@ class CheckpointRecorder:
             key: {name: np.array(meas.value(name), ndmin=1) for name in meas.names}
             for key, meas in self.measures.items()
         }
-        if self.snapshot_buffer is not None:
-            states, wts = self.measures[self.snapshot_buffer].buffer()
-            self.buffer_snaps[c] = (states.copy(), wts.copy())
+        if self.law is not None:
+            states, wts = self.measures["main"].buffer()
+            self.w1[c] = np.array([wasserstein1_atoms(states[:, r, 0], wts, self.law)
+                                   for r in range(states.shape[1])])
 
 
-def _run_blocks(config: ExperimentConfig, measures, checkpoints,
-                snapshot_buffer: str | None = None):
+def _run_blocks(config: ExperimentConfig, measures, checkpoints, law: NormalDist | None = None):
     """Run all replications as one vectorized batch into ``measures``, each
-    with ``batch_shape=(config.replications,)``.
+    with ``batch_shape=(config.replications,)``; with a ``law``, the
+    recorder takes each replication's W1 to it at every checkpoint.
 
     Returns (the recorder, excluded pairs, indices of the kept
     replications); more than 5% excluded raises ``ExperimentError``.
     """
     model = config.model()
     r_total = config.replications
-    recorder = CheckpointRecorder(measures, checkpoints, snapshot_buffer=snapshot_buffer,
-                                  burn_in=config.burn_in)
+    recorder = CheckpointRecorder(measures, checkpoints, law=law, burn_in=config.burn_in)
     res = simulate_batch(config.scheme, model, config.steps(), config.innovation(model),
                          config.n_steps, np.full(model.dim, config.x0),
                          master_seed=config.seed, replications=r_total, sinks=[recorder])
@@ -428,12 +431,11 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     nu_m = None
     if m_operator is not None and law is not None:
         nu_m = catalog.gauss_hermite_expectation(m_operator, mean=0.0,
-                                                 std=math.sqrt(law.moments[2]))
+                                                 std=math.sqrt(law.variance))
     per_state_m = m_operator is not None and nu_m is None
 
     batch = (config.replications,)
-    main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=batch,
-                                    buffer_capacity=config.buffer_capacity)
+    main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=batch)
     main.register("Af", af.fn)
     if per_state_m:
         main.register("Mf", m_operator)
@@ -483,7 +485,7 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     ergodic_variance = None
     if law is not None:
         predicted_variance = catalog.gauss_hermite_expectation(
-            vf_fn, mean=0.0, std=math.sqrt(law.moments[2]))
+            vf_fn, mean=0.0, std=math.sqrt(law.variance))
         variance_source = "analytic"
     else:
         ergodic_variance = float(np.mean(snaps[final]["clock"]["Vf"][keep]))
@@ -567,15 +569,12 @@ def run_ergodic_experiment(config: ExperimentConfig, want_w1: bool) -> ErgodicRe
     main.register("f", f.fn)
 
     recorder, excluded, keep = _run_blocks(config, {"main": main}, checkpoints,
-                                           snapshot_buffer="main" if want_w1 else None)
+                                           law=law if want_w1 else None)
     values = {int(c): recorder.snapshots[c]["main"]["f"][keep] for c in checkpoints}
     w1 = None
     mean_w1 = None
     if want_w1:
-        w1 = {}
-        for c in checkpoints:
-            states, wts = recorder.buffer_snaps[c]
-            w1[int(c)] = np.array([wasserstein1_atoms(states[:, r, 0], wts, law) for r in keep])
+        w1 = {int(c): recorder.w1[c][keep] for c in checkpoints}
         mean_w1 = {c: float(np.mean(v)) for c, v in w1.items()}
     return ErgodicReport(
         checkpoints=[int(c) for c in checkpoints],

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -332,3 +333,15 @@ def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")], cwd=root,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_importing_the_cli_and_harness_loads_no_scipy():
+    # only the W1 distance imports scipy, inside the call, so a run that
+    # computes no W1 never pays for loading it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, ergostep.cli, ergostep.harness; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,17 +1,16 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergostep.catalog import monomial1d, normal_law, observable_from_name, ou1d, ou_nd
+from ergostep.catalog import monomial1d, observable_from_name, ou1d, ou_nd
 from ergostep.empirical import (
     _TILE_STATES,
-    AnalyticLaw1D,
     WeightedEmpiricalMeasure,
     merge_statistics,
     wasserstein1_atoms,
@@ -20,37 +19,6 @@ from ergostep.innovations import InnovationDist
 from ergostep.model import generator_observable, m1_euler, vf_operator
 from ergostep.schedules import StepSchedule, WeightSchedule
 from ergostep.schemes import simulate, trajectory_generators
-
-
-def atomic_law(xs, ws) -> AnalyticLaw1D:
-    """Exact law object for a weighted atomic measure (test oracle)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ws = np.asarray(ws, dtype=np.float64)
-    order = np.argsort(xs, kind="stable")
-    xs, ws = xs[order], ws[order] / ws.sum()
-    cum = np.cumsum(ws)
-
-    def cdf(v):
-        return float(cum[bisect_right(xs.tolist(), v) - 1]) if v >= xs[0] else 0.0
-
-    def quantile(p):
-        idx = int(np.searchsorted(cum, p, side="left"))
-        return float(xs[min(idx, xs.size - 1)])
-
-    def partial_expectation(p1, p2):
-        # integral of the step quantile over [p1, p2]
-        total = 0.0
-        lo = p1
-        for xi, c in zip(xs, cum):
-            if lo >= p2:
-                break
-            hi = min(float(c), p2)
-            if hi > lo:
-                total += xi * (hi - lo)
-                lo = hi
-        return total
-
-    return AnalyticLaw1D(cdf=cdf, quantile=quantile, partial_expectation=partial_expectation)
 
 
 # ---------------------------------------------------------------------------
@@ -294,48 +262,78 @@ def test_buffer_disabled_raises():
 
 
 def test_w1_single_atom_against_standard_normal():
-    law = normal_law()
+    law = NormalDist()
     got = wasserstein1_atoms(np.array([0.0]), np.array([1.0]), law)
     assert got == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
 
 
 def test_w1_quantile_atoms_decrease():
-    law = normal_law()
+    law = NormalDist()
     prev = math.inf
     for m_atoms in (10, 100, 1000):
         ps = (np.arange(m_atoms) + 0.5) / m_atoms
-        xs = np.array([law.quantile(p) for p in ps])
+        xs = np.array([law.inv_cdf(p) for p in ps])
         got = wasserstein1_atoms(xs, np.ones(m_atoms), law)
         assert got < prev
         prev = got
     assert prev < 2e-3
 
 
-def test_w1_atomic_law_self_distance_zero():
-    xs = np.array([-1.0, 0.2, 0.5, 2.0])
-    ws = np.array([1.0, 2.0, 0.5, 1.5])
-    law = atomic_law(xs, ws)
-    assert wasserstein1_atoms(xs, ws, law) <= 1e-12
-
-
-def test_w1_lower_bound_mean_difference_and_triangle():
+def test_w1_at_least_the_mean_difference():
     rng, _ = trajectory_generators(21, 0)
     for _ in range(20):
-        xa = rng.normal(size=4)
-        xb = rng.normal(size=3)
-        xc = rng.normal(size=5)
-        wa = rng.random(4) + 0.1
-        wb = rng.random(3) + 0.1
-        wc = rng.random(5) + 0.1
-        lb = atomic_law(xb, wb)
-        lc = atomic_law(xc, wc)
-        dab = wasserstein1_atoms(xa, wa, lb)
-        dac = wasserstein1_atoms(xa, wa, lc)
-        dbc = wasserstein1_atoms(xb, wb, lc)
-        assert dac <= dab + dbc + 1e-12
-        mean_a = np.average(xa, weights=wa)
-        mean_c = np.average(xc, weights=wc)
-        assert dac >= abs(mean_a - mean_c) - 1e-12
+        xs = rng.normal(size=int(rng.integers(1, 8)))
+        ws = rng.random(xs.size) + 0.1
+        mu, s = rng.normal(), 0.2 + rng.random()
+        gap = abs(np.average(xs, weights=ws) - mu)
+        assert wasserstein1_atoms(xs, ws, NormalDist(mu, s)) >= gap - 1e-12
+
+
+def test_w1_translation_and_scale_equivariance():
+    rng, _ = trajectory_generators(23, 0)
+    xs = 0.3 + 1.7 * rng.standard_normal(50)
+    ws = rng.random(50) + 0.1
+    base = wasserstein1_atoms(xs, ws, NormalDist(0.5, 1.2))
+    for shift, scale in ((2.0, 1.0), (0.0, 3.5), (-1.3, 0.25)):
+        moved = wasserstein1_atoms(shift + scale * xs, ws, NormalDist(shift + 0.5 * scale, 1.2 * scale))
+        assert moved == pytest.approx(scale * base, rel=1e-12)
+
+
+def test_w1_ignores_atoms_of_zero_weight():
+    xs = np.array([-3.0, -0.4, 0.1, 0.8, 2.5])
+    ws = np.array([0.0, 1.0, 2.0, 0.5, 0.0])
+    law = NormalDist(0.2, 0.9)
+    got = wasserstein1_atoms(xs, ws, law)
+    assert got == pytest.approx(wasserstein1_atoms(xs[1:4], ws[1:4], law), rel=1e-12)
+
+
+def _w1_quantile_loop(xs, ws, law):
+    """W1 as the integral of |empirical quantile - law quantile| over
+    probabilities, one atom's cell at a time (test reference)."""
+    order = np.argsort(xs, kind="stable")
+    cum = np.concatenate([[0.0], np.cumsum(ws[order]) / ws.sum()])
+    cum[-1] = 1.0
+
+    def partial_mean(p1, p2):
+        # integral of the law's quantile over [p1, p2]
+        def density_at(p):
+            return 0.0 if p <= 0.0 or p >= 1.0 else law.pdf(law.inv_cdf(p))
+        return law.mean * (p2 - p1) + law.variance * (density_at(p1) - density_at(p2))
+
+    total = 0.0
+    for x, a, b in zip(xs[order], cum[:-1], cum[1:]):
+        s = min(max(law.cdf(x), a), b)
+        total += x * (s - a) - partial_mean(a, s) + partial_mean(s, b) - x * (b - s)
+    return total
+
+
+def test_w1_matches_the_per_cell_quantile_loop():
+    rng, _ = trajectory_generators(27, 0)
+    for size in (1, 2, 7, 200):
+        xs = 0.5 + 2.0 * rng.standard_normal(size)
+        ws = rng.random(size) + 0.05
+        law = NormalDist(0.3, 1.4)
+        assert wasserstein1_atoms(xs, ws, law) == pytest.approx(_w1_quantile_loop(xs, ws, law), rel=1e-11)
 
 
 def test_w1_of_a_measure_buffer():
@@ -343,21 +341,8 @@ def test_w1_of_a_measure_buffer():
     m.register("x", monomial1d(1).fn)
     m.record(np.array([0.0]), 1.0)
     states, weights = m.buffer()
-    got = wasserstein1_atoms(states[..., 0], weights, normal_law())
+    got = wasserstein1_atoms(states[..., 0], weights, NormalDist())
     assert got == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
-
-
-def test_w1_generic_law_quadrature_fallback():
-    dist = normal_law()
-    bare = AnalyticLaw1D(cdf=dist.cdf, quantile=dist.quantile)
-    got = wasserstein1_atoms(np.array([0.0]), np.array([1.0]), bare)
-    assert got == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-8)
-
-
-def test_normal_law_quantile_identity():
-    law = normal_law(0.3, 2.0)
-    for p in np.linspace(1e-6, 1 - 1e-6, 41):
-        assert law.cdf(law.quantile(p)) == pytest.approx(p, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +391,7 @@ def test_weight_scale_invariance_property(values, scale):
 def test_w1_matches_scipy_on_quantile_discretization():
     from scipy import stats
 
-    law = normal_law(0.4, 1.3)
+    law = NormalDist(0.4, 1.3)
     rng, _ = trajectory_generators(29, 0)
     xs = 0.4 + 1.3 * rng.standard_normal(300)
     ws = rng.random(300) + 0.2
@@ -414,6 +399,6 @@ def test_w1_matches_scipy_on_quantile_discretization():
     # independent oracle: scipy sample-to-sample distance against a dense
     # quantile discretization of the law
     ps = (np.arange(200_000) + 0.5) / 200_000
-    ref_atoms = np.array([law.quantile(p) for p in ps])
+    ref_atoms = np.array([law.inv_cdf(p) for p in ps])
     ref = stats.wasserstein_distance(xs, ref_atoms, ws, None)
     assert got == pytest.approx(ref, abs=2e-4)

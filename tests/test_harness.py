@@ -26,9 +26,10 @@ from ergostep.harness import (
     run_rate_experiment,
 )
 from ergostep.catalog import ou1d
+from ergostep.empirical import WeightedEmpiricalMeasure, wasserstein1_atoms
 from ergostep.model import generator_observable, vf_operator
 from ergostep.schedules import StepSchedule, order_weights
-from ergostep.schemes import make_stepper, trajectory_generators
+from ergostep.schemes import make_stepper, simulate, trajectory_generators
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,7 @@ def test_builders():
     })
     model = cfg.model()
     assert model.dim == 1
-    assert cfg.invariant_law().moments[2] == pytest.approx(0.25)
+    assert cfg.invariant_law().variance == pytest.approx(0.25)
     assert cfg.observable(model).name == "x^4"
     assert cfg.scheme_order() == 2
 
@@ -302,6 +303,20 @@ def test_ergodic_experiment_with_w1():
     assert set(rep.values) == {1000, 4000}
     assert rep.w1[4000].shape == (4,)
     assert rep.mean_w1[4000] < rep.mean_w1[1000]
+
+
+def test_ergodic_w1_is_the_w1_of_each_serial_replication_buffer():
+    cfg = ExperimentConfig(scheme="euler", n_steps=3000, replications=4, seed=13,
+                           checkpoints=(1000, 3000), buffer_capacity=400)
+    rep = run_ergodic_experiment(cfg, want_w1=True)
+    model, steps = cfg.model(), cfg.steps()
+    for r in range(cfg.replications):
+        measure = WeightedEmpiricalMeasure(weights=cfg.weights(steps), buffer_capacity=cfg.buffer_capacity)
+        simulate(cfg.scheme, model, steps, cfg.innovation(model), cfg.n_steps, [cfg.x0],
+                 rng_seed=cfg.seed, sinks=[measure], replication=r)
+        states, weights = measure.buffer()
+        want = wasserstein1_atoms(states[:, 0], weights, cfg.invariant_law())
+        assert rep.w1[3000][r] == pytest.approx(want, rel=1e-12)
 
 
 def test_ergodic_w1_needs_buffer():
@@ -617,6 +632,28 @@ def test_unknown_law_keeps_the_ergodic_mf_average(mapping):
     # with no law, the shift averages the same per-state Mf
     assert rep.predicted_shift[2000] == pytest.approx(rep.ergodic_correction_mean / rep.l_hat[2000],
                                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("model_id", ["ou1d", "double_well"])
+def test_clt_measures_keep_no_buffer(model_id, monkeypatch):
+    # the CLT statistics read only the measures' values, so a buffer
+    # capacity in the config must not make them store states
+    built = []
+
+    class Spy(WeightedEmpiricalMeasure):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(harness, "WeightedEmpiricalMeasure", Spy)
+    cfg = ExperimentConfig.from_mapping({"model.id": model_id, "scheme": "euler", "step.gamma1": "0.25",
+                                         "n_steps": "500", "replications": "2", "checkpoints": "500",
+                                         "buffer_capacity": "100"})
+    run_clt_experiment(cfg)
+    assert built
+    for measure in built:
+        with pytest.raises(ValueError, match="empty or disabled"):
+            measure.buffer()
 
 
 @pytest.mark.parametrize("mapping", [
