@@ -1,13 +1,14 @@
-"""Built-in models, observables, Lyapunov data, and the OU invariant law.
+"""Built-in models, observables and Lyapunov data.
 
 Every model here carries exact drift and diffusion derivatives through
 order two, the whole derivative contract of ``model``, so the increment
 lists, the bias operators and the generator as an observable run without
-any finite differencing.  Observables carry exact derivatives through
-order six.  Catalog entries are addressable by name from the experiment
-config (``model.id``, ``f``).  The invariant law of ``ou1d`` is a
-``statistics.NormalDist``, and ``gauss_hermite_expectation`` integrates an
-observable against a normal law.
+any finite differencing, and the Lyapunov constants of V = 1 + |x|^2;
+``ou1d`` also carries its invariant law.  Observables carry exact
+derivatives through order six.  Catalog entries are addressable by name
+from the experiment config (``model.id``, ``f``), and
+``gauss_hermite_expectation`` integrates an observable against a normal
+law.
 """
 
 from __future__ import annotations
@@ -35,9 +36,13 @@ def _const_field(value) -> Callable:
 
 
 def ou1d(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> DiffusionModel:
-    """1-d Ornstein-Uhlenbeck: b(x) = -theta x, constant diffusion."""
+    """1-d Ornstein-Uhlenbeck: b(x) = -theta x, theta > 0, constant diffusion.
+    AV = 2 theta + sigma^2 - 2 theta V, and an Euler step adds
+    gamma theta^2 (V - 1), so alpha is half the rate 2 theta."""
     th = float(theta)
     sg = float(sigma)
+    if not th > 0:
+        raise ValueError(f"model.theta must be positive, got {th!r}")
 
     def b(x):
         return -th * x
@@ -50,11 +55,14 @@ def ou1d(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> DiffusionModel:
         dsigma=_const_field(np.zeros((1, 1, 1))),
         d2sigma=_const_field(np.zeros((1, 1, 1, 1))),
         name=f"ou1d(theta={th}, sigma={sg})",
+        law=NormalDist(0.0, math.sqrt(sg**2 / (2.0 * th))),
+        lyapunov=quadratic_lyapunov(alpha=th, beta=th + sg**2),
     )
 
 
 def double_well(sigma: float = math.sqrt(2.0)) -> DiffusionModel:
-    """1-d double well: b = -(x^3 - x), the negative gradient of x^4/4 - x^2/2."""
+    """1-d double well: b = -(x^3 - x), the negative gradient of x^4/4 - x^2/2.
+    AV = 2x^2 - 2x^4 + sigma^2 <= beta - V, since -2y^2 + 3y peaks at 9/8."""
     sg = float(sigma)
 
     def b(x):
@@ -73,14 +81,17 @@ def double_well(sigma: float = math.sqrt(2.0)) -> DiffusionModel:
         dsigma=_const_field(np.zeros((1, 1, 1))),
         d2sigma=_const_field(np.zeros((1, 1, 1, 1))),
         name=f"double_well(sigma={sg})",
+        lyapunov=quadratic_lyapunov(alpha=1.0, beta=sg**2 + 17.0 / 8.0),
     )
 
 
 def ou_nd(theta_matrix, sigma_matrix) -> DiffusionModel:
-    """d-dimensional linear drift b(x) = -Theta x with constant diffusion."""
+    """d-dimensional linear drift b(x) = -Theta x with constant diffusion; Lyapunov
+    constants as ``ou1d``'s for theta = lambda_min((Theta + Theta^T) / 2) > 0."""
     th = np.asarray(theta_matrix, dtype=np.float64)
     sg = np.asarray(sigma_matrix, dtype=np.float64)
     d, n = sg.shape
+    lam = float(np.linalg.eigvalsh(0.5 * (th + th.T))[0])
 
     def b(x):
         return -np.einsum("ij,...j->...i", th, x)
@@ -93,12 +104,21 @@ def ou_nd(theta_matrix, sigma_matrix) -> DiffusionModel:
         dsigma=_const_field(np.zeros((d, n, d))),
         d2sigma=_const_field(np.zeros((d, n, d, d))),
         name="ou_nd",
+        lyapunov=quadratic_lyapunov(alpha=lam, beta=lam + float(np.sum(sg**2))) if lam > 0 else None,
     )
 
 
-# the config keys each catalog model reads besides model.id
-_MODEL_KEYS = {"ou1d": ("model.theta", "model.sigma"), "double_well": ("model.sigma",),
-               "ou_nd": ("model.theta", "model.sigma", "model.dim")}
+def _isotropic_ou_nd(theta: float = 1.0, sigma: float = math.sqrt(2.0), dim: int = 2) -> DiffusionModel:
+    """The config's ``ou_nd``: Theta = theta I and sigma I."""
+    theta, sigma = float(theta), float(sigma)
+    if not theta > 0:
+        raise ValueError(f"model.theta must be positive, got {theta!r}")
+    return ou_nd(theta * np.eye(dim), sigma * np.eye(dim))
+
+
+# each config model id, its constructor and the model.* keys it reads
+_MODELS = {"ou1d": (ou1d, ("theta", "sigma")), "double_well": (double_well, ("sigma",)),
+          "ou_nd": (_isotropic_ou_nd, ("theta", "sigma", "dim"))}
 
 
 def model_from_config(cfg: dict) -> DiffusionModel:
@@ -106,23 +126,13 @@ def model_from_config(cfg: dict) -> DiffusionModel:
     ``model.theta`` and ``model.sigma`` floats, ``model.dim`` an int.  A key
     the chosen model does not read is refused, not dropped."""
     mid = cfg.get("model.id", "ou1d")
-    if mid not in _MODEL_KEYS:
+    if mid not in _MODELS:
         raise ValueError(f"unknown model id {mid!r}")
-    ignored = sorted(set(cfg) - {"model.id", *_MODEL_KEYS[mid]})
+    build, params = _MODELS[mid]
+    ignored = sorted(set(cfg) - {"model.id", *(f"model.{p}" for p in params)})
     if ignored:
         raise ValueError(f"model {mid!r} does not take {ignored[0]}")
-    if mid == "ou1d":
-        return ou1d(theta=float(cfg.get("model.theta", 1.0)),
-                    sigma=float(cfg.get("model.sigma", math.sqrt(2.0))))
-    if mid == "double_well":
-        return double_well(sigma=float(cfg.get("model.sigma", math.sqrt(2.0))))
-    if mid == "ou_nd":
-        # isotropic theta I / sigma I in the flat config; full matrices go
-        # through the ou_nd constructor directly
-        d = cfg.get("model.dim", 2)
-        th = float(cfg.get("model.theta", 1.0)) * np.eye(d)
-        sg = float(cfg.get("model.sigma", math.sqrt(2.0))) * np.eye(d)
-        return ou_nd(th, sg)
+    return build(**{p: cfg[f"model.{p}"] for p in params if f"model.{p}" in cfg})
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +270,3 @@ def gauss_hermite_expectation(fn, mean: float = 0.0, std: float = 1.0, nodes: in
     xs = mean + math.sqrt(2.0) * std * t
     vals = np.asarray(fn(xs[:, None]), dtype=np.float64).reshape(-1)
     return float(np.dot(w, vals) / math.sqrt(math.pi))
-
-
-def ou_invariant_law(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> NormalDist:
-    """Invariant law N(0, sigma^2 / (2 theta)) of the 1-d Ornstein-Uhlenbeck model."""
-    return NormalDist(0.0, math.sqrt(sigma**2 / (2.0 * theta)))

@@ -183,7 +183,7 @@ class WeakOrderResult:
     scheme: str
     gammas: tuple[float, ...]
     errors: tuple[float, ...]
-    ratios: tuple[float, ...]
+    ratios: tuple[float | None, ...]   # None where the next error is exactly 0
 
 
 def weak_order_probe(scheme: str, model: DiffusionModel, f: Observable, x,
@@ -191,7 +191,8 @@ def weak_order_probe(scheme: str, model: DiffusionModel, f: Observable, x,
     """Exhaustive-enumeration one-step error against the semigroup Taylor
     target: f + gamma Af for the Euler kernel, plus gamma^2/2 A^2 f for the
     weak-order-two kernel.  Consecutive error ratios near 2^(q+1) confirm
-    the O(gamma^(q+1)) remainder."""
+    the O(gamma^(q+1)) remainder; a ratio over an exactly zero error is
+    None."""
     if innovation.support1d() is None:
         raise ValueError("weak order probe needs a finite-support innovation")
     if any(gamma <= 0 for gamma in gammas):
@@ -216,7 +217,7 @@ def weak_order_probe(scheme: str, model: DiffusionModel, f: Observable, x,
             if scheme == "talay2":
                 target = target + 0.5 * gamma * gamma * a2f
             errs.append(float(mean - target))
-    ratios = tuple(errs[i] / errs[i + 1] if errs[i + 1] != 0 else math.inf
+    ratios = tuple(errs[i] / errs[i + 1] if errs[i + 1] != 0 else None
                    for i in range(len(errs) - 1))
     return WeakOrderResult(scheme=scheme, gammas=tuple(float(g) for g in gammas),
                            errors=tuple(errs), ratios=ratios)

@@ -173,7 +173,8 @@ def wasserstein1_atoms(xs: np.ndarray, weights: np.ndarray, law: NormalDist) -> 
         c (u - a) - (G(u) - G(a)) + (G(b) - G(u)) - c (b - u).
 
     The unbounded end cells give G(t_(1)) on the left and G(t_(m)) - t_(m)
-    on the right, and the sum is scaled back by s.
+    on the right, and the sum is scaled back by s.  A law with s = 0 is the
+    point mass at mu, and W1 is the weighted mean of |x - mu|.
     """
     from scipy.special import ndtr, ndtri
 
@@ -183,6 +184,8 @@ def wasserstein1_atoms(xs: np.ndarray, weights: np.ndarray, law: NormalDist) -> 
         raise ValueError("need at least one atom")
     if np.any(weights < 0) or weights.sum() <= 0:
         raise ValueError("atom weights must be non-negative with positive total")
+    if law.stdev == 0.0:
+        return float(np.dot(weights, np.abs(xs - law.mean)) / weights.sum())
     order = np.argsort(xs, kind="stable")
     t = (xs[order] - law.mean) / law.stdev
     cum = np.cumsum(weights[order])

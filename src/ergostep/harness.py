@@ -7,7 +7,8 @@ streams, so partitioning the replications never changes a per-replication
 result, and aggregation is a deterministic reduction in replication-index
 order.  Checkpoint statistics reuse a single trajectory per replication
 (nested checkpoints), so values at different checkpoints of one replication
-are correlated; rate fits inherit that caveat.
+are correlated; rate fits inherit that caveat.  The model's ``law``, when
+known, gives nu(Mf) and nu(Vf) by quadrature and the target of W1.
 """
 
 from __future__ import annotations
@@ -172,14 +173,6 @@ class ExperimentConfig:
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
-    def invariant_law(self):
-        if self.model_id == "ou1d":
-            return catalog.ou_invariant_law(
-                theta=self.model_params.get("theta", 1.0),
-                sigma=self.model_params.get("sigma", math.sqrt(2.0)),
-            )
-        return None
-
     def steps(self) -> StepSchedule:
         return StepSchedule(kind=self.step_kind, gamma1=self.gamma1, xi=self.xi)
 
@@ -187,14 +180,12 @@ class ExperimentConfig:
         return WeightSchedule(kind=self.weight_kind, reference=steps or self.steps(),
                               c=self.weight_c, r=self.weight_r)
 
-    def innovation(self, model: DiffusionModel | None = None) -> InnovationDist:
-        dim = (model or self.model()).noise_dim
-        return InnovationDist(kind=self.innovation_kind, dimension=dim)
+    def innovation(self, model: DiffusionModel) -> InnovationDist:
+        return InnovationDist(kind=self.innovation_kind, dimension=model.noise_dim)
 
-    def observable(self, model: DiffusionModel | None = None) -> Observable:
-        dim = (model or self.model()).dim
+    def observable(self, model: DiffusionModel) -> Observable:
         try:
-            return catalog.observable_from_name(self.observable_name, dim=dim)
+            return catalog.observable_from_name(self.observable_name, dim=model.dim)
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
@@ -321,15 +312,15 @@ class CheckpointRecorder:
                                    for r in range(states.shape[1])])
 
 
-def _run_blocks(config: ExperimentConfig, measures, checkpoints, law: NormalDist | None = None):
-    """Run all replications as one vectorized batch into ``measures``, each
-    with ``batch_shape=(config.replications,)``; with a ``law``, the
-    recorder takes each replication's W1 to it at every checkpoint.
+def _run_blocks(config: ExperimentConfig, model: DiffusionModel, measures, checkpoints,
+                law: NormalDist | None = None):
+    """Run all replications of ``model`` as one vectorized batch into
+    ``measures``, each with ``batch_shape=(config.replications,)``; with a
+    ``law``, the recorder takes each replication's W1 to it at every checkpoint.
 
     Returns (the recorder, excluded pairs, indices of the kept
     replications); more than 5% excluded raises ``ExperimentError``.
     """
-    model = config.model()
     r_total = config.replications
     recorder = CheckpointRecorder(measures, checkpoints, law=law, burn_in=config.burn_in)
     res = simulate_batch(config.scheme, model, config.steps(), config.innovation(model),
@@ -427,10 +418,10 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     # the invariant averages of the correction operator and of Vf: by
     # quadrature when the law is known, else by the ergodic averages of Mf
     # and Vf over the states
-    law = config.invariant_law()
+    law = model.law
     nu_m = None
     if m_operator is not None and law is not None:
-        nu_m = catalog.gauss_hermite_expectation(m_operator, mean=0.0,
+        nu_m = catalog.gauss_hermite_expectation(m_operator, mean=law.mean,
                                                  std=math.sqrt(law.variance))
     per_state_m = m_operator is not None and nu_m is None
 
@@ -444,7 +435,7 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         measures["clock"] = WeightedEmpiricalMeasure(weights=variance_clock(steps), batch_shape=batch)
         measures["clock"].register("Vf", vf_fn)
 
-    recorder, excluded, keep = _run_blocks(config, measures, checkpoints)
+    recorder, excluded, keep = _run_blocks(config, model, measures, checkpoints)
     snaps = recorder.snapshots
 
     aux = order_weights(steps, q)
@@ -485,7 +476,7 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     ergodic_variance = None
     if law is not None:
         predicted_variance = catalog.gauss_hermite_expectation(
-            vf_fn, mean=0.0, std=math.sqrt(law.variance))
+            vf_fn, mean=law.mean, std=math.sqrt(law.variance))
         variance_source = "analytic"
     else:
         ergodic_variance = float(np.mean(snaps[final]["clock"]["Vf"][keep]))
@@ -553,10 +544,10 @@ class ErgodicReport:
 
 def run_ergodic_experiment(config: ExperimentConfig, want_w1: bool) -> ErgodicReport:
     """Per-replication ergodic averages nu_n(f) at checkpoints, with W1
-    distances to the catalog invariant law when ``want_w1``."""
+    distances to the model's invariant law when ``want_w1``."""
     model = config.model()
     f = config.observable(model)
-    law = config.invariant_law()
+    law = model.law
     if want_w1 and law is None:
         raise ConfigError("Wasserstein trace needs a model with a catalog invariant law")
     if want_w1 and config.buffer_capacity <= 0:
@@ -568,7 +559,7 @@ def run_ergodic_experiment(config: ExperimentConfig, want_w1: bool) -> ErgodicRe
                                     buffer_capacity=config.buffer_capacity if want_w1 else 0)
     main.register("f", f.fn)
 
-    recorder, excluded, keep = _run_blocks(config, {"main": main}, checkpoints,
+    recorder, excluded, keep = _run_blocks(config, model, {"main": main}, checkpoints,
                                            law=law if want_w1 else None)
     values = {int(c): recorder.snapshots[c]["main"]["f"][keep] for c in checkpoints}
     w1 = None
@@ -609,10 +600,14 @@ class RateReport:
 
 
 def fit_loglog(points) -> tuple[float, tuple[float, float]]:
-    """Least-squares slope of log(error) against log(n) with a 95% CI."""
+    """Least-squares slope of log(error) against log(n) with a 95% CI; every
+    error must be positive and finite."""
     pts = [(float(n), float(e)) for n, e in points]
     if len(pts) < 2:
         raise ValueError("need at least two points to fit a slope")
+    for n, e in pts:
+        if not 0.0 < e < math.inf:
+            raise ValueError(f"a log-log fit needs positive finite errors, got {e!r} at n = {n:g}")
     xs = np.log([p[0] for p in pts])
     ys = np.log([p[1] for p in pts])
     xbar = xs.mean()
@@ -644,7 +639,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(config.replications,))
     main.register("Af", af.fn)
 
-    recorder, excluded, keep = _run_blocks(config, {"main": main}, checkpoints)
+    recorder, excluded, keep = _run_blocks(config, model, {"main": main}, checkpoints)
     points = []
     for c in checkpoints:
         vals = recorder.snapshots[c]["main"]["Af"][keep]

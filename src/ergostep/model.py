@@ -1,8 +1,9 @@
 """Diffusion models, smooth observables, and the operators built from them.
 
 A ``DiffusionModel`` packages the drift b, diffusion matrix sigma, and their
-derivative oracles for dX = b dt + sigma dW.  An ``Observable`` is a scalar
-test function together with a directional-derivative callback
+derivative oracles for dX = b dt + sigma dW, and its invariant law and
+Lyapunov constants when known.  An ``Observable`` is a scalar test
+function together with a directional-derivative callback
 
     dirderiv(x, k, (v_1, ..., v_k)) = (D^k f(x); v_1 x ... x v_k)
 
@@ -50,6 +51,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,7 +121,9 @@ class DiffusionModel:
     are optional: the Euler kernel and its bias operator read only b and
     sigma, and whatever reads a missing one raises
     ``InsufficientDerivativesError`` naming it.  The two fields after
-    ``d2sigma`` are unread.
+    ``d2sigma`` are unread.  ``law`` is the invariant law when it is known
+    in closed form, and ``lyapunov`` a V with constants for which the
+    discrete mean-reversion probe holds; None when the model has none.
     """
 
     dim: int
@@ -134,6 +138,8 @@ class DiffusionModel:
     db_higher: Callable | None = None
     dsigma_higher: Callable | None = None
     name: str = ""
+    law: NormalDist | None = None
+    lyapunov: LyapunovSpec | None = None
 
     # -- derivative access ---------------------------------------------------
 

@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from ergostep import cli
 from ergostep.cli import main
+from ergostep.diagnostics import WeakOrderResult
 from ergostep.harness import CONFIG_KEYS, ExperimentConfig
 
 
@@ -141,11 +143,56 @@ def test_probe_subcommand(capsys, tmp_path):
 
 
 def test_probe_ou_nd_passes(capsys, tmp_path):
-    # the Lyapunov constant beta = 2 + 2d tracks AV = 2 + 2d - 2V in d = 2
+    # the isotropic ou_nd carries alpha = theta, beta = theta + d sigma^2 for V = 1 + |x|^2
     code, out, _ = run_cli(capsys, "probe", "--model", "ou_nd", "--scheme", "euler",
                            "--f", "x1^2", "--assert", "--output-dir", str(tmp_path))
     assert code == 0
     assert "recursive control pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--theta", "0.5"],
+    ["--sigma", "3"],
+    ["--model", "double_well"],
+    # at x = 1 the gamma^3 term of the talay2 error vanishes when
+    # sigma^2 / (2 theta) = 2, so the ratio is 2^4, above the window
+    ["--scheme", "talay2", "--theta", "0.5"],
+    ["--scheme", "talay2", "--theta", "0.25", "--sigma", "1"],
+])
+def test_probe_passes_on_correct_models(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, "probe", *argv, "--assert", "--output-dir", str(tmp_path))
+    assert code == 0, out + err
+    payload = json.loads((tmp_path / "probe.json").read_text())
+    assert min(payload["recursive_control"]["margins"]) >= -1e-8
+
+
+def test_probe_json_carries_the_model_lyapunov_constants(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "probe", "--theta", "2.5", "--sigma", "0.5",
+                         "--output-dir", str(tmp_path))
+    assert code == 0
+    meta = json.loads((tmp_path / "probe.json").read_text())["recursive_control"]["metadata"]
+    assert (meta["alpha"], meta["beta"]) == (2.5, 2.75)
+
+
+def test_probe_ratio_below_the_window_fails(capsys, tmp_path, monkeypatch):
+    # the Euler ratio 4 under the talay2 window [6, 10]: the remainder is
+    # O(gamma^2), not O(gamma^3)
+    def euler_like(scheme, model, f, x, gammas, innovation):
+        return WeakOrderResult(scheme, tuple(gammas), (4e-6, 1e-6), (4.0,))
+
+    monkeypatch.setattr(cli, "weak_order_probe", euler_like)
+    code, out, _ = run_cli(capsys, "probe", "--scheme", "talay2", "--assert",
+                           "--output-dir", str(tmp_path))
+    assert code == 1
+    assert "ratio=4.000 (fail)" in out
+
+
+def test_probe_of_a_model_without_lyapunov_constants_exit_two(capsys, tmp_path, monkeypatch):
+    model = ExperimentConfig.model
+    monkeypatch.setattr(ExperimentConfig, "model", lambda self: replace(model(self), lyapunov=None))
+    code, _, err = run_cli(capsys, "probe", "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "Lyapunov" in err
 
 
 def test_wasserstein_subcommand(capsys, tmp_path):
@@ -288,6 +335,11 @@ def test_rate_default_checkpoints_end_at_small_n_steps(capsys, tmp_path):
     (["clt", "--threads", "2"], "threads"),
     (["clt", "--config", "threads = 4"], "threads"),
     (["clt", "--x0", "1e300", "--n-steps", "2000", "--replications", "4"], "x0"),
+    *(([cmd, "--theta", theta], "model.theta")
+      for cmd in ("clt", "simulate", "wasserstein", "probe", "rate") for theta in ("0", "-1")),
+    (["clt", "--model", "ou_nd", "--theta", "0"], "model.theta"),
+    (["rate", "--sigma", "0", "--n-steps", "500"], "at n = 5"),
+    (["rate", "--f", "x^0", "--n-steps", "500"], "at n = 5"),
 ])
 def test_out_of_range_value_exit_two_names_key(capsys, tmp_path, argv, key):
     if "--config" in argv:  # the text after --config is the file's content
@@ -298,6 +350,44 @@ def test_out_of_range_value_exit_two_names_key(capsys, tmp_path, argv, key):
     code, _, err = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
     assert code == 2
     assert key in err
+
+
+def test_wasserstein_sigma_zero_measures_w1_to_the_point_mass(capsys, tmp_path):
+    # sigma = 0 from x0 = 0: every state is 0, and so is the law
+    code, _, err = run_cli(capsys, "wasserstein", "--sigma", "0", "--n-steps", "400",
+                           "--replications", "2", "--buffer-capacity", "100", "--format", "json",
+                           "--output-dir", str(tmp_path))
+    assert code == 0, err
+    text = (tmp_path / "wasserstein.json").read_text()
+    assert "NaN" not in text
+    assert all(v == 0.0 for v in json.loads(text)["mean_w1"].values())
+
+
+# tiny sizes per subcommand, and the configurations the parser accepts that
+# reach a corner of the models or the statistics
+SWEEP_SIZES = {
+    "simulate": ["--n-steps", "200"],
+    "clt": ["--n-steps", "200", "--replications", "4"],
+    "rate": ["--n-steps", "200", "--replications", "50"],
+    "probe": [],
+    "wasserstein": ["--n-steps", "200", "--replications", "2", "--buffer-capacity", "50"],
+}
+SWEEP_CONFIGS = [["--theta", "0"], ["--theta", "-1"], ["--theta", "0.5"], ["--sigma", "0"],
+                 ["--sigma", "3"], ["--model", "double_well"], ["--model", "ou_nd", "--f", "x1^2"],
+                 ["--f", "x^0"]]
+
+
+def test_no_internal_error_or_nonfinite_report_for_any_accepted_config(capsys, tmp_path):
+    for cmd, sizes in SWEEP_SIZES.items():
+        for i, argv in enumerate(SWEEP_CONFIGS):
+            out_dir = tmp_path / f"{cmd}{i}"
+            code, _, err = run_cli(capsys, cmd, *sizes, *argv, "--format", "json",
+                                   "--output-dir", str(out_dir))
+            case = f"{cmd} {' '.join(argv)}: exit {code} {err}"
+            assert code in (0, 1, 2) and "internal error" not in err, case
+            for report in out_dir.glob("*.json"):
+                text = report.read_text()
+                assert "NaN" not in text and "Infinity" not in text, case
 
 
 def test_benchmark_tracer_patches_and_restores_the_clt_path(capsys, tmp_path, monkeypatch):

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import linear_combination, poly1d_model
-from ergostep.catalog import coordinate_monomial, model_from_config, monomial1d, ou1d, quadratic_lyapunov
+from ergostep.catalog import (
+    coordinate_monomial,
+    double_well,
+    model_from_config,
+    monomial1d,
+    ou1d,
+    ou_nd,
+    quadratic_lyapunov,
+)
 from ergostep.diagnostics import (
     default_grid,
     moment_match_report,
@@ -152,6 +160,14 @@ def test_weak_order_zero_function():
     assert res.errors == (0.0,)
 
 
+def test_weak_order_ratio_over_a_zero_error_is_none():
+    # at x = 1 the double well's drift vanishes, so Euler is exact on x^2
+    res = weak_order_probe("euler", double_well(), monomial1d(2), np.array([1.0]),
+                           [2.0**-6, 2.0**-7], TP)
+    assert res.errors == (0.0, 0.0)
+    assert res.ratios == (None,)
+
+
 def test_weak_order_needs_finite_support():
     with pytest.raises(ValueError):
         weak_order_probe("euler", OU, monomial1d(4), np.array([1.0]),
@@ -213,9 +229,51 @@ def test_weak_order_state_dependent_diffusion_talay():
 
 
 def test_recursive_control_double_well():
-    from ergostep.catalog import double_well
-
     m = double_well(math.sqrt(2.0))
     good = recursive_control_probe("euler", m, quadratic_lyapunov(alpha=0.5, beta=4.0),
                                    gamma=2.0**-8, grid=GRID)
     assert good.verdict == "pass"
+
+
+# ---------------------------------------------------------------------------
+# the catalog's Lyapunov constants
+
+
+CATALOG_MODELS = [ou1d(th, sg) for th in (0.05, 0.25, 0.5, 1.0, 5.0, 30.0)
+                  for sg in (0.0, 0.3, math.sqrt(2.0), 3.0)]
+CATALOG_MODELS += [double_well(sg) for sg in (0.0, 0.5, math.sqrt(2.0), 3.0)]
+CATALOG_MODELS += [OU_ND2, model_from_config({"model.id": "ou_nd", "model.dim": 3, "model.theta": 0.5}),
+                   ou_nd([[1.0, 0.5], [-0.5, 2.0]], [[1.0, 0.2], [0.0, 0.7]])]
+
+
+@pytest.mark.parametrize("scheme", ["euler", "talay2"])
+def test_catalog_lyapunov_constants_hold_at_the_cli_probe_step(scheme):
+    # the constants each constructor sets hold with no slack to spare: the
+    # default probe grid, at the step the probe subcommand uses
+    for m in CATALOG_MODELS:
+        report = recursive_control_probe(scheme, m, m.lyapunov, gamma=2.0**-6)
+        assert report.verdict == "pass", m.name
+        assert report.margins.min() >= -1e-8, m.name
+
+
+def test_ou_lyapunov_constants_and_law():
+    m = ou1d(2.5, 0.7)
+    assert (m.lyapunov.alpha, m.lyapunov.beta) == (2.5, 2.5 + 0.7**2)
+    assert m.law.mean == 0.0 and m.law.variance == pytest.approx(0.7**2 / 5.0, rel=1e-15)
+    nd = ou_nd(np.diag([0.5, 2.0]), np.eye(2))
+    assert (nd.lyapunov.alpha, nd.lyapunov.beta) == (0.5, 2.5)
+    assert nd.law is None and double_well().law is None
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0])
+def test_nonpositive_theta_is_refused(theta):
+    with pytest.raises(ValueError, match="model.theta"):
+        ou1d(theta)
+    with pytest.raises(ValueError, match="model.theta"):
+        model_from_config({"model.id": "ou_nd", "model.theta": theta})
+
+
+def test_ou_nd_without_mean_reversion_has_no_lyapunov_constants():
+    assert ou_nd([[1.0, 0.0], [0.0, -0.5]], np.eye(2)).lyapunov is None
+    # a rotation has no symmetric part: AV = tr(sigma sigma^T) > 0
+    assert ou_nd([[0.0, 1.0], [-1.0, 0.0]], np.eye(2)).lyapunov is None

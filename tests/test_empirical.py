@@ -289,6 +289,17 @@ def test_w1_at_least_the_mean_difference():
         assert wasserstein1_atoms(xs, ws, NormalDist(mu, s)) >= gap - 1e-12
 
 
+def test_w1_to_a_point_mass_is_the_mean_distance():
+    # a law with stdev 0 is the point mass at its mean
+    rng, _ = trajectory_generators(29, 0)
+    for _ in range(20):
+        xs = rng.normal(size=int(rng.integers(1, 8)))
+        ws = rng.random(xs.size) + 0.1
+        mu = rng.normal()
+        want = float(np.sum(ws * np.abs(xs - mu)) / np.sum(ws))
+        assert wasserstein1_atoms(xs, ws, NormalDist(mu, 0.0)) == pytest.approx(want, rel=1e-14)
+
+
 def test_w1_translation_and_scale_equivariance():
     rng, _ = trajectory_generators(23, 0)
     xs = 0.3 + 1.7 * rng.standard_normal(50)

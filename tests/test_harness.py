@@ -93,7 +93,7 @@ def test_builders():
     })
     model = cfg.model()
     assert model.dim == 1
-    assert cfg.invariant_law().variance == pytest.approx(0.25)
+    assert model.law.variance == pytest.approx(0.25)
     assert cfg.observable(model).name == "x^4"
     assert cfg.scheme_order() == 2
 
@@ -180,6 +180,12 @@ def test_fit_loglog_ci_covers_noise():
     pts = [(n, n**-0.4 * math.exp(0.01 * rng.standard_normal())) for n in ns]
     slope, (lo, hi) = fit_loglog(pts)
     assert lo <= -0.4 <= hi
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
+def test_fit_loglog_refuses_nonpositive_or_nonfinite_errors(bad):
+    with pytest.raises(ValueError, match="n = 1000"):
+        fit_loglog([(100, 1e-1), (1000, bad), (10_000, 1e-2)])
 
 
 def test_rate_experiment_validation():
@@ -315,7 +321,7 @@ def test_ergodic_w1_is_the_w1_of_each_serial_replication_buffer():
         simulate(cfg.scheme, model, steps, cfg.innovation(model), cfg.n_steps, [cfg.x0],
                  rng_seed=cfg.seed, sinks=[measure], replication=r)
         states, weights = measure.buffer()
-        want = wasserstein1_atoms(states[:, 0], weights, cfg.invariant_law())
+        want = wasserstein1_atoms(states[:, 0], weights, model.law)
         assert rep.w1[3000][r] == pytest.approx(want, rel=1e-12)
 
 
