@@ -240,22 +240,19 @@ def observable_from_name(name: str, dim: int = 1) -> Observable:
 # Lyapunov data
 
 
-def quadratic_lyapunov(alpha: float, beta: float, p: float = 1.0, a: float = 1.0) -> LyapunovSpec:
+def quadratic_lyapunov(alpha: float, beta: float) -> LyapunovSpec:
     """V(x) = 1 + |x|^2, the essentially quadratic catalog choice."""
 
     def v(x):
         x = np.asarray(x, dtype=np.float64)
         return 1.0 + np.einsum("...i,...i->...", x, x)
 
-    def grad(x):
-        return 2.0 * np.asarray(x, dtype=np.float64)
-
     def hess(x):
         x = np.asarray(x, dtype=np.float64)
         d = x.shape[-1]
         return np.broadcast_to(2.0 * np.eye(d), x.shape[:-1] + (d, d))
 
-    return LyapunovSpec(v=v, grad_v=grad, hess_v=hess, alpha=alpha, beta=beta, p=p, a=a)
+    return LyapunovSpec(v=v, hess_v=hess, alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------

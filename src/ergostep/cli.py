@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import moment_match_report, recursive_control_probe, weak_order_probe
+from .diagnostics import recursive_control_probe, weak_order_probe
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -183,19 +183,19 @@ def _cmd_probe(args) -> int:
     ratio = wo.ratios[0]
     wo_ok = wo.errors[0] == 0.0 or (ratio is not None and ratio >= window[0])
 
-    q = 1 if config.scheme == "euler" else 2
-    mm = moment_match_report(innovation, up_to_order=min(2 * q + 1, 6))
-    mm_ok = mm.matched_through() >= 2 * q + 1 if innovation.kind != "gaussian" else True
+    required = 2 * (1 if config.scheme == "euler" else 2) + 1
+    matched = min(innovation.matching_order or required, required)
+    mm_ok = matched >= required
 
-    rc = recursive_control_probe(config.scheme, model, model.lyapunov, gamma=probe_gamma)
+    rc = recursive_control_probe(config.scheme, model, model.lyapunov, probe_gamma, innovation)
     payload = {
         "weak_order": wo,
         "weak_order_window": list(window),
         "weak_order_pass": wo_ok,
         "moment_match": {
-            "kind": mm.kind,
-            "matched_through": mm.matched_through(),
-            "required": 2 * q + 1,
+            "kind": innovation.kind,
+            "matched_through": matched,
+            "required": required,
             "pass": mm_ok,
         },
         "recursive_control": rc,
@@ -204,7 +204,7 @@ def _cmd_probe(args) -> int:
     emit(payload, "json", out)
     ratio_text = "n/a" if ratio is None else f"{ratio:.3f}"
     print(f"probe: weak_order ratio={ratio_text} ({'pass' if wo_ok else 'fail'}), "
-          f"moments through {mm.matched_through()} ({'pass' if mm_ok else 'fail'}), "
+          f"moments through {matched} ({'pass' if mm_ok else 'fail'}), "
           f"recursive control {rc.verdict} -> {out}")
     all_ok = wo_ok and mm_ok and rc.verdict == "pass"
     return 1 if (args.assert_check and not all_ok) else 0

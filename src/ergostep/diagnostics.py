@@ -1,11 +1,13 @@
-"""Numeric probes for the standing hypotheses: discrete-time Lyapunov
-mean reversion, innovation moment matching, and one-step weak order.
+"""Numeric probes for two of the standing hypotheses: discrete-time
+Lyapunov mean reversion and one-step weak order.  The third, innovation
+moment matching, is exact arithmetic and lives on the innovation law as
+``InnovationDist.matching_order``.
 
 The weak-order and mean-reversion probes take their one-step expectations
 over ``schemes.make_stepper``, the kernel the simulation driver runs, as
-exact sums over the innovation's finite support, and raise
-``DivergenceError`` when such an expectation is not finite.  So a verdict
-is pass or fail, never a matter of sampling error.
+exact sums over the finite support of the innovation the run draws from,
+and raise ``DivergenceError`` when such an expectation is not finite.  So a
+verdict is pass or fail, never a matter of sampling error.
 
 Probes are pure functions of their inputs; reports are assembled in grid
 order, so identical inputs produce identical reports.
@@ -13,14 +15,11 @@ order, so identical inputs produce identical reports.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .innovations import InnovationDist, gaussian_moment
+from .innovations import InnovationDist
 from .model import DiffusionModel, LyapunovSpec, Observable, _expect, generator_apply, generator_observable
 from .schemes import DivergenceError, make_stepper
 
@@ -55,31 +54,29 @@ def default_grid(dim: int, radius: float = 5.0, points_per_axis: int = 21,
 
 
 def lambda_p_grid_max(lyapunov: LyapunovSpec, grid: np.ndarray) -> float:
-    """Grid maximum of the clamped top eigenvalue of
-    D^2 V + 2 (p - 1) grad V grad V^T / V (a grid max, not a supremum)."""
-    v = np.asarray(lyapunov.v(grid), dtype=np.float64)
-    gv = np.asarray(lyapunov.grad_v(grid), dtype=np.float64)
-    hv = np.asarray(lyapunov.hess_v(grid), dtype=np.float64)
-    mat = hv + 2.0 * (lyapunov.p - 1.0) * np.einsum("...i,...j->...ij", gv, gv) / v[..., None, None]
-    eig = np.linalg.eigvalsh(mat)
+    """Grid maximum of the clamped top eigenvalue of D^2 V, the lambda_p of
+    the mean-reversion hypothesis at p = 1 (a grid max, not a supremum)."""
+    eig = np.linalg.eigvalsh(np.asarray(lyapunov.hess_v(grid), dtype=np.float64))
     return float(max(eig.max(), 0.0))
 
 
 def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: LyapunovSpec,
-                            gamma: float, grid: np.ndarray | None = None) -> ProbeReport:
+                            gamma: float, innovation: InnovationDist,
+                            grid: np.ndarray | None = None) -> ProbeReport:
     """Margin of the discrete-time mean-reversion inequality on a grid.
 
-    margin(x) = psi_p(V)/V * p * (beta - alpha phi(V))
-                - (E[psi_p(V(X_gamma)) | x] - psi_p(V(x))) / gamma
+    margin(x) = beta - alpha V(x) - (E[V(X_gamma) | x] - V(x)) / gamma
 
     Pass needs margin >= -max(1e-8, 0.02 scale(x)) at every grid point,
-    where scale(x) = psi_p(V)/V * p * (|beta| + alpha phi(V)) is the
-    non-cancelling magnitude of the two sides: small steps satisfy the
-    inequality only up to O(gamma^{3/2}) remainders, and a slack
-    proportional to |rhs| itself would spuriously fail wherever the
-    right-hand side crosses zero.  The expectation is the exact sum over
-    the three-point innovation's support.
+    where scale(x) = |beta| + alpha V(x) is the non-cancelling magnitude of
+    the two sides: small steps satisfy the inequality only up to
+    O(gamma^{3/2}) remainders, and a slack proportional to |rhs| itself
+    would spuriously fail wherever the right-hand side crosses zero.  The
+    expectation is the exact sum over the finite support of ``innovation``,
+    the law the driver draws from.
     """
+    if innovation.support1d() is None:
+        raise ValueError("mean-reversion probe needs a finite-support innovation")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if grid is None:
@@ -87,21 +84,17 @@ def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: Lyapun
     grid = np.asarray(grid, dtype=np.float64).reshape(-1, model.dim)
     if grid.shape[0] == 0:
         raise ValueError("probe grid must be non-empty")
-    innovation = InnovationDist("three_point", model.noise_dim)
-
-    def psi_v(x):
-        return lyapunov.psi(lyapunov.v(x))
 
     v = np.asarray(lyapunov.v(grid), dtype=np.float64)
-    rhs = lyapunov.psi(v) / v * lyapunov.p * (lyapunov.beta - lyapunov.alpha * lyapunov.phi(v))
-    scale = lyapunov.psi(v) / v * lyapunov.p * (abs(lyapunov.beta) + lyapunov.alpha * lyapunov.phi(v))
+    rhs = lyapunov.beta - lyapunov.alpha * v
+    scale = abs(lyapunov.beta) + lyapunov.alpha * v
     step = make_stepper(scheme, model)
     with np.errstate(over="ignore", invalid="ignore"):
-        ev = _expect(lambda u, kap: psi_v(step(grid, gamma, u, kap)), innovation,
+        ev = _expect(lambda u, kap: lyapunov.v(step(grid, gamma, u, kap)), innovation,
                      with_kappa=scheme == "talay2")
     if not np.all(np.isfinite(ev)):
         raise DivergenceError(None)
-    pseudo = (ev - psi_v(grid)) / gamma
+    pseudo = (ev - v) / gamma
     margins = rhs - pseudo
     tol = np.maximum(PASS_TOL_ABS, PASS_TOL_REL * scale)
     worst = int(np.argmin(margins + tol))
@@ -115,63 +108,10 @@ def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: Lyapun
             "scheme": scheme,
             "alpha": lyapunov.alpha,
             "beta": lyapunov.beta,
-            "p": lyapunov.p,
-            "a": lyapunov.a,
             "lambda_p_grid_max": lambda_p_grid_max(lyapunov, grid),
             "lambda_p_is_grid_max_not_supremum": True,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# moment matching
-
-
-@dataclass(frozen=True)
-class MomentMatchReport:
-    """Per-multi-index deviations of innovation tensor moments from the
-    standard normal's, exact rationals for discrete supports."""
-
-    kind: str
-    dimension: int
-    max_order: int
-    deviations: dict[int, dict[tuple[int, ...], Fraction]]
-
-    def max_abs_deviation(self, order: int) -> Fraction:
-        devs = self.deviations[order]
-        return max((abs(v) for v in devs.values()), default=Fraction(0))
-
-    def matched_through(self) -> int:
-        out = 0
-        for q in range(1, self.max_order + 1):
-            if self.max_abs_deviation(q) != 0:
-                break
-            out = q
-        return out
-
-
-def moment_match_report(dist: InnovationDist, up_to_order: int) -> MomentMatchReport:
-    """Compare E[U^(x q~)] against normal tensor moments for q~ <= up_to_order.
-
-    Multi-indices are coordinate tuples i_1 <= ... <= i_q~; independent
-    coordinates reduce each entry to a product of per-coordinate moments,
-    normal entries to products of double factorials.
-    """
-    if not 1 <= up_to_order <= 6:
-        raise ValueError("moment order must lie in [1, 6]")
-    devs: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for q in range(1, up_to_order + 1):
-        table: dict[tuple[int, ...], Fraction] = {}
-        for idx in itertools.combinations_with_replacement(range(dist.dimension), q):
-            counts = [0] * dist.dimension
-            for i in idx:
-                counts[i] += 1
-            m_dist = math.prod((dist.moment(c) for c in counts), start=Fraction(1))
-            m_norm = math.prod((gaussian_moment(c) for c in counts), start=Fraction(1))
-            table[idx] = m_dist - m_norm
-        devs[q] = table
-    return MomentMatchReport(kind=dist.kind, dimension=dist.dimension,
-                             max_order=up_to_order, deviations=devs)
 
 
 # ---------------------------------------------------------------------------

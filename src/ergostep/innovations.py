@@ -8,6 +8,9 @@ to match standard-normal moments up to a stated order:
                  {1/6, 2/3, 1/6}               -> matches through order 5
     gaussian     N(0, I)                       -> matches every order
 
+``InnovationDist.matching_order`` reads that order off the exact moment
+table; with independent coordinates it is the tensor-moment order too.
+
 The weak-order-two step additionally consumes a symmetric N x N matrix W
 built by ``assemble_w`` from one innovation vector u and independent signs
 kappa in {-1/2,+1/2}:
@@ -87,9 +90,15 @@ class InnovationDist:
 
     @property
     def matching_order(self) -> int | None:
-        """Largest q with all moments through order q equal to the normal's
-        (None for gaussian: all orders)."""
-        return {"rademacher": 3, "three_point": 5, "gaussian": None}[self.kind]
+        """Largest q with every moment through order q equal to the normal's:
+        the first k with ``moment(k) != gaussian_moment(k)``, minus one
+        (None for gaussian, which matches every order)."""
+        if self.kind == "gaussian":
+            return None
+        k = 1
+        while self.moment(k) == gaussian_moment(k):
+            k += 1
+        return k - 1
 
     def moment(self, k: int) -> Fraction:
         """Per-coordinate E[X^k], exact."""

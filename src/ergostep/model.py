@@ -178,27 +178,18 @@ class DiffusionModel:
 
 @dataclass(frozen=True)
 class LyapunovSpec:
-    """Lyapunov data V with psi_p(y) = y**p and phi(y) = y**a."""
+    """An essentially quadratic Lyapunov function V, its Hessian, and the
+    constants of the mean reversion AV <= beta - alpha V that the discrete
+    probe checks."""
 
     v: Callable
-    grad_v: Callable
     hess_v: Callable
     alpha: float
     beta: float
-    p: float = 1.0
-    a: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.a <= 1.0:
-            raise ValueError("phi exponent a must lie in (0, 1]")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-
-    def psi(self, y):
-        return np.asarray(y) ** self.p
-
-    def phi(self, y):
-        return np.asarray(y) ** self.a
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ import pytest
 
 from conftest import partitioned_batch
 from ergostep.catalog import monomial1d, ou1d, quadratic_lyapunov
-from ergostep.diagnostics import moment_match_report, recursive_control_probe, weak_order_probe
+from ergostep.diagnostics import recursive_control_probe, weak_order_probe
 from ergostep.empirical import WeightedEmpiricalMeasure, merge_statistics
 from ergostep.harness import ExperimentConfig, classify_regime, ks_normality, run_clt_experiment, run_ergodic_experiment, run_rate_experiment
-from ergostep.innovations import InnovationDist, assemble_w, joint_outcomes
+from ergostep.innovations import InnovationDist, assemble_w, gaussian_moment, joint_outcomes
 from ergostep.model import generator_observable
 from ergostep.schedules import StepSchedule, WeightSchedule, order_weights
 from ergostep.schemes import simulate
@@ -154,13 +154,16 @@ def test_criterion_6_weak_order_probe():
 
 
 def test_criterion_7_moment_matching():
-    tp = moment_match_report(TP, 5)
-    rad = moment_match_report(InnovationDist("rademacher", 1), 4)
-    tp_ok = all(tp.max_abs_deviation(q) == 0 for q in range(1, 6))
-    rad_ok = (all(rad.max_abs_deviation(q) == 0 for q in range(1, 4))
-              and abs(rad.deviations[4][(0, 0, 0, 0)]) == Fraction(2))
-    check(7, "three_point matches normal tensor moments exactly through order 5; "
-             "rademacher deviates by exactly 2 at the pure fourth index",
+    # independent coordinates make every tensor moment a product of these
+    # per-coordinate moments, so they decide the tensor matching order
+    rad = InnovationDist("rademacher", 1)
+    tp_ok = (all(TP.moment(k) == gaussian_moment(k) for k in range(1, 6))
+             and TP.matching_order == 5)
+    rad_ok = (all(rad.moment(k) == gaussian_moment(k) for k in range(1, 4))
+              and rad.moment(4) - gaussian_moment(4) == Fraction(-2)
+              and rad.matching_order == 3)
+    check(7, "three_point matches normal moments exactly through order 5; "
+             "rademacher deviates by exactly -2 at order four",
           tp_ok and rad_ok)
 
 
@@ -248,9 +251,9 @@ def test_criterion_8e_regime_classifier_grid():
 def test_criterion_8f_recursive_control_pass_and_fail():
     grid = np.linspace(-5.0, 5.0, 21)[:, None]
     good = recursive_control_probe("euler", OU, quadratic_lyapunov(alpha=2.0, beta=4.0),
-                                   gamma=2.0**-8, grid=grid)
+                                   2.0**-8, TP, grid=grid)
     bad = recursive_control_probe("euler", OU, quadratic_lyapunov(alpha=10.0, beta=4.0),
-                                  gamma=2.0**-8, grid=grid)
+                                  2.0**-8, TP, grid=grid)
     check("8f", "mean-reversion probe passes at (alpha=2, beta=4) and fails at alpha=10",
           good.verdict == "pass" and bad.verdict == "fail",
           f"worst_margin={float(np.min(good.margins)):.4f}")

@@ -15,6 +15,7 @@ from ergostep import cli
 from ergostep.cli import main
 from ergostep.diagnostics import WeakOrderResult
 from ergostep.harness import CONFIG_KEYS, ExperimentConfig
+from ergostep.innovations import InnovationDist
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +173,35 @@ def test_probe_json_carries_the_model_lyapunov_constants(capsys, tmp_path):
     assert code == 0
     meta = json.loads((tmp_path / "probe.json").read_text())["recursive_control"]["metadata"]
     assert (meta["alpha"], meta["beta"]) == (2.5, 2.75)
+
+
+def test_probe_report_keys(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "probe", "--output-dir", str(tmp_path))
+    assert code == 0
+    payload = json.loads((tmp_path / "probe.json").read_text())
+    assert set(payload["recursive_control"]["metadata"]) == {
+        "gamma", "scheme", "alpha", "beta", "lambda_p_grid_max", "lambda_p_is_grid_max_not_supremum"}
+    assert set(payload["moment_match"]) == {"kind", "matched_through", "required", "pass"}
+
+
+@pytest.mark.parametrize("patched", [None, 4])
+def test_clt_warning_and_probe_report_read_one_matching_order(capsys, tmp_path, monkeypatch, patched):
+    # rademacher under talay2: the clt warning and the probe's moment_match
+    # block both read InnovationDist.matching_order, so moving it moves both
+    if patched is not None:
+        monkeypatch.setattr(InnovationDist, "matching_order", property(lambda self: patched))
+    order = patched or 3
+    argv = ["--scheme", "talay2", "--innovation", "rademacher", "--output-dir", str(tmp_path)]
+    with pytest.warns(UserWarning, match=f"through order {order}, below the order-2 scheme"):
+        code, _, _ = run_cli(capsys, "clt", *argv, "--weight", "trapezoidal",
+                             "--n-steps", "200", "--replications", "2")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "probe", *argv)
+    assert code == 0
+    mm = json.loads((tmp_path / "probe.json").read_text())["moment_match"]
+    assert (mm["kind"], mm["matched_through"], mm["required"], mm["pass"]) == (
+        "rademacher", order, 5, False)
+    assert f"moments through {order} (fail)" in out
 
 
 def test_probe_ratio_below_the_window_fails(capsys, tmp_path, monkeypatch):

@@ -17,14 +17,9 @@ from ergostep.catalog import (
     ou_nd,
     quadratic_lyapunov,
 )
-from ergostep.diagnostics import (
-    default_grid,
-    moment_match_report,
-    recursive_control_probe,
-    weak_order_probe,
-)
+from ergostep.diagnostics import default_grid, recursive_control_probe, weak_order_probe
 from ergostep.harness import emit
-from ergostep.innovations import InnovationDist, joint_outcomes
+from ergostep.innovations import InnovationDist, gaussian_moment, joint_outcomes
 from ergostep.model import generator_apply, generator_observable
 from ergostep.schemes import DivergenceError, make_stepper
 
@@ -40,7 +35,7 @@ GRID = np.linspace(-5.0, 5.0, 21)[:, None]
 
 def test_recursive_control_ou_passes():
     lyap = quadratic_lyapunov(alpha=2.0, beta=4.0)
-    report = recursive_control_probe("euler", OU, lyap, gamma=2.0**-8, grid=GRID)
+    report = recursive_control_probe("euler", OU, lyap, 2.0**-8, TP, grid=GRID)
     assert report.verdict == "pass"
     assert np.all(report.margins >= -0.1)
     assert report.metadata["lambda_p_is_grid_max_not_supremum"] is True
@@ -49,20 +44,20 @@ def test_recursive_control_ou_passes():
 
 def test_recursive_control_talay_passes():
     lyap = quadratic_lyapunov(alpha=2.0, beta=4.0)
-    report = recursive_control_probe("talay2", OU, lyap, gamma=2.0**-8, grid=GRID)
+    report = recursive_control_probe("talay2", OU, lyap, 2.0**-8, TP, grid=GRID)
     assert report.verdict == "pass"
 
 
 def test_recursive_control_overtight_alpha_fails():
     lyap = quadratic_lyapunov(alpha=10.0, beta=4.0)
-    report = recursive_control_probe("euler", OU, lyap, gamma=2.0**-8, grid=GRID)
+    report = recursive_control_probe("euler", OU, lyap, 2.0**-8, TP, grid=GRID)
     assert report.verdict == "fail"
     assert abs(report.worst_point[0]) >= 2.0
 
 
 def test_recursive_control_frozen_dynamics(zero_model):
     lyap = quadratic_lyapunov(alpha=1.0, beta=10.0)
-    report = recursive_control_probe("euler", zero_model, lyap, gamma=0.1, grid=GRID)
+    report = recursive_control_probe("euler", zero_model, lyap, 0.1, TP, grid=GRID)
     v = 1.0 + GRID[:, 0] ** 2
     rhs = 10.0 - 1.0 * v
     assert np.allclose(report.margins, rhs, rtol=0, atol=1e-12)
@@ -72,12 +67,12 @@ def test_recursive_control_divergence_raises():
     cubic = poly1d_model([0.0, 0.0, 0.0, 1.0], [0.0])  # b = x^3 overflows at 1e120
     with pytest.raises(DivergenceError):
         recursive_control_probe("euler", cubic, quadratic_lyapunov(alpha=2.0, beta=4.0),
-                                gamma=0.1, grid=np.array([[1e120]]))
+                                0.1, TP, grid=np.array([[1e120]]))
 
 
 def test_recursive_control_report_json(tmp_path):
     lyap = quadratic_lyapunov(alpha=2.0, beta=4.0)
-    report = recursive_control_probe("euler", OU, lyap, gamma=2.0**-6, grid=GRID)
+    report = recursive_control_probe("euler", OU, lyap, 2.0**-6, TP, grid=GRID)
     path = tmp_path / "probe.json"
     emit(report, "json", path)
     payload = json.loads(path.read_text())
@@ -92,43 +87,49 @@ def test_default_grid_shapes():
     assert np.array_equal(default_grid(3), default_grid(3))
 
 
+# sigma(x) = 1 + x^2/4: the talay2 step carries u^2 through the surrogate W,
+# so E V(X_gamma) reads the fourth moment, 3 for three-point and 1 for
+# rademacher innovations
+STATE_SIGMA = poly1d_model([0.0, -1.0], [1.0, 0.0, 0.25])
+
+
+@pytest.mark.parametrize("model", [OU, STATE_SIGMA], ids=["ou1d", "state_sigma"])
+def test_recursive_control_enumerates_the_given_innovation(model):
+    # the driver's talay2 kernel under rademacher innovations, enumerated by
+    # hand over u = -1 and u = +1 at probability 1/2 each
+    lyap = quadratic_lyapunov(alpha=1.0, beta=3.0)
+    gamma = 2.0**-6
+    rad = InnovationDist("rademacher", 1)
+    step = make_stepper("talay2", model)
+    v = lyap.v(GRID)
+    ev = sum(0.5 * lyap.v(step(GRID, gamma, np.array([u]), np.zeros(0))) for u in (-1.0, 1.0))
+    expected = (3.0 - v) - (ev - v) / gamma
+    report = recursive_control_probe("talay2", model, lyap, gamma, rad, grid=GRID)
+    assert np.array_equal(report.margins, expected)
+    three_point = recursive_control_probe("talay2", model, lyap, gamma, TP, grid=GRID)
+    assert not np.array_equal(three_point.margins, expected)
+
+
+def test_recursive_control_needs_finite_support():
+    with pytest.raises(ValueError, match="finite-support"):
+        recursive_control_probe("talay2", OU, OU.lyapunov, 2.0**-6, InnovationDist("gaussian", 1))
+
+
 # ---------------------------------------------------------------------------
 # moment matching
 
 
-def test_three_point_matches_through_five():
-    report = moment_match_report(InnovationDist("three_point", 1), 5)
-    for q in range(1, 6):
-        assert report.max_abs_deviation(q) == 0
-    assert report.matched_through() == 5
-
-
-def test_rademacher_deviates_at_four():
-    report = moment_match_report(InnovationDist("rademacher", 1), 4)
-    for q in range(1, 4):
-        assert report.max_abs_deviation(q) == 0
-    assert report.deviations[4][(0, 0, 0, 0)] == Fraction(-2)
-    assert abs(report.deviations[4][(0, 0, 0, 0)]) == 2
-
-
-def test_gaussian_matches_everything():
-    report = moment_match_report(InnovationDist("gaussian", 2), 6)
-    for q in range(1, 7):
-        assert report.max_abs_deviation(q) == 0
-
-
-def test_mixed_indices_multidimensional():
-    report = moment_match_report(InnovationDist("rademacher", 2), 4)
-    # E[u1^2 u2^2] = 1 matches the normal's product moment
-    assert report.deviations[4][(0, 0, 1, 1)] == 0
-    assert report.deviations[4][(0, 0, 0, 0)] == Fraction(-2)
-    assert report.deviations[4][(1, 1, 1, 1)] == Fraction(-2)
-
-
-def test_three_point_sixth_order_gap():
-    report = moment_match_report(InnovationDist("three_point", 1), 6)
-    assert report.deviations[6][(0,) * 6] == Fraction(9 - 15)
-    assert report.matched_through() == 5
+@pytest.mark.parametrize("kind,order,gap", [
+    ("three_point", 5, Fraction(9 - 15)),
+    ("rademacher", 3, Fraction(1 - 3)),
+    ("gaussian", None, None),
+], ids=["three_point", "rademacher", "gaussian"])
+def test_matching_order_is_read_off_the_moment_table(kind, order, gap):
+    dist = InnovationDist(kind, 1)
+    assert dist.matching_order == order
+    assert all(dist.moment(k) == gaussian_moment(k) for k in range(1, (order or 12) + 1))
+    if order is not None:
+        assert dist.moment(order + 1) - gaussian_moment(order + 1) == gap
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +232,7 @@ def test_weak_order_state_dependent_diffusion_talay():
 def test_recursive_control_double_well():
     m = double_well(math.sqrt(2.0))
     good = recursive_control_probe("euler", m, quadratic_lyapunov(alpha=0.5, beta=4.0),
-                                   gamma=2.0**-8, grid=GRID)
+                                   2.0**-8, TP, grid=GRID)
     assert good.verdict == "pass"
 
 
@@ -246,12 +247,17 @@ CATALOG_MODELS += [OU_ND2, model_from_config({"model.id": "ou_nd", "model.dim": 
                    ou_nd([[1.0, 0.5], [-0.5, 2.0]], [[1.0, 0.2], [0.0, 0.7]])]
 
 
-@pytest.mark.parametrize("scheme", ["euler", "talay2"])
-def test_catalog_lyapunov_constants_hold_at_the_cli_probe_step(scheme):
+@pytest.mark.parametrize("scheme,kind", [
+    ("euler", "three_point"), ("talay2", "three_point"),
+    ("euler", "rademacher"), ("talay2", "rademacher"),
+], ids=["euler", "talay2", "euler-rademacher", "talay2-rademacher"])
+def test_catalog_lyapunov_constants_hold_at_the_cli_probe_step(scheme, kind):
     # the constants each constructor sets hold with no slack to spare: the
-    # default probe grid, at the step the probe subcommand uses
+    # default probe grid, at the step the probe subcommand uses, for the
+    # kernel that each finite-support innovation drives
     for m in CATALOG_MODELS:
-        report = recursive_control_probe(scheme, m, m.lyapunov, gamma=2.0**-6)
+        innovation = InnovationDist(kind, m.noise_dim)
+        report = recursive_control_probe(scheme, m, m.lyapunov, 2.0**-6, innovation)
         assert report.verdict == "pass", m.name
         assert report.margins.min() >= -1e-8, m.name
 
