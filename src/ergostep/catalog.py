@@ -3,16 +3,18 @@
 Every model here carries exact drift and diffusion derivatives through
 order two, the whole derivative contract of ``model``, so the increment
 lists, the bias operators and the generator as an observable run without
-any finite differencing, and the Lyapunov constants of V = 1 + |x|^2;
-``ou1d`` also carries its invariant law.  Observables carry exact
-derivatives through order six.  Catalog entries are addressable by name
-from the experiment config (``model.id``, ``f``), and
-``gauss_hermite_expectation`` integrates an observable against a normal
-law.
+any finite differencing, and the Lyapunov constants of V = 1 + |x|^2.
+Each also carries its invariant law as a quadrature rule: a tensor
+Gauss-Hermite rule for the normal laws of ``ou1d`` and ``ou_nd``
+(``normal_law``), and Gauss-Legendre against the Gibbs density for
+``double_well``.  Observables carry exact derivatives through order six.
+Catalog entries are addressable by name from the experiment config
+(``model.id``, ``f``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from statistics import NormalDist
@@ -20,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import DiffusionModel, LyapunovSpec, Observable
+from .innovations import ENUMERATION_CAP
+from .model import DiffusionModel, InvariantLaw, LyapunovSpec, Observable
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +36,30 @@ def _const_field(value) -> Callable:
     value = np.array(value, dtype=np.float64)
     value.setflags(write=False)
     return lambda x: value
+
+
+def normal_law(cov, per_axis: int) -> InvariantLaw:
+    """N(0, cov) by the tensor Gauss-Hermite rule of ``per_axis`` nodes per
+    axis through the square root of cov from ``eigh`` (a singular cov keeps
+    its point mass), exact for degree below 2 ``per_axis`` in each
+    coordinate; a rule of more than ``ENUMERATION_CAP`` nodes is refused."""
+    cov = np.asarray(cov, dtype=np.float64)
+    d = cov.shape[0]
+
+    @functools.cache
+    def rule():
+        if per_axis**d > ENUMERATION_CAP:
+            raise ValueError(f"enumeration blow-up: a Gauss-Hermite rule of {per_axis} nodes "
+                             f"per axis in dimension {d} exceeds the cap")
+        vals, vecs = np.linalg.eigh(cov)
+        root = math.sqrt(2.0) * (vecs * np.sqrt(np.maximum(vals, 0.0)))
+        t, w = np.polynomial.hermite.hermgauss(per_axis)
+        grid = np.stack(np.meshgrid(*[t] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        weights = functools.reduce(np.multiply.outer, [w] * d).reshape(-1)
+        return grid @ root.T, weights, math.sqrt(math.pi) ** d
+
+    normal = NormalDist(0.0, math.sqrt(cov[0, 0])) if d == 1 else None
+    return InvariantLaw(rule, normal)
 
 
 def ou1d(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> DiffusionModel:
@@ -55,15 +82,27 @@ def ou1d(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> DiffusionModel:
         dsigma=_const_field(np.zeros((1, 1, 1))),
         d2sigma=_const_field(np.zeros((1, 1, 1, 1))),
         name=f"ou1d(theta={th}, sigma={sg})",
-        law=NormalDist(0.0, math.sqrt(sg**2 / (2.0 * th))),
+        law=normal_law([[sg**2 / (2.0 * th)]], 64),
         lyapunov=quadratic_lyapunov(alpha=th, beta=th + sg**2),
     )
 
 
 def double_well(sigma: float = math.sqrt(2.0)) -> DiffusionModel:
-    """1-d double well: b = -(x^3 - x), the negative gradient of x^4/4 - x^2/2.
-    AV = 2x^2 - 2x^4 + sigma^2 <= beta - V, since -2y^2 + 3y peaks at 9/8."""
+    """1-d double well: b = -U' for U = x^4/4 - x^2/2.  AV = 2x^2 - 2x^4 +
+    sigma^2 <= beta - V, since -2y^2 + 3y peaks at 9/8.  The Gibbs law, of
+    density exp(-2U / sigma^2) = exp(-((x^2 - 1) / sigma)^2 / 2) up to a
+    constant, is 256-node Gauss-Legendre on [-L, L], 2U(L) / sigma^2 = 700:
+    within 1e-13 of adaptive quadrature for sigma in [0.05, 3], but 3e-6 off
+    for nu(Vf) of x^2 at sigma = 0.02, where the wells are narrower than the
+    node spacing.  At sigma = 0 it is not unique, and ``law`` is None."""
     sg = float(sigma)
+
+    @functools.cache
+    def rule():
+        t, w = np.polynomial.legendre.leggauss(256)
+        x = math.sqrt(1.0 + math.sqrt(1.0 + 1400.0 * sg * sg)) * t
+        weights = w * np.exp(-0.5 * ((x * x - 1.0) / sg) ** 2)
+        return x[:, None], weights, float(weights.sum())
 
     def b(x):
         return x - x**3
@@ -81,17 +120,26 @@ def double_well(sigma: float = math.sqrt(2.0)) -> DiffusionModel:
         dsigma=_const_field(np.zeros((1, 1, 1))),
         d2sigma=_const_field(np.zeros((1, 1, 1, 1))),
         name=f"double_well(sigma={sg})",
+        law=InvariantLaw(rule) if sg != 0 else None,
         lyapunov=quadratic_lyapunov(alpha=1.0, beta=sg**2 + 17.0 / 8.0),
     )
 
 
 def ou_nd(theta_matrix, sigma_matrix) -> DiffusionModel:
     """d-dimensional linear drift b(x) = -Theta x with constant diffusion; Lyapunov
-    constants as ``ou1d``'s for theta = lambda_min((Theta + Theta^T) / 2) > 0."""
+    constants as ``ou1d``'s for theta = lambda_min((Theta + Theta^T) / 2) > 0.
+    For a stable Theta the law is N(0, S), Theta S + S Theta^T = sigma sigma^T
+    by a Kronecker solve, on 6 nodes per axis: exact for Vf (degree <= 10)
+    and Mf of every catalog f."""
     th = np.asarray(theta_matrix, dtype=np.float64)
     sg = np.asarray(sigma_matrix, dtype=np.float64)
     d, n = sg.shape
     lam = float(np.linalg.eigvalsh(0.5 * (th + th.T))[0])
+    law = None
+    if np.all(np.linalg.eigvals(th).real > 0):
+        eye = np.eye(d)
+        cov = np.linalg.solve(np.kron(th, eye) + np.kron(eye, th), (sg @ sg.T).ravel())
+        law = normal_law(cov.reshape(d, d), 6)
 
     def b(x):
         return -np.einsum("ij,...j->...i", th, x)
@@ -104,6 +152,7 @@ def ou_nd(theta_matrix, sigma_matrix) -> DiffusionModel:
         dsigma=_const_field(np.zeros((d, n, d))),
         d2sigma=_const_field(np.zeros((d, n, d, d))),
         name="ou_nd",
+        law=law,
         lyapunov=quadratic_lyapunov(alpha=lam, beta=lam + float(np.sum(sg**2))) if lam > 0 else None,
     )
 
@@ -253,17 +302,3 @@ def quadratic_lyapunov(alpha: float, beta: float) -> LyapunovSpec:
         return np.broadcast_to(2.0 * np.eye(d), x.shape[:-1] + (d, d))
 
     return LyapunovSpec(v=v, hess_v=hess, alpha=alpha, beta=beta)
-
-
-# ---------------------------------------------------------------------------
-# normal laws
-
-
-def gauss_hermite_expectation(fn, mean: float = 0.0, std: float = 1.0, nodes: int = 64) -> float:
-    """E[fn(X)] for X ~ N(mean, std^2) by Gauss-Hermite quadrature; exact for
-    polynomials of degree < 2*nodes.  ``fn`` maps the grid of 1-d states
-    (nodes, 1) to values (nodes,) in one call."""
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    xs = mean + math.sqrt(2.0) * std * t
-    vals = np.asarray(fn(xs[:, None]), dtype=np.float64).reshape(-1)
-    return float(np.dot(w, vals) / math.sqrt(math.pi))

@@ -68,10 +68,10 @@ FLAGS = {
 CHOICES = {"scheme": SCHEME_KINDS, "innovation": INNOVATION_KINDS, "weight.kind": WEIGHT_KINDS}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     p.add_argument("--config", type=Path, help="flat key=value config file")
     p.add_argument("--output-dir", type=Path, default=Path("."))
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--assert", dest="assert_check", action="store_true",
                    help="fold report tolerances into the exit code")
     p.add_argument("-v", "--verbose", action="count", default=0)
@@ -229,15 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariant-distribution experiments for decreasing-step schemes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, blurb in (
-        ("simulate", _cmd_simulate, "one trajectory, ergodic-average trace"),
-        ("clt", _cmd_clt, "normalized-statistic distribution at checkpoints"),
-        ("rate", _cmd_rate, "log-log convergence-rate regression"),
-        ("probe", _cmd_probe, "hypothesis diagnostics (weak order, moments, mean reversion)"),
-        ("wasserstein", _cmd_wasserstein, "W1 distance trace to the catalog law"),
+    # the probe report is nested, so it has no CSV form
+    for name, fn, formats, blurb in (
+        ("simulate", _cmd_simulate, ("csv", "json"), "one trajectory, ergodic-average trace"),
+        ("clt", _cmd_clt, ("csv", "json"), "normalized-statistic distribution at checkpoints"),
+        ("rate", _cmd_rate, ("csv", "json"), "log-log convergence-rate regression"),
+        ("probe", _cmd_probe, ("json",), "hypothesis diagnostics (weak order, moments, mean reversion)"),
+        ("wasserstein", _cmd_wasserstein, ("csv", "json"), "W1 distance trace to the catalog law"),
     ):
         p = sub.add_parser(name, help=blurb)
-        _add_common(p)
+        _add_common(p, formats)
         p.set_defaults(fn=fn)
     return parser
 

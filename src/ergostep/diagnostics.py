@@ -77,6 +77,7 @@ def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: Lyapun
     """
     if innovation.support1d() is None:
         raise ValueError("mean-reversion probe needs a finite-support innovation")
+    model.require_noise(innovation)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if grid is None:
@@ -135,6 +136,7 @@ def weak_order_probe(scheme: str, model: DiffusionModel, f: Observable, x,
     None."""
     if innovation.support1d() is None:
         raise ValueError("weak order probe needs a finite-support innovation")
+    model.require_noise(innovation)
     if any(gamma <= 0 for gamma in gammas):
         raise ValueError("step size must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))

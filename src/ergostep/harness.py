@@ -7,8 +7,10 @@ streams, so partitioning the replications never changes a per-replication
 result, and aggregation is a deterministic reduction in replication-index
 order.  Checkpoint statistics reuse a single trajectory per replication
 (nested checkpoints), so values at different checkpoints of one replication
-are correlated; rate fits inherit that caveat.  The model's ``law``, when
-known, gives nu(Mf) and nu(Vf) by quadrature and the target of W1.
+are correlated; rate fits inherit that caveat.  The CLT centres and
+scales the statistic by nu(Mf) and nu(Vf), which the model's invariant
+law gives by quadrature, so a model without one has no CLT report; W1
+reads the law when it is a 1-d normal.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import catalog
 from .empirical import SummaryStats, WeightedEmpiricalMeasure, merge_statistics, wasserstein1_atoms
 from .innovations import InnovationDist
 from .model import DiffusionModel, Observable, generator_observable, m1_euler, m1_talay, m2_talay, vf_operator
-from .schedules import StepSchedule, WeightSchedule, order_weights, variance_clock
+from .schedules import StepSchedule, WeightSchedule, order_weights
 from .schemes import simulate_batch
 
 
@@ -262,20 +264,21 @@ def _validated_checkpoints(config: ExperimentConfig) -> list[int]:
 
 
 class CheckpointRecorder:
-    """Feeds pre-step state blocks into measures, snapshotting values at
-    checkpoint step counts (splitting blocks exactly at checkpoints).
-    Steps k <= burn_in are dropped before they reach the measures; the
-    surviving steps keep their original weights eta_k.
+    """Feeds pre-step state blocks into a measure of one observable,
+    snapshotting its per-replication values at checkpoint step counts
+    (splitting blocks exactly at checkpoints).  Steps k <= burn_in are
+    dropped before they reach the measure; the surviving steps keep their
+    original weights eta_k.
 
     With a ``law``, each checkpoint also stores in ``w1[c]`` the W1 distance
-    from every replication's buffered atoms of ``measures["main"]`` to that
-    law, so no copy of the buffer outlives the checkpoint."""
+    from every replication's buffered atoms to that law, so no copy of the
+    buffer outlives the checkpoint."""
 
-    def __init__(self, measures: dict[str, WeightedEmpiricalMeasure],
-                 checkpoints, law: NormalDist | None = None, burn_in: int = 0):
-        self.measures = measures
+    def __init__(self, measure: WeightedEmpiricalMeasure, checkpoints,
+                 law: NormalDist | None = None, burn_in: int = 0):
+        self.measure = measure
         self.checkpoints = sorted(int(c) for c in checkpoints)
-        self.snapshots: dict[int, dict[str, dict[str, np.ndarray]]] = {}
+        self.snapshots: dict[int, np.ndarray] = {}
         self.w1: dict[int, np.ndarray] = {}
         self.law = law
         self.burn_in = int(burn_in)
@@ -298,31 +301,32 @@ class CheckpointRecorder:
             seg = seg[drop:]
         if seg.shape[0] == 0:
             return
-        for meas in self.measures.values():
-            meas.observe_block(k0, seg)
+        self.measure.observe_block(k0, seg)
 
     def _snap(self, c: int) -> None:
-        self.snapshots[c] = {
-            key: {name: np.array(meas.value(name), ndmin=1) for name in meas.names}
-            for key, meas in self.measures.items()
-        }
+        (name,) = self.measure.names
+        self.snapshots[c] = np.array(self.measure.value(name), ndmin=1)
         if self.law is not None:
-            states, wts = self.measures["main"].buffer()
+            states, wts = self.measure.buffer()
             self.w1[c] = np.array([wasserstein1_atoms(states[:, r, 0], wts, self.law)
                                    for r in range(states.shape[1])])
 
 
-def _run_blocks(config: ExperimentConfig, model: DiffusionModel, measures, checkpoints,
+def _run_blocks(config: ExperimentConfig, model: DiffusionModel, fn, checkpoints,
                 law: NormalDist | None = None):
-    """Run all replications of ``model`` as one vectorized batch into
-    ``measures``, each with ``batch_shape=(config.replications,)``; with a
-    ``law``, the recorder takes each replication's W1 to it at every checkpoint.
+    """Run all replications of ``model`` as one vectorized batch, folding
+    ``fn`` of the states into each replication's weighted empirical measure;
+    with a ``law``, the measure buffers ``config.buffer_capacity`` atoms and
+    the recorder takes each replication's W1 to the law at every checkpoint.
 
     Returns (the recorder, excluded pairs, indices of the kept
     replications); more than 5% excluded raises ``ExperimentError``.
     """
     r_total = config.replications
-    recorder = CheckpointRecorder(measures, checkpoints, law=law, burn_in=config.burn_in)
+    measure = WeightedEmpiricalMeasure(weights=config.weights(), batch_shape=(r_total,),
+                                       buffer_capacity=config.buffer_capacity if law is not None else 0)
+    measure.register("f", fn)
+    recorder = CheckpointRecorder(measure, checkpoints, law=law, burn_in=config.burn_in)
     res = simulate_batch(config.scheme, model, config.steps(), config.innovation(model),
                          config.n_steps, np.full(model.dim, config.x0),
                          master_seed=config.seed, replications=r_total, sinks=[recorder])
@@ -349,11 +353,8 @@ class CltReport:
     statistics: dict[int, np.ndarray]          # per checkpoint, per replication
     normalizers: dict[int, float]
     predicted_variance: float
-    variance_source: str                       # analytic | ergodic
-    ergodic_variance: float | None
     predicted_shift: dict[int, float]
     l_hat: dict[int, float]
-    ergodic_correction_mean: float | None
     summaries: dict[int, SummaryStats]
     ks: dict[int, tuple[float, bool]]
     excluded: list
@@ -373,12 +374,17 @@ class CltReport:
 def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     """R independent trajectories; at each checkpoint n the normalized
     statistic H_n / (C sqrt(Gamma_n)) * nu_n(Af) per replication, plus the
-    variance/shift predictions of the matching limit law.  With a burn-in b
-    every sum runs over k in (b, n]: H_n - H_b, Gamma_n - Gamma_b and the
+    variance/shift predictions of the matching limit law, nu(Vf) and
+    nu(Mf) by quadrature against the model's invariant law.  With a burn-in
+    b every sum runs over k in (b, n]: H_n - H_b, Gamma_n - Gamma_b and the
     auxiliary H_n - H_b replace the full sums."""
     if config.replications < 2:
         raise ConfigError("CLT experiments need at least two replications")
     model = config.model()
+    law = model.law
+    if law is None:
+        raise ConfigError(f"model {model.name!r} has no unique invariant law to centre "
+                          f"and scale the CLT statistic")
     steps = config.steps()
     q = config.scheme_order()
     decision = classify_regime(steps, config.weight_kind, q, n_max=max(config.n_steps, 10**4))
@@ -401,11 +407,8 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     af = generator_observable(model, f)
     checkpoints = _validated_checkpoints(config)
 
-    def vf_fn(xs):
-        return vf_operator(model, f, xs)
-
-    m_operator = None
-    if decision.regime == "B_mixed" or decision.regime == "C_bias":
+    nu_m = 0.0
+    if decision.regime != "A_centered":
         if innovation.kind == "gaussian":
             raise ConfigError(
                 f"regime {decision.regime} enumerates Mf over the innovation's finite support, "
@@ -413,30 +416,10 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
                 f"innovations, or a regime-A xi > 1/{2 * q + 1}")
         operator = {("euler", 1): m1_euler, ("talay2", 1): m1_talay,
                     ("talay2", 2): m2_talay}[config.scheme, q]
-        m_operator = lambda xs: operator(model, f, xs, innovation)
+        nu_m = law.expect(lambda xs: operator(model, f, xs, innovation))
+    predicted_variance = law.expect(lambda xs: vf_operator(model, f, xs))
 
-    # the invariant averages of the correction operator and of Vf: by
-    # quadrature when the law is known, else by the ergodic averages of Mf
-    # and Vf over the states
-    law = model.law
-    nu_m = None
-    if m_operator is not None and law is not None:
-        nu_m = catalog.gauss_hermite_expectation(m_operator, mean=law.mean,
-                                                 std=math.sqrt(law.variance))
-    per_state_m = m_operator is not None and nu_m is None
-
-    batch = (config.replications,)
-    main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=batch)
-    main.register("Af", af.fn)
-    if per_state_m:
-        main.register("Mf", m_operator)
-    measures = {"main": main}
-    if law is None:
-        measures["clock"] = WeightedEmpiricalMeasure(weights=variance_clock(steps), batch_shape=batch)
-        measures["clock"].register("Vf", vf_fn)
-
-    recorder, excluded, keep = _run_blocks(config, model, measures, checkpoints)
-    snaps = recorder.snapshots
+    recorder, excluded, keep = _run_blocks(config, model, af.fn, checkpoints)
 
     aux = order_weights(steps, q)
     weights = config.weights(steps)
@@ -447,8 +430,6 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     l_hats: dict[int, float] = {}
     summaries: dict[int, SummaryStats] = {}
     ks: dict[int, tuple[float, bool]] = {}
-
-    ergodic_m = None
 
     b = config.burn_in
     for c in checkpoints:
@@ -461,29 +442,8 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
             norm = h_n / (config.weight_c * math.sqrt(g_n))
         normalizers[c] = norm
         l_hats[c] = math.sqrt(g_n) / aux_n
-        vals = snaps[c]["main"]["Af"][keep]
-        statistics[c] = norm * vals
-        if decision.regime == "B_mixed":
-            nm = nu_m if nu_m is not None else float(np.mean(snaps[c]["main"]["Mf"][keep]))
-            shifts[c] = nm / l_hats[c]
-        elif decision.regime == "C_bias":
-            nm = nu_m if nu_m is not None else float(np.mean(snaps[c]["main"]["Mf"][keep]))
-            shifts[c] = nm
-        else:
-            shifts[c] = 0.0
-
-    final = checkpoints[-1]
-    ergodic_variance = None
-    if law is not None:
-        predicted_variance = catalog.gauss_hermite_expectation(
-            vf_fn, mean=law.mean, std=math.sqrt(law.variance))
-        variance_source = "analytic"
-    else:
-        ergodic_variance = float(np.mean(snaps[final]["clock"]["Vf"][keep]))
-        predicted_variance = ergodic_variance
-        variance_source = "ergodic"
-    if per_state_m:
-        ergodic_m = float(np.mean(snaps[final]["main"]["Mf"][keep]))
+        statistics[c] = norm * recorder.snapshots[c][keep]
+        shifts[c] = nu_m / l_hats[c] if decision.regime == "B_mixed" else nu_m
 
     for c in checkpoints:
         summaries[c] = merge_statistics(statistics[c])
@@ -499,11 +459,8 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         statistics=statistics,
         normalizers=normalizers,
         predicted_variance=predicted_variance,
-        variance_source=variance_source,
-        ergodic_variance=ergodic_variance,
         predicted_shift=shifts,
         l_hat=l_hats,
-        ergodic_correction_mean=ergodic_m,
         summaries=summaries,
         ks=ks,
         excluded=excluded,
@@ -547,21 +504,15 @@ def run_ergodic_experiment(config: ExperimentConfig, want_w1: bool) -> ErgodicRe
     distances to the model's invariant law when ``want_w1``."""
     model = config.model()
     f = config.observable(model)
-    law = model.law
+    law = model.law.normal if want_w1 and model.law is not None else None
     if want_w1 and law is None:
-        raise ConfigError("Wasserstein trace needs a model with a catalog invariant law")
+        raise ConfigError("Wasserstein trace needs a model whose invariant law is a 1-d normal")
     if want_w1 and config.buffer_capacity <= 0:
         raise ConfigError("Wasserstein trace needs buffer_capacity > 0")
     checkpoints = _validated_checkpoints(config)
-    steps = config.steps()
 
-    main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(config.replications,),
-                                    buffer_capacity=config.buffer_capacity if want_w1 else 0)
-    main.register("f", f.fn)
-
-    recorder, excluded, keep = _run_blocks(config, model, {"main": main}, checkpoints,
-                                           law=law if want_w1 else None)
-    values = {int(c): recorder.snapshots[c]["main"]["f"][keep] for c in checkpoints}
+    recorder, excluded, keep = _run_blocks(config, model, f.fn, checkpoints, law=law)
+    values = {int(c): recorder.snapshots[c][keep] for c in checkpoints}
     w1 = None
     mean_w1 = None
     if want_w1:
@@ -633,16 +584,12 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     model = config.model()
     f = config.observable(model)
     af = generator_observable(model, f)
-    steps = config.steps()
     checkpoints = _validated_checkpoints(config)
 
-    main = WeightedEmpiricalMeasure(weights=config.weights(steps), batch_shape=(config.replications,))
-    main.register("Af", af.fn)
-
-    recorder, excluded, keep = _run_blocks(config, model, {"main": main}, checkpoints)
+    recorder, excluded, keep = _run_blocks(config, model, af.fn, checkpoints)
     points = []
     for c in checkpoints:
-        vals = recorder.snapshots[c]["main"]["Af"][keep]
+        vals = recorder.snapshots[c][keep]
         points.append((int(c), float(np.sqrt(np.mean(vals**2)))))
     slope, ci = fit_loglog(points)
     theo = -min(q * config.xi, 0.5 - config.xi / 2.0)

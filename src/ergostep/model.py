@@ -2,7 +2,9 @@
 
 A ``DiffusionModel`` packages the drift b, diffusion matrix sigma, and their
 derivative oracles for dX = b dt + sigma dW, and its invariant law and
-Lyapunov constants when known.  An ``Observable`` is a scalar test
+Lyapunov constants when known.  An ``InvariantLaw`` is a quadrature rule
+for the invariant law nu, so nu(g) of an operator g is one call of g on
+the rule's nodes.  An ``Observable`` is a scalar test
 function together with a directional-derivative callback
 
     dirderiv(x, k, (v_1, ..., v_k)) = (D^k f(x); v_1 x ... x v_k)
@@ -121,9 +123,9 @@ class DiffusionModel:
     are optional: the Euler kernel and its bias operator read only b and
     sigma, and whatever reads a missing one raises
     ``InsufficientDerivativesError`` naming it.  The two fields after
-    ``d2sigma`` are unread.  ``law`` is the invariant law when it is known
-    in closed form, and ``lyapunov`` a V with constants for which the
-    discrete mean-reversion probe holds; None when the model has none.
+    ``d2sigma`` are unread.  ``law`` is the invariant law as a quadrature
+    rule, and ``lyapunov`` a V with constants for which the discrete
+    mean-reversion probe holds; None when the model has none.
     """
 
     dim: int
@@ -138,7 +140,7 @@ class DiffusionModel:
     db_higher: Callable | None = None
     dsigma_higher: Callable | None = None
     name: str = ""
-    law: NormalDist | None = None
+    law: InvariantLaw | None = None
     lyapunov: LyapunovSpec | None = None
 
     # -- derivative access ---------------------------------------------------
@@ -151,6 +153,12 @@ class DiffusionModel:
                 f"the model lacks the analytic derivative field {name!r}; talay2 and the "
                 f"generator observable need b and sigma differentiated through order two")
         return field
+
+    def require_noise(self, innovation: InnovationDist) -> None:
+        """Raise ``ValueError`` unless ``innovation`` draws one coordinate per
+        noise column, so that sigma U is the model's noise."""
+        if innovation.dimension != self.noise_dim:
+            raise ValueError("innovation dimension must match the model's noise dimension")
 
     def require_derivatives(self) -> None:
         """Raise ``InsufficientDerivativesError`` naming the first missing
@@ -174,6 +182,24 @@ class DiffusionModel:
         """a = sigma sigma^T, shape (..., d, d)."""
         s = self.sigma(x)
         return np.einsum("...in,...jn->...ij", s, s)
+
+
+@dataclass(frozen=True)
+class InvariantLaw:
+    """The invariant law nu as a quadrature rule.  ``rule()`` returns the
+    nodes (m, d), their weights (m,) and the weights' total; it builds them
+    on its first call, so a model that never integrates pays nothing.
+    ``normal`` is the law itself when it is a 1-d normal, the one law that
+    W1 reads."""
+
+    rule: Callable[[], tuple[np.ndarray, np.ndarray, float]]
+    normal: NormalDist | None = None
+
+    def expect(self, fn) -> float:
+        """nu(fn), with ``fn`` mapping all the nodes (m, d) to values (m,)
+        in one call."""
+        nodes, weights, total = self.rule()
+        return float(np.dot(weights, fn(nodes)) / total)
 
 
 @dataclass(frozen=True)
@@ -312,6 +338,7 @@ def _expansion_coefficient(scheme: str, p: int, model: DiffusionModel, f: Observ
     """
     if f.max_order < 2 * p:
         raise InsufficientOrderError(f"insufficient observable order: need {2 * p}, have {f.max_order}")
+    model.require_noise(innovation)
     x = np.asarray(x, dtype=np.float64)
     # ascending j, so each term's directions come lowest power first
     incs = sorted((inc for inc in increments(scheme, model, x) if inc[0] <= 2 * p),

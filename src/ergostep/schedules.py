@@ -103,7 +103,7 @@ class WeightSchedule:
                       telescoping gives H_n = c * (Gamma_n + Gamma_{n-1}) / 2,
                       which is how H_n is evaluated (the identity is exact).
     ``power``:        eta_n = gamma_n ** r (no constant; houses the auxiliary
-                      weights gamma^{q+1} and the variance clock gamma).
+                      weights gamma^{q+1}).
     """
 
     kind: str
@@ -144,11 +144,6 @@ class WeightSchedule:
         if g.kind == "constant":
             return n * g.gamma1 ** self.r
         return g.gamma1 ** self.r * _power_sum(g.xi * self.r, n)
-
-
-def variance_clock(step: StepSchedule) -> WeightSchedule:
-    """The weight sequence epsilon(gamma_n) = gamma_n driving the CLT variance."""
-    return WeightSchedule(kind="power", reference=step, r=1.0)
 
 
 def order_weights(step: StepSchedule, q: int) -> WeightSchedule:

@@ -375,8 +375,7 @@ def _initial_state(x0, d: int) -> np.ndarray:
 def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
            innovation: InnovationDist, n_steps: int, x0: np.ndarray,
            master_seed: int, replications: Sequence[int], sinks: Sequence[StateSink]) -> BatchResult:
-    if innovation.dimension != model.noise_dim:
-        raise ValueError("innovation dimension must match the model's noise dimension")
+    model.require_noise(innovation)
     r_count, d, n = len(replications), model.dim, model.noise_dim
     gens_u = [_stream(master_seed, r, 0) for r in replications]
     n_kappa = kappa_count(n) if scheme == "talay2" else 0

@@ -2,6 +2,7 @@
 plus exact structural checks.  Reference configuration throughout: the 1-d
 Ornstein-Uhlenbeck model b(x) = -x, sigma = sqrt(2) with invariant law
 N(0, 1), observable f = x^2 (so Af = 2 - 2x^2, |sigma' Df|^2 = 8x^2).
+Criterion 9 puts the nonlinear double-well drift under the CLT.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.
@@ -26,6 +27,8 @@ from ergostep.schedules import StepSchedule, WeightSchedule, order_weights
 from ergostep.schemes import simulate
 
 MASTER_SEED = 20260809
+# upper 1e-5 point of sqrt(R) times the Kolmogorov distance
+KS_SQRT_R_1E5 = 2.4516
 RATE_GRID = (10_000, 30_000, 100_000, 300_000, 1_000_000)
 
 OU = ou1d(1.0, math.sqrt(2.0))
@@ -257,3 +260,24 @@ def test_criterion_8f_recursive_control_pass_and_fail():
     check("8f", "mean-reversion probe passes at (alpha=2, beta=4) and fails at alpha=10",
           good.verdict == "pass" and bad.verdict == "fail",
           f"worst_margin={float(np.min(good.margins)):.4f}")
+
+
+@pytest.mark.parametrize("scheme,weight,xi", [("euler", "proportional", 1.0 / 3.0),
+                                              ("talay2", "trapezoidal", 0.2)])
+def test_criterion_9_double_well_clt(scheme, weight, xi):
+    # regime B under b = x - x^3, where Mf is not trivial: the statistic is
+    # judged against N(nu(M f) / l_hat_n, nu(Vf)) from the Gibbs quadrature
+    n = 20_000
+    cfg = ExperimentConfig(model_id="double_well", scheme=scheme, weight_kind=weight, gamma1=0.25,
+                           xi=xi, n_steps=n, replications=100, seed=MASTER_SEED, checkpoints=(n,))
+    rep = run_clt_experiment(cfg)
+    assert rep.regime == "B_mixed"
+    stats = rep.statistics[n]
+    s = merge_statistics(stats)
+    shift = rep.predicted_shift[n]
+    d, _ = ks_normality(stats, variance=rep.predicted_variance, mean=shift)
+    ks_scaled = math.sqrt(len(stats)) * d
+    check(9, f"double-well {scheme} CLT: sqrt(R) KS < {KS_SQRT_R_1E5} against N(shift, nu(Vf)) "
+             f"and |mean - shift| < 4 SE",
+          ks_scaled < KS_SQRT_R_1E5 and abs(s.mean - shift) < 4.0 * s.mean_se,
+          f"sqrtR*ks={ks_scaled:.3f} mean={s.mean:.4f} shift={shift:.4f} 4SE={4 * s.mean_se:.4f}")

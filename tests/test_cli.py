@@ -465,3 +465,54 @@ def test_importing_the_cli_and_harness_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    # the benchmark times exactly this import as its set-up, so only a
+    # change to ergostep/__init__.py can move that figure
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, ergostep; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('ergostep', 'numpy')))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "['ergostep']"
+
+
+def test_probe_refuses_csv(capsys, tmp_path):
+    # the probe report is nested and has only a JSON form
+    code, _, err = run_cli(capsys, "probe", "--format", "csv", "--output-dir", str(tmp_path))
+    assert code == 2 and "--format" in err
+    assert not (tmp_path / "probe.json").exists()
+    code, _, _ = run_cli(capsys, "probe", "--output-dir", str(tmp_path))
+    assert code == 0 and (tmp_path / "probe.json").exists()
+
+
+def test_clt_refuses_a_model_without_a_unique_invariant_law(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "clt", "--model", "double_well", "--sigma", "0",
+                           "--n-steps", "200", "--replications", "4", "--output-dir", str(tmp_path))
+    assert code == 2 and "invariant law" in err
+    assert not (tmp_path / "clt.csv").exists()
+
+
+def test_clt_refuses_a_quadrature_rule_past_the_cap_before_simulating(capsys, tmp_path, monkeypatch):
+    from ergostep import harness
+
+    cfg = tmp_path / "ou8.cfg"
+    cfg.write_text("model.id = ou_nd\nmodel.dim = 8\nf = x1^2\n")
+    runs = []
+    simulate_batch = harness.simulate_batch
+
+    def counted(*args, **kwargs):
+        runs.append(args[0])
+        return simulate_batch(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_batch", counted)
+    code, _, err = run_cli(capsys, "clt", "--config", str(cfg), "--n-steps", "200",
+                           "--replications", "4", "--output-dir", str(tmp_path / "clt"))
+    assert code == 2 and "enumeration blow-up" in err
+    assert runs == []
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--n-steps", "200",
+                           "--output-dir", str(tmp_path / "simulate"))
+    assert code == 0, err
+    assert runs == ["euler"]

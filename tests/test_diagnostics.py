@@ -276,10 +276,13 @@ def test_catalog_lyapunov_constants_hold_at_the_cli_probe_step(scheme, kind):
 def test_ou_lyapunov_constants_and_law():
     m = ou1d(2.5, 0.7)
     assert (m.lyapunov.alpha, m.lyapunov.beta) == (2.5, 2.5 + 0.7**2)
-    assert m.law.mean == 0.0 and m.law.variance == pytest.approx(0.7**2 / 5.0, rel=1e-15)
+    assert m.law.normal.mean == 0.0 and m.law.normal.variance == pytest.approx(0.7**2 / 5.0, rel=1e-15)
     nd = ou_nd(np.diag([0.5, 2.0]), np.eye(2))
     assert (nd.lyapunov.alpha, nd.lyapunov.beta) == (0.5, 2.5)
-    assert nd.law is None and double_well().law is None
+    # every catalog model carries its law; only a 1-d normal one has a NormalDist
+    assert nd.law.normal is None and double_well().law.normal is None
+    assert nd.law.expect(lambda xs: xs[:, 0] ** 2) == pytest.approx(1.0, rel=1e-14)
+    assert nd.law.expect(lambda xs: xs[:, 1] ** 2) == pytest.approx(0.25, rel=1e-14)
 
 
 @pytest.mark.parametrize("theta", [0.0, -1.0])
@@ -294,3 +297,16 @@ def test_ou_nd_without_mean_reversion_has_no_lyapunov_constants():
     assert ou_nd([[1.0, 0.0], [0.0, -0.5]], np.eye(2)).lyapunov is None
     # a rotation has no symmetric part: AV = tr(sigma sigma^T) > 0
     assert ou_nd([[0.0, 1.0], [-1.0, 0.0]], np.eye(2)).lyapunov is None
+
+
+@pytest.mark.parametrize("probe", ["recursive_control", "weak_order"])
+def test_probes_refuse_an_innovation_of_another_dimension(probe):
+    # a 1-d innovation on 2-d noise would broadcast one draw across both
+    # noise columns: perfectly correlated noise, not the model's
+    model = ou_nd(np.eye(2), math.sqrt(2.0) * np.eye(2))
+    one = InnovationDist("three_point", 1)
+    with pytest.raises(ValueError, match="innovation dimension"):
+        if probe == "recursive_control":
+            recursive_control_probe("euler", model, model.lyapunov, 2.0**-6, one)
+        else:
+            weak_order_probe("euler", model, coordinate_monomial((2, 0)), np.ones(2), [2.0**-6, 2.0**-7], one)

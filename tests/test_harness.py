@@ -27,7 +27,7 @@ from ergostep.harness import (
 )
 from ergostep.catalog import ou1d
 from ergostep.empirical import WeightedEmpiricalMeasure, wasserstein1_atoms
-from ergostep.model import generator_observable, vf_operator
+from ergostep.model import generator_observable, m1_euler, vf_operator
 from ergostep.schedules import StepSchedule, order_weights
 from ergostep.schemes import make_stepper, simulate, trajectory_generators
 
@@ -93,7 +93,7 @@ def test_builders():
     })
     model = cfg.model()
     assert model.dim == 1
-    assert model.law.variance == pytest.approx(0.25)
+    assert model.law.normal.variance == pytest.approx(0.25)
     assert cfg.observable(model).name == "x^4"
     assert cfg.scheme_order() == 2
 
@@ -321,7 +321,7 @@ def test_ergodic_w1_is_the_w1_of_each_serial_replication_buffer():
         simulate(cfg.scheme, model, steps, cfg.innovation(model), cfg.n_steps, [cfg.x0],
                  rng_seed=cfg.seed, sinks=[measure], replication=r)
         states, weights = measure.buffer()
-        want = wasserstein1_atoms(states[:, 0], weights, model.law)
+        want = wasserstein1_atoms(states[:, 0], weights, model.law.normal)
         assert rep.w1[3000][r] == pytest.approx(want, rel=1e-12)
 
 
@@ -478,9 +478,9 @@ def test_report_rows_carry_original_replication_ids(tmp_path):
 def test_statistic_normalizer_identities():
     # proportional weights: H_n / (C sqrt(H_gamma,n)) == sqrt(Gamma_n)
     st = StepSchedule("power_law", 1.0, 1.0 / 3.0)
-    from ergostep.schedules import WeightSchedule, variance_clock
+    from ergostep.schedules import WeightSchedule
 
-    clock = variance_clock(st)
+    clock = WeightSchedule("power", st, r=1.0)
     prop = WeightSchedule("proportional", st, c=2.2)
     trap = WeightSchedule("trapezoidal", st, c=2.2)
     ratio_prev = 0.0
@@ -618,26 +618,32 @@ def test_known_law_takes_nu_mf_from_quadrature_alone(tmp_path):
                                         n_steps=2000, replications=4, checkpoints=(2000,)), 0.5)):
         rep = run_clt_experiment(cfg)
         assert rep.regime == "B_mixed"
-        assert rep.ergodic_correction_mean is None
         assert rep.predicted_shift[2000] == pytest.approx(_regime_b_shift(cfg, nu_m, 2000), rel=1e-12)
-        emit(rep, "json", tmp_path / "clt.json")
-        assert json.loads((tmp_path / "clt.json").read_text())["ergodic_correction_mean"] is None
 
 
 @pytest.mark.parametrize("mapping", [
     {"model.id": "ou_nd", "model.dim": "2", "f": "x1^2"},
     {"model.id": "double_well", "step.gamma1": "0.25"},
 ], ids=["ou_nd", "double_well"])
-def test_unknown_law_keeps_the_ergodic_mf_average(mapping):
+def test_shift_is_the_quadrature_nu_mf_over_l_hat(mapping, monkeypatch):
+    shapes = []
+
+    def m1(model, f, xs, innovation):
+        shapes.append(np.shape(xs))
+        return m1_euler(model, f, xs, innovation)
+
+    monkeypatch.setattr(harness, "m1_euler", m1)
     cfg = ExperimentConfig.from_mapping({**mapping, "scheme": "euler", "step.xi": "0.3333333333333333",
                                          "n_steps": "2000", "replications": "4",
                                          "checkpoints": "2000"})
     rep = run_clt_experiment(cfg)
     assert rep.regime == "B_mixed"
-    assert isinstance(rep.ergodic_correction_mean, float)
-    # with no law, the shift averages the same per-state Mf
-    assert rep.predicted_shift[2000] == pytest.approx(rep.ergodic_correction_mean / rep.l_hat[2000],
-                                                      rel=1e-12)
+    # Mf sees only the rule's nodes, never a tile of states
+    model = cfg.model()
+    nodes = model.law.rule()[0]
+    assert shapes == [nodes.shape]
+    nu_m = model.law.expect(lambda xs: m1_euler(model, cfg.observable(model), xs, cfg.innovation(model)))
+    assert rep.predicted_shift[2000] == nu_m / rep.l_hat[2000]
 
 
 @pytest.mark.parametrize("model_id", ["ou1d", "double_well"])
@@ -679,18 +685,14 @@ def test_known_law_evaluates_no_vf_per_state(mapping, monkeypatch, tmp_path):
                                          "n_steps": "2000", "replications": "4",
                                          "checkpoints": "2000"})
     rep = run_clt_experiment(cfg)
+    # nu(Vf) by quadrature: Vf sees the rule's nodes (64 Gauss-Hermite nodes
+    # for ou1d, 6 x 6 for ou_nd, 256 Gauss-Legendre nodes for double_well),
+    # never a tile of states
+    assert shapes == [{"ou1d": (64, 1), "ou_nd": (36, 2), "double_well": (256, 1)}[mapping["model.id"]]]
+    want = {"ou1d": 8.0, "ou_nd": 8.0, "double_well": 8.334378371897248}[mapping["model.id"]]
+    assert rep.predicted_variance == pytest.approx(want, rel=1e-12)
     emit(rep, "json", tmp_path / "clt.json")
-    reported = json.loads((tmp_path / "clt.json").read_text())["ergodic_variance"]
-    if mapping["model.id"] == "ou1d":
-        # nu(Vf) by quadrature: Vf sees the 64 Gauss-Hermite nodes, never a tile of states
-        assert shapes == [(64, 1)]
-        assert rep.ergodic_variance is None and reported is None
-        assert rep.variance_source == "analytic"
-        assert rep.predicted_variance == pytest.approx(8.0, rel=1e-12)
-    else:
-        assert any(len(shape) == 3 for shape in shapes)
-        assert isinstance(rep.ergodic_variance, float) and reported == rep.ergodic_variance
-        assert rep.variance_source == "ergodic" and rep.predicted_variance == rep.ergodic_variance
+    assert "ergodic_variance" not in json.loads((tmp_path / "clt.json").read_text())
 
 
 def test_ks_distance_matches_scipy():

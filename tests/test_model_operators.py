@@ -10,7 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import broadcast_ou, directional_fd, linear_combination, poly1d_model
-from ergostep.catalog import coordinate_monomial, double_well, gauss_hermite_expectation, monomial1d, ou1d, ou_nd
+from ergostep.catalog import (
+    coordinate_monomial,
+    double_well,
+    model_from_config,
+    monomial1d,
+    normal_law,
+    observable_from_name,
+    ou1d,
+    ou_nd,
+)
 from ergostep.cli import TALAY_RATIO_WINDOW
 from ergostep.diagnostics import weak_order_probe
 from ergostep.innovations import InnovationDist
@@ -240,7 +249,7 @@ def test_bias_average_matches_the_constant_step_oracle(op, scheme, q, limit):
     a = step(np.ones((1, 1)), gamma, np.zeros((1, 1)), None)[0, 0]
     c = step(np.zeros((1, 1)), gamma, np.ones((1, 1)), None)[0, 0]
     oracle = (2.0 - 2.0 * c * c / (1.0 - a * a)) / gamma**q
-    nu_m = gauss_hermite_expectation(lambda xs: op(OU, X2, xs, TP))
+    nu_m = OU.law.expect(lambda xs: op(OU, X2, xs, TP))
     assert nu_m == pytest.approx(limit, abs=1e-12)
     assert abs(nu_m - oracle) <= gamma
 
@@ -273,7 +282,7 @@ def test_euler_bias_operator_evaluates_fields_once():
 def test_invariant_average_of_generator_vanishes(k):
     # Gauss-Hermite integral of A f under N(0, 1) for polynomial f
     f = monomial1d(k)
-    val = gauss_hermite_expectation(lambda xs: generator_apply(OU, f, xs))
+    val = OU.law.expect(lambda xs: generator_apply(OU, f, xs))
     assert abs(val) <= 1e-8
 
 
@@ -441,3 +450,87 @@ def test_unbatched_fields_are_bit_identical_to_broadcast_fields():
         got = simulate_batch(scheme, hoisted, steps, TP, 2000, [0.5], 9, 8).final_states
         want = simulate_batch(scheme, ref, steps, TP, 2000, [0.5], 9, 8).final_states
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# invariant laws of the catalog models
+
+# a non-diagonal, non-normal Theta with correlated noise
+THETA_2D = np.array([[1.0, 0.6], [-0.4, 2.0]])
+SIGMA_2D = np.array([[1.0, 0.3], [0.0, 0.8]])
+
+
+def _covariance(law, d):
+    return np.array([[law.expect(lambda xs: xs[:, i] * xs[:, j]) for j in range(d)] for i in range(d)])
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.5, math.sqrt(2.0), 3.0])
+def test_double_well_gibbs_rule_matches_adaptive_quadrature(sigma):
+    from scipy import integrate
+
+    model = double_well(sigma)
+
+    def gibbs_mean(op):
+        # density exp(-2U / sigma^2) up to a constant, U = x^4/4 - x^2/2
+        def dens(x):
+            return math.exp(-0.5 * ((x * x - 1.0) / sigma) ** 2)
+
+        def quad(g):
+            return integrate.quad(g, -6.0, 6.0, points=(-1.0, 0.0, 1.0), epsabs=0.0,
+                                  epsrel=1e-13, limit=500)[0]
+
+        return quad(lambda x: float(op(np.array([[x]]))[0]) * dens(x)) / quad(dens)
+
+    for op in (lambda xs: vf_operator(model, X2, xs), lambda xs: m1_euler(model, X2, xs, TP)):
+        assert model.law.expect(op) == pytest.approx(gibbs_mean(op), rel=1e-12)
+
+
+def test_isotropic_ou_nd_law_gives_the_variance_of_each_observable():
+    model = model_from_config({"model.id": "ou_nd", "model.dim": 2})
+    for name, want in (("x1^2", 8.0), ("x1*x2", 4.0)):
+        f = observable_from_name(name, 2)
+        assert model.law.expect(lambda xs: vf_operator(model, f, xs)) == pytest.approx(want, rel=1e-14)
+
+
+def test_ou_nd_in_one_dimension_is_ou1d():
+    one = model_from_config({"model.id": "ou_nd", "model.dim": 1})
+    for k in range(1, 7):
+        f = monomial1d(k)
+        assert (one.law.expect(lambda xs: vf_operator(one, f, xs))
+                == pytest.approx(OU.law.expect(lambda xs: vf_operator(OU, f, xs)), rel=1e-15))
+    for k in (2, 4):
+        f = monomial1d(k)
+        assert (one.law.expect(lambda xs: m2_talay(one, f, xs, TP))
+                == pytest.approx(OU.law.expect(lambda xs: m2_talay(OU, f, xs, TP)), rel=1e-15))
+    assert one.law.normal == OU.law.normal
+
+
+def test_ou_nd_law_solves_the_lyapunov_equation():
+    cov = _covariance(ou_nd(THETA_2D, SIGMA_2D).law, 2)
+    residual = THETA_2D @ cov + cov @ THETA_2D.T - SIGMA_2D @ SIGMA_2D.T
+    assert np.abs(residual).max() <= 1e-14
+
+
+def test_ou_nd_rule_is_exact_for_the_variance_of_a_degree_six_observable():
+    # Vf of x1^6 has degree 10: 6 nodes per axis integrate it exactly, 4 do not
+    model = ou_nd(THETA_2D, SIGMA_2D)
+    cov = _covariance(model.law, 2)
+    f = coordinate_monomial((6, 0))
+
+    def vf(xs):
+        return vf_operator(model, f, xs)
+
+    wide = normal_law(cov, 8).expect(vf)
+    assert model.law.expect(vf) == pytest.approx(wide, rel=1e-13)
+    assert abs(normal_law(cov, 4).expect(vf) / wide - 1.0) > 0.1
+
+
+def test_ou_nd_without_mean_reversion_has_no_law():
+    assert ou_nd([[1.0, 0.0], [0.0, -0.5]], np.eye(2)).law is None
+    assert ou_nd([[0.0, 1.0], [-1.0, 0.0]], np.eye(2)).law is None
+
+
+def test_bias_operator_refuses_an_innovation_of_another_dimension():
+    model = ou_nd(np.eye(2), math.sqrt(2.0) * np.eye(2))
+    with pytest.raises(ValueError, match="innovation dimension"):
+        m1_euler(model, coordinate_monomial((2, 0)), np.zeros((3, 2)), TP)

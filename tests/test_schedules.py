@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergostep.harness import ExperimentConfig
-from ergostep.schedules import StepSchedule, WeightSchedule, order_weights, variance_clock
+from ergostep.schedules import StepSchedule, WeightSchedule, order_weights
 
 EPS = np.finfo(np.float64).eps
 
@@ -169,7 +169,7 @@ def test_ratio_trend_matches_regime_rule(xi, q):
 
 def test_variance_clock_is_gamma_weights():
     steps = StepSchedule("power_law", 1.0, 0.5)
-    clock = variance_clock(steps)
+    clock = WeightSchedule("power", steps, r=1.0)
     assert clock.eta_block(7, 8)[0] == steps.gamma(7)
     assert clock.big_h(100) == pytest.approx(steps.big_gamma(100), rel=1e-14)
 
