@@ -91,15 +91,20 @@ def double_well(sigma: float = math.sqrt(2.0)) -> DiffusionModel:
     """1-d double well: b = -U' for U = x^4/4 - x^2/2.  AV = 2x^2 - 2x^4 +
     sigma^2 <= beta - V, since -2y^2 + 3y peaks at 9/8.  The Gibbs law, of
     density exp(-2U / sigma^2) = exp(-((x^2 - 1) / sigma)^2 / 2) up to a
-    constant, is 256-node Gauss-Legendre on [-L, L], 2U(L) / sigma^2 = 700:
-    within 1e-13 of adaptive quadrature for sigma in [0.05, 3], but 3e-6 off
-    for nu(Vf) of x^2 at sigma = 0.02, where the wells are narrower than the
-    node spacing.  At sigma = 0 it is not unique, and ``law`` is None."""
+    constant, is Gauss-Legendre on [-L, L], 2U(L) / sigma^2 = 700, with 256
+    nodes for |sigma| >= 0.05 and 256 ceil(0.05 / |sigma|) below, so the
+    node spacing keeps up with the wells' width sigma: within 1e-12 of
+    adaptive quadrature for |sigma| in [0.01, 3].  Below 0.01 the rule
+    refuses to build.  At sigma = 0 the law is not unique, and ``law`` is
+    None."""
     sg = float(sigma)
 
     @functools.cache
     def rule():
-        t, w = np.polynomial.legendre.leggauss(256)
+        width = abs(sg)
+        if width < 0.01:
+            raise ValueError(f"the double_well Gibbs rule needs |model.sigma| >= 0.01, got {sg!r}")
+        t, w = np.polynomial.legendre.leggauss(256 * math.ceil(0.05 / width) if width < 0.05 else 256)
         x = math.sqrt(1.0 + math.sqrt(1.0 + 1400.0 * sg * sg)) * t
         weights = w * np.exp(-0.5 * ((x * x - 1.0) / sg) ** 2)
         return x[:, None], weights, float(weights.sum())

@@ -36,17 +36,16 @@ class ProbeReport:
     metadata: dict = field(default_factory=dict)
 
 
-def default_grid(dim: int, radius: float = 5.0, points_per_axis: int = 21,
-                 cloud_size: int = 200, seed: int = 0xE260D) -> np.ndarray:
-    """Tensor grid over [-radius, radius]^d for d <= 2, else a fixed-seed
-    uniform cloud (pointwise inequalities need actionable counterexamples,
-    not quadrature nodes)."""
+def default_grid(dim: int) -> np.ndarray:
+    """Tensor grid of 21 points per axis over [-5, 5]^d for d <= 2, else a
+    fixed-seed uniform cloud of 200 points (pointwise inequalities need
+    actionable counterexamples, not quadrature nodes)."""
     if dim <= 2:
-        axis = np.linspace(-radius, radius, points_per_axis)
+        axis = np.linspace(-5.0, 5.0, 21)
         grids = np.meshgrid(*([axis] * dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return rng.uniform(-radius, radius, size=(cloud_size, dim))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0xE260D)))
+    return rng.uniform(-5.0, 5.0, size=(200, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +74,7 @@ def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: Lyapun
     expectation is the exact sum over the finite support of ``innovation``,
     the law the driver draws from.
     """
-    if innovation.support1d() is None:
+    if innovation.kind == "gaussian":
         raise ValueError("mean-reversion probe needs a finite-support innovation")
     model.require_noise(innovation)
     if gamma <= 0:
@@ -134,7 +133,7 @@ def weak_order_probe(scheme: str, model: DiffusionModel, f: Observable, x,
     weak-order-two kernel.  Consecutive error ratios near 2^(q+1) confirm
     the O(gamma^(q+1)) remainder; a ratio over an exactly zero error is
     None."""
-    if innovation.support1d() is None:
+    if innovation.kind == "gaussian":
         raise ValueError("weak order probe needs a finite-support innovation")
     model.require_noise(innovation)
     if any(gamma <= 0 for gamma in gammas):

@@ -30,7 +30,7 @@ from .empirical import SummaryStats, WeightedEmpiricalMeasure, merge_statistics,
 from .innovations import InnovationDist
 from .model import DiffusionModel, Observable, generator_observable, m1_euler, m1_talay, m2_talay, vf_operator
 from .schedules import StepSchedule, WeightSchedule, order_weights
-from .schemes import simulate_batch
+from .schemes import SCHEME_KINDS, simulate_batch
 
 
 class ConfigError(ValueError):
@@ -141,22 +141,21 @@ class ExperimentConfig:
         # a result; the key stays for existing configs and accepts only 1
         if self.threads != 1:
             raise ConfigError(f"bad value for threads: must be 1, got {self.threads!r}")
+        if self.scheme not in SCHEME_KINDS:
+            raise ConfigError(f"unknown scheme {self.scheme!r}")
 
     @classmethod
-    def from_mapping(cls, cfg: dict[str, str], overrides: dict[str, str] | None = None) -> "ExperimentConfig":
-        merged = dict(cfg)
-        if overrides:
-            merged.update({k: v for k, v in overrides.items() if v is not None})
-        unknown = sorted(set(merged) - set(CONFIG_KEYS))
+    def from_mapping(cls, cfg: dict[str, str]) -> "ExperimentConfig":
+        unknown = sorted(set(cfg) - set(CONFIG_KEYS))
         if unknown:
             raise ConfigError(f"unknown config key {unknown[0]!r}")
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         kwargs: dict = {"model_params": {}}
         for key, name in CONFIG_KEYS.items():
-            if key not in merged:
+            if key not in cfg:
                 continue
             try:
-                value = _parse_value(key, name, defaults[name], str(merged[key]).strip())
+                value = _parse_value(key, name, defaults[name], str(cfg[key]).strip())
             except ValueError as err:
                 raise ConfigError(f"bad value for {key}: {err}") from err
             if name == "model_params":
@@ -576,6 +575,8 @@ def fit_loglog(points) -> tuple[float, tuple[float, float]]:
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     """RMS over replications of nu_n(Af) on an n-grid, with the fitted
     log-log slope against the theoretical exponent -(q xi ^ (1/2 - xi/2))."""
+    if config.step_kind != "power_law":
+        raise ConfigError("rate experiments need power-law steps: the target exponent reads step.xi")
     if config.replications < 50:
         raise ConfigError("rate experiments need at least 50 replications")
     if len(config.checkpoints) < 3:

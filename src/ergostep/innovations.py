@@ -32,9 +32,10 @@ that buffer.  Gaussian values are the normals themselves, in stream-major
 order, so a gaussian block draw keeps a second float64 block for the
 transposing copy into C order.
 
-``joint_outcomes`` is built once per (law, with_kappa) and cached as a
-tuple of read-only arrays, so exact expectations over many batches of
-states share one enumeration.
+``joint_outcomes`` is the one enumeration of the finite laws' supports,
+with the signs kappa when asked: it is built once per (law, with_kappa)
+and cached as a tuple of read-only arrays, so exact expectations over many
+batches of states share one enumeration.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ INNOVATION_KINDS = ("gaussian", "rademacher", "three_point")
 ENUMERATION_CAP = 10**6
 
 _SQRT3 = math.sqrt(3.0)
+
+# per-coordinate (value, probability) pairs of each finite law
+_SUPPORT = {
+    "rademacher": ((-1.0, 0.5), (1.0, 0.5)),
+    "three_point": ((-_SQRT3, 1.0 / 6.0), (0.0, 2.0 / 3.0), (_SQRT3, 1.0 / 6.0)),
+}
 
 # per-coordinate moments E[X^k] as exact rationals (gaussian: (k-1)!! for even k)
 _MOMENTS = {
@@ -168,28 +175,6 @@ class InnovationDist:
         out *= _SQRT3
         return out
 
-    def support1d(self) -> list[tuple[float, float]] | None:
-        """Per-coordinate (value, probability) pairs; None for gaussian."""
-        if self.kind == "gaussian":
-            return None
-        if self.kind == "rademacher":
-            return [(-1.0, 0.5), (1.0, 0.5)]
-        return [(-_SQRT3, 1.0 / 6.0), (0.0, 2.0 / 3.0), (_SQRT3, 1.0 / 6.0)]
-
-    def outcomes(self) -> list[tuple[np.ndarray, float]]:
-        """All joint values of the innovation vector with probabilities."""
-        sup = self.support1d()
-        if sup is None:
-            raise ValueError("gaussian innovations have no finite support")
-        if len(sup) ** self.dimension > ENUMERATION_CAP:
-            raise ValueError("enumeration blow-up: innovation support too large")
-        out = []
-        for combo in itertools.product(sup, repeat=self.dimension):
-            u = np.array([v for v, _ in combo])
-            p = math.prod(p for _, p in combo)
-            out.append((u, p))
-        return out
-
 
 def assemble_w(u: np.ndarray, kappa: np.ndarray | None) -> np.ndarray:
     """Surrogate matrix for one or many draws: u (..., N) and kappa
@@ -222,31 +207,30 @@ def sample_kappa(rng: np.random.Generator, noise_dim: int, size: int | None = No
     return rng.integers(0, 2, size=shape).astype(np.float64) - 0.5
 
 
-def kappa_outcomes(noise_dim: int) -> list[tuple[np.ndarray, float]]:
-    """All sign patterns of the upper-triangular kappa with probabilities."""
-    k = kappa_count(noise_dim)
-    if k == 0:
-        return [(np.zeros(0), 1.0)]
-    if 2**k > ENUMERATION_CAP:
-        raise ValueError("enumeration blow-up: too many kappa components")
-    out = []
-    for signs in itertools.product((-0.5, 0.5), repeat=k):
-        out.append((np.array(signs), 0.5**k))
-    return out
-
-
 @functools.lru_cache(maxsize=16)
 def joint_outcomes(dist: InnovationDist, with_kappa: bool = False) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
     """Joint (u, kappa, probability) outcomes for exact expectations, built
-    once per (dist, with_kappa); the arrays are read-only.
+    once per (dist, with_kappa): u runs over the innovation's support and,
+    for each u, kappa over the upper-triangular sign patterns (empty without
+    ``with_kappa``).  The arrays are read-only.
 
     Raises on gaussian innovations or when the outcome count would exceed
     the enumeration cap.
     """
-    us = dist.outcomes()
-    ks = kappa_outcomes(dist.dimension) if with_kappa else [(np.zeros(0), 1.0)]
-    if len(us) * len(ks) > ENUMERATION_CAP:
+    if dist.kind == "gaussian":
+        raise ValueError("gaussian innovations have no finite support")
+    support = _SUPPORT[dist.kind]
+    k = kappa_count(dist.dimension) if with_kappa else 0
+    if len(support) ** dist.dimension * 2**k > ENUMERATION_CAP:
         raise ValueError("enumeration blow-up: joint outcome count exceeds cap")
-    for arr, _ in (*us, *ks):
-        arr.setflags(write=False)
-    return tuple((u, k, pu * pk) for u, pu in us for k, pk in ks)
+
+    signs = [np.array(kap, dtype=np.float64) for kap in itertools.product((-0.5, 0.5), repeat=k)]
+    out = []
+    for combo in itertools.product(support, repeat=dist.dimension):
+        u = np.array([v for v, _ in combo])
+        prob = math.prod(p for _, p in combo) * 0.5**k
+        out.extend((u, kap, prob) for kap in signs)
+    for u, kap, _ in out:
+        u.setflags(write=False)
+        kap.setflags(write=False)
+    return tuple(out)

@@ -31,9 +31,9 @@ On top of these the module evaluates:
     A^2 f, the weak-order-two target, is the generator applied to it
 
 Expectations over the innovation (and sign draws) are exact sums over
-their finite supports, and every derivative of b and sigma is the model's
-analytic field: an operation that needs a missing one raises
-``InsufficientDerivativesError``.
+``joint_outcomes``, and every derivative of b and sigma is the model's
+analytic field, called directly once ``require_derivatives`` has found all
+four: a missing one raises ``InsufficientDerivativesError``.
 
 All callbacks are vectorized over leading batch axes: states have shape
 (..., d), drifts (..., d), diffusions (..., d, N).  A field or derivative
@@ -121,11 +121,10 @@ class DiffusionModel:
     Derivative data runs through order two, which is all that the increment
     lists, the bias operators and A^2 f read.  The four derivative fields
     are optional: the Euler kernel and its bias operator read only b and
-    sigma, and whatever reads a missing one raises
-    ``InsufficientDerivativesError`` naming it.  The two fields after
-    ``d2sigma`` are unread.  ``law`` is the invariant law as a quadrature
-    rule, and ``lyapunov`` a V with constants for which the discrete
-    mean-reversion probe holds; None when the model has none.
+    sigma, and whatever reads them calls ``require_derivatives`` first.
+    The two fields after ``d2sigma`` are unread.  ``law`` is the invariant
+    law as a quadrature rule, and ``lyapunov`` a V with constants for which
+    the discrete mean-reversion probe holds; None when the model has none.
     """
 
     dim: int
@@ -143,17 +142,6 @@ class DiffusionModel:
     law: InvariantLaw | None = None
     lyapunov: LyapunovSpec | None = None
 
-    # -- derivative access ---------------------------------------------------
-
-    def _derivative(self, name: str) -> Callable:
-        """The derivative field ``name``; raises when the model lacks it."""
-        field = getattr(self, name)
-        if field is None:
-            raise InsufficientDerivativesError(
-                f"the model lacks the analytic derivative field {name!r}; talay2 and the "
-                f"generator observable need b and sigma differentiated through order two")
-        return field
-
     def require_noise(self, innovation: InnovationDist) -> None:
         """Raise ``ValueError`` unless ``innovation`` draws one coordinate per
         noise column, so that sigma U is the model's noise."""
@@ -164,19 +152,10 @@ class DiffusionModel:
         """Raise ``InsufficientDerivativesError`` naming the first missing
         field of db, d2b, dsigma and d2sigma."""
         for name in ("db", "d2b", "dsigma", "d2sigma"):
-            self._derivative(name)
-
-    def drift_jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self._derivative("db")(x)
-
-    def drift_hessian(self, x: np.ndarray) -> np.ndarray:
-        return self._derivative("d2b")(x)
-
-    def diffusion_jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self._derivative("dsigma")(x)
-
-    def diffusion_hessian(self, x: np.ndarray) -> np.ndarray:
-        return self._derivative("d2sigma")(x)
+            if getattr(self, name) is None:
+                raise InsufficientDerivativesError(
+                    f"the model lacks the analytic derivative field {name!r}; talay2 and the "
+                    f"generator observable need b and sigma differentiated through order two")
 
     def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
         """a = sigma sigma^T, shape (..., d, d)."""
@@ -278,14 +257,15 @@ def increments(scheme: str, model: DiffusionModel, x: np.ndarray) -> list:
 
     if scheme == "euler":
         return [(2, False, b), (1, True, noise)]
-    db, ds = model.drift_jacobian(x), model.diffusion_jacobian(x)
+    model.require_derivatives()
+    db, ds = model.db(x), model.dsigma(x)
     a = np.einsum("...in,...jn->...ij", s, s)
     sigma_tilde = (np.einsum("...ij,...jn->...in", db, s)
                    + np.einsum("...inj,...j->...in", ds, b)
-                   + 0.5 * np.einsum("...inlj,...lj->...in", model.diffusion_hessian(x), a))
+                   + 0.5 * np.einsum("...inlj,...lj->...in", model.d2sigma(x), a))
     coup = 0.5 * sigma_tilde
     ab = (np.einsum("...kj,...j->...k", db, b)
-          + 0.5 * np.einsum("...kij,...ij->...k", model.drift_hessian(x), a))
+          + 0.5 * np.einsum("...kij,...ij->...k", model.d2b(x), a))
 
     def drift(u, kappa):
         return b + 0.5 * np.einsum("...ail,...lj,...ij->...a", ds, s, assemble_w(u, kappa))

@@ -204,32 +204,32 @@ def make_stepper(scheme: str, model: DiffusionModel):
     model.require_derivatives()
     if d == 1 and n == 1:
         s = _bound_scalar(model.sigma, 2)
-        db = _bound_scalar(model.drift_jacobian, 2)
-        d2b = _bound_scalar(model.drift_hessian, 3)
-        ds = _bound_scalar(model.diffusion_jacobian, 3)
-        d2s = _bound_scalar(model.diffusion_hessian, 4)
+        db = _bound_scalar(model.db, 2)
+        d2b = _bound_scalar(model.d2b, 3)
+        ds = _bound_scalar(model.dsigma, 3)
+        d2s = _bound_scalar(model.d2sigma, 4)
 
         def step(x, gamma, u, kappa):
             x1 = x[..., 0]
             u1 = u[..., 0]
             b1 = model.b(x)[..., 0]
             s1 = model.sigma(x)[..., 0, 0] if s is None else s
-            db1 = model.drift_jacobian(x)[..., 0, 0] if db is None else db
+            db1 = model.db(x)[..., 0, 0] if db is None else db
             s2 = s1 * s1
             # a factor bound to exactly 0 drops its products (None != 0.0)
             drift = b1
             coup = db1 * s1
             if ds != 0.0:
-                ds1 = model.diffusion_jacobian(x)[..., 0, 0, 0] if ds is None else ds
+                ds1 = model.dsigma(x)[..., 0, 0, 0] if ds is None else ds
                 drift = b1 + 0.5 * (ds1 * s1 * (u1 * u1 - 1.0))
                 coup = coup + ds1 * b1
             coup = 0.5 * coup
             if d2s != 0.0:
-                d2s1 = model.diffusion_hessian(x)[..., 0, 0, 0, 0] if d2s is None else d2s
+                d2s1 = model.d2sigma(x)[..., 0, 0, 0, 0] if d2s is None else d2s
                 coup = coup + 0.25 * d2s1 * s2
             ab = db1 * b1
             if d2b != 0.0:
-                d2b1 = model.drift_hessian(x)[..., 0, 0, 0] if d2b is None else d2b
+                d2b1 = model.d2b(x)[..., 0, 0, 0] if d2b is None else d2b
                 ab = ab + 0.5 * s2 * d2b1
             out = (x1 + math.sqrt(gamma) * s1 * u1
                    + gamma * drift
@@ -275,7 +275,6 @@ _DRIVE_SIDES = ("kernel", "draw", "feed", "wait")
 class BatchResult:
     final_states: np.ndarray          # (R, d)
     excluded: list = field(default_factory=list)  # (replication, step) pairs
-    n_steps: int = 0
     seconds: dict = field(default_factory=lambda: dict.fromkeys(_DRIVE_SIDES, 0.0))
 
 
@@ -437,7 +436,7 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
             seconds["kernel"] += kernel_s
             feed(j)
     return BatchResult(final_states=slab(len(blocks) - 1)[-1].copy(), excluded=sorted(excluded.items()),
-                       n_steps=n_steps, seconds=seconds)
+                       seconds=seconds)
 
 
 def _run_forked(count: int, advance, draw, feed, excluded: dict, seconds: dict) -> None:

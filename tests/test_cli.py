@@ -370,6 +370,11 @@ def test_rate_default_checkpoints_end_at_small_n_steps(capsys, tmp_path):
     (["clt", "--model", "ou_nd", "--theta", "0"], "model.theta"),
     (["rate", "--sigma", "0", "--n-steps", "500"], "at n = 5"),
     (["rate", "--f", "x^0", "--n-steps", "500"], "at n = 5"),
+    # argparse choices guard only the flag; the config key is checked on the config
+    *(([cmd, "--config", "scheme = foo"], "unknown scheme 'foo'")
+      for cmd in ("clt", "simulate", "wasserstein", "probe", "rate")),
+    # the rate target -min(q xi, 1/2 - xi/2) reads xi, which constant steps ignore
+    (["rate", "--config", "step.kind = constant", "--gamma1", "0.05", "--n-steps", "500"], "power-law"),
 ])
 def test_out_of_range_value_exit_two_names_key(capsys, tmp_path, argv, key):
     if "--config" in argv:  # the text after --config is the file's content
@@ -380,6 +385,13 @@ def test_out_of_range_value_exit_two_names_key(capsys, tmp_path, argv, key):
     code, _, err = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
     assert code == 2
     assert key in err
+
+
+def test_double_well_below_the_gibbs_floor_refuses_clt_and_still_simulates(capsys, tmp_path):
+    model = ["--model", "double_well", "--sigma", "0.005", "--gamma1", "0.25", "--n-steps", "200"]
+    code, _, err = run_cli(capsys, "clt", *model, "--replications", "4", "--output-dir", str(tmp_path))
+    assert code == 2 and "0.01" in err
+    assert run_cli(capsys, "simulate", *model, "--output-dir", str(tmp_path))[0] == 0
 
 
 def test_wasserstein_sigma_zero_measures_w1_to_the_point_mass(capsys, tmp_path):
@@ -455,16 +467,21 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_importing_the_cli_and_harness_loads_no_scipy():
+def test_importing_the_cli_and_harness_loads_no_scipy(tmp_path):
     # only the W1 distance imports scipy, inside the call, so a run that
-    # computes no W1 never pays for loading it
+    # computes no W1 never pays for loading it: neither the imports nor the
+    # benchmarked clt and regime-classification calls load it
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys, ergostep.cli, ergostep.harness; "
+    code = ("import sys, ergostep.cli, ergostep.harness\n"
+            "from ergostep.schedules import StepSchedule\n"
+            "assert ergostep.cli.main(['clt', '--n-steps', '200', '--replications', '4', "
+            f"'--output-dir', {str(tmp_path)!r}]) == 0\n"
+            "ergostep.harness.classify_regime(StepSchedule('power_law', 1.0, 0.25), 'proportional', 1)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_importing_the_package_loads_no_submodule_and_no_numpy():

@@ -80,11 +80,6 @@ def test_config_values_parse_by_field_type():
         ExperimentConfig.from_mapping({"model.sigma": "-inf"})
 
 
-def test_overrides_win():
-    cfg = ExperimentConfig.from_mapping({"step.xi": "0.5"}, {"step.xi": "0.25"})
-    assert cfg.xi == 0.25
-
-
 def test_builders():
     cfg = ExperimentConfig.from_mapping({
         "model.id": "ou1d", "model.theta": "2.0", "model.sigma": "1.0",

@@ -13,7 +13,6 @@ from ergostep.innovations import (
     assemble_w,
     gaussian_moment,
     joint_outcomes,
-    kappa_outcomes,
     sample_kappa,
 )
 from ergostep.schemes import trajectory_generators
@@ -37,7 +36,7 @@ def test_analytic_moments(kind, order, expected):
 def test_enumeration_moments_exact(kind):
     dist = InnovationDist(kind, 1)
     for order in range(1, 7):
-        emp = math.fsum(p * u[0] ** order for u, p in dist.outcomes())
+        emp = math.fsum(p * u[0] ** order for u, _, p in joint_outcomes(dist))
         assert abs(emp - float(dist.moment(order))) <= 1e-14
 
 
@@ -45,7 +44,7 @@ def test_outcome_probabilities_sum_to_one():
     for kind in ("three_point", "rademacher"):
         for dim in (1, 2, 3):
             dist = InnovationDist(kind, dim)
-            assert abs(math.fsum(p for _, p in dist.outcomes()) - 1.0) <= 1e-14
+            assert abs(math.fsum(p for _, _, p in joint_outcomes(dist)) - 1.0) <= 1e-14
             assert abs(math.fsum(p for _, _, p in joint_outcomes(dist, with_kappa=True)) - 1.0) <= 1e-14
 
 
@@ -231,19 +230,21 @@ def test_sample_kappa_values():
 
 
 def test_kappa_outcomes_count():
-    assert len(kappa_outcomes(1)) == 1
-    assert len(kappa_outcomes(3)) == 8
+    # one empty sign pattern per u without signs, 2^(N(N-1)/2) with them
+    assert len(joint_outcomes(InnovationDist("rademacher", 1), with_kappa=True)) == 2
+    assert len(joint_outcomes(InnovationDist("rademacher", 3), with_kappa=True)) == 8 * 8
+    assert joint_outcomes(InnovationDist("three_point", 1), with_kappa=True)[0][1].shape == (0,)
 
 
 def test_enumeration_cap():
     big = InnovationDist("three_point", 13)
     with pytest.raises(ValueError, match="blow-up"):
-        big.outcomes()
+        joint_outcomes(big)
 
 
 def test_gaussian_has_no_support():
     with pytest.raises(ValueError):
-        InnovationDist("gaussian", 1).outcomes()
+        joint_outcomes(InnovationDist("gaussian", 1))
 
 
 def test_invalid_kind_rejected():

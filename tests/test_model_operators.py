@@ -464,7 +464,7 @@ def _covariance(law, d):
     return np.array([[law.expect(lambda xs: xs[:, i] * xs[:, j]) for j in range(d)] for i in range(d)])
 
 
-@pytest.mark.parametrize("sigma", [0.05, 0.5, math.sqrt(2.0), 3.0])
+@pytest.mark.parametrize("sigma", [0.01, 0.02, 0.05, 0.5, math.sqrt(2.0), 3.0])
 def test_double_well_gibbs_rule_matches_adaptive_quadrature(sigma):
     from scipy import integrate
 
@@ -483,6 +483,13 @@ def test_double_well_gibbs_rule_matches_adaptive_quadrature(sigma):
 
     for op in (lambda xs: vf_operator(model, X2, xs), lambda xs: m1_euler(model, X2, xs, TP)):
         assert model.law.expect(op) == pytest.approx(gibbs_mean(op), rel=1e-12)
+
+
+def test_double_well_gibbs_rule_refuses_sigma_below_its_floor():
+    # the rule is built on first use, so the model itself still builds
+    law = double_well(0.005).law
+    with pytest.raises(ValueError, match="0.01"):
+        law.expect(lambda xs: xs[:, 0])
 
 
 def test_isotropic_ou_nd_law_gives_the_variance_of_each_observable():

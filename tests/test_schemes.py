@@ -233,10 +233,10 @@ def test_general_branch_matches_written_out_kernel(scheme):
         if scheme == "euler":
             want = xs + gamma * m.b(xs) + math.sqrt(gamma) * su
         else:
-            theta = np.einsum("...ail,...lj,...ij->...a", m.diffusion_jacobian(xs), m.sigma(xs),
+            theta = np.einsum("...ail,...lj,...ij->...a", m.dsigma(xs), m.sigma(xs),
                               assemble_w(us, kaps))
             # D sigma, D^2 sigma and D^2 b vanish: sigma_tilde = Db sigma, Ab = Db b
-            db = m.drift_jacobian(xs)
+            db = m.db(xs)
             coup = 0.5 * np.einsum("...ij,...jn->...in", db, m.sigma(xs))
             ab = np.einsum("...kj,...j->...k", db, m.b(xs))
             want = (xs + math.sqrt(gamma) * su
