@@ -15,6 +15,7 @@ Catalog entries are addressable by name from the experiment config
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from statistics import NormalDist
@@ -200,31 +201,12 @@ def _falling(k: int, m: int) -> float:
     return out
 
 
-def monomial1d(k: int) -> Observable:
-    """x^k on R with exact directional derivatives."""
-    if not 0 <= k <= 6:
-        raise ValueError("monomial degree must lie in [0, 6]")
-
-    def fn(x):
-        return np.asarray(x)[..., 0] ** k
-
-    def dd(x, m, dirs):
-        if m > k:
-            return 0.0
-        if m == k:  # the constant k!, since x**0 is exactly 1.0
-            out = _falling(k, k)
-        else:
-            x1 = np.asarray(x, dtype=np.float64)[..., 0]
-            out = _falling(k, m) * (x1 if k - m == 1 else x1 ** (k - m))
-        for v in dirs:
-            out = out * np.asarray(v)[..., 0]
-        return out
-
-    return Observable(fn=fn, dirderiv=dd, max_order=6, name=f"x^{k}")
-
-
 def coordinate_monomial(exponents) -> Observable:
-    """prod_i x_i^{a_i} with exact directional derivatives (total degree <= 6)."""
+    """prod_i x_i^{a_i} with exact directional derivatives (total degree <= 6),
+    named ``x^k`` in one dimension.  A derivative is the sum over the
+    assignments of its directions to coordinates, accumulated from the first
+    term reached: past the degree it is the float 0.0, and at the degree
+    along directions without batch axes it has none either."""
     exps = tuple(int(a) for a in exponents)
     if any(a < 0 for a in exps) or sum(exps) > 6:
         raise ValueError("exponents must be non-negative with total degree <= 6")
@@ -232,8 +214,8 @@ def coordinate_monomial(exponents) -> Observable:
 
     def fn(x):
         x = np.asarray(x, dtype=np.float64)
-        out = np.ones(x.shape[:-1])
-        for i, a in enumerate(exps):
+        out = x[..., 0] ** exps[0]
+        for i, a in enumerate(exps[1:], 1):
             if a:
                 out = out * x[..., i] ** a
         return out
@@ -242,30 +224,27 @@ def coordinate_monomial(exponents) -> Observable:
         out = None
         for i, (a, c) in enumerate(zip(exps, counts)):
             if c > a:
-                return 0.0
+                return None
             fac = _falling(a, c)
-            term = fac * x[..., i] ** (a - c) if a - c else fac
-            out = term if out is None else out * term
-        return out if out is not None else 1.0
+            if a - c:
+                fac = fac * (x[..., i] if a - c == 1 else x[..., i] ** (a - c))
+            out = fac if out is None else out * fac
+        return out
 
     def dd(x, m, dirs):
-        import itertools
-
         x = np.asarray(x, dtype=np.float64)
-        out = np.zeros(x.shape[:-1])
+        out = None
         for assign in itertools.product(range(d), repeat=m):
-            counts = [0] * d
-            for c in assign:
-                counts[c] += 1
-            term = partial(x, counts)
-            if isinstance(term, float) and term == 0.0:
+            term = partial(x, [assign.count(i) for i in range(d)])
+            if term is None:
                 continue
             for t, c in enumerate(assign):
                 term = term * np.asarray(dirs[t])[..., c]
-            out = out + term
-        return out
+            out = term if out is None else out + term
+        return 0.0 if out is None else out
 
-    name = "*".join(f"x{i+1}^{a}" for i, a in enumerate(exps) if a) or "1"
+    name = (f"x^{exps[0]}" if d == 1
+            else "*".join(f"x{i+1}^{a}" for i, a in enumerate(exps) if a) or "1")
     return Observable(fn=fn, dirderiv=dd, max_order=6, name=name)
 
 
@@ -285,8 +264,6 @@ def observable_from_name(name: str, dim: int = 1) -> Observable:
         if not 0 <= idx < dim:
             raise ValueError(f"coordinate out of range in observable {name!r}")
         exps[idx] += int(m.group(2)) if m.group(2) else 1
-    if dim == 1:
-        return monomial1d(exps[0])
     return coordinate_monomial(exps)
 
 

@@ -18,8 +18,9 @@ file nor a flag set; ``simulate`` always runs one replication.  Exit codes:
   1  the experiment failed: a tolerance missed under ``--assert``, more
      than 5% of the replications diverged, a ``probe`` expectation that
      is not finite, or an experiment error
-  2  usage or configuration error: a bad flag or config value, or any
-     other value the library rejects with ``ValueError``
+  2  usage or configuration error: a bad flag or config value, any other
+     value the library rejects with ``ValueError``, an output path that
+     cannot be written, or a configured magnitude that overflows
   3  internal error (any other exception), a bug in ergostep; ``-v``
      prints the traceback
 """
@@ -253,8 +254,11 @@ def main(argv=None) -> int:
     try:
         args.output_dir.mkdir(parents=True, exist_ok=True)
         return args.fn(args)
-    except ValueError as err:  # ConfigError, and every value the library rejects
+    except (ValueError, OSError) as err:  # ConfigError, every value the library rejects, a bad path
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except OverflowError:  # Python's own text is "(34, 'Numerical result out of range')"
+        print("error: a configured value is out of floating-point range", file=sys.stderr)
         return 2
     except (ExperimentError, DivergenceError) as err:
         print(f"experiment failed: {err}", file=sys.stderr)

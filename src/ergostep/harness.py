@@ -29,7 +29,7 @@ from . import catalog
 from .empirical import SummaryStats, WeightedEmpiricalMeasure, merge_statistics, wasserstein1_atoms
 from .innovations import InnovationDist
 from .model import DiffusionModel, Observable, generator_observable, m1_euler, m1_talay, m2_talay, vf_operator
-from .schedules import StepSchedule, WeightSchedule, order_weights
+from .schedules import STEP_KINDS, WEIGHT_KINDS, StepSchedule, WeightSchedule, order_weights
 from .schemes import SCHEME_KINDS, simulate_batch
 
 
@@ -143,6 +143,10 @@ class ExperimentConfig:
             raise ConfigError(f"bad value for threads: must be 1, got {self.threads!r}")
         if self.scheme not in SCHEME_KINDS:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
+        if self.step_kind not in STEP_KINDS:
+            raise ConfigError(f"unknown step kind {self.step_kind!r}")
+        if self.weight_kind not in WEIGHT_KINDS:
+            raise ConfigError(f"unknown weight kind {self.weight_kind!r}")
 
     @classmethod
     def from_mapping(cls, cfg: dict[str, str]) -> "ExperimentConfig":
@@ -251,7 +255,7 @@ def _validated_checkpoints(config: ExperimentConfig) -> list[int]:
     checkpoints = list(config.checkpoints) or [config.n_steps]
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ConfigError("checkpoints must be strictly increasing")
-    if checkpoints[-1] != config.n_steps or any(c > config.n_steps for c in checkpoints):
+    if checkpoints[-1] != config.n_steps:
         raise ConfigError("checkpoints must end at n_steps")
     if checkpoints[0] <= config.burn_in:
         raise ConfigError("checkpoints must lie beyond the burn-in")
@@ -358,13 +362,12 @@ class CltReport:
     ks: dict[int, tuple[float, bool]]
     excluded: list
     config: dict
-    replication_ids: list = field(default_factory=list)
+    replication_ids: list
     regime_decision: RegimeDecision | None = None
 
     def rows(self):
         for c in self.checkpoints:
-            ids = self.replication_ids or range(len(self.statistics[c]))
-            for r, s in zip(ids, self.statistics[c]):
+            for r, s in zip(self.replication_ids, self.statistics[c]):
                 yield {"checkpoint_n": c, "replication": int(r), "statistic": float(s)}
 
     csv_fields = ("checkpoint_n", "replication", "statistic")
@@ -482,12 +485,11 @@ class ErgodicReport:
     mean_w1: dict[int, float] | None
     excluded: list
     config: dict
-    replication_ids: list = field(default_factory=list)
+    replication_ids: list
 
     def rows(self):
         for c in self.checkpoints:
-            ids = self.replication_ids or range(len(self.values[c]))
-            for i, (r, v) in enumerate(zip(ids, self.values[c])):
+            for i, (r, v) in enumerate(zip(self.replication_ids, self.values[c])):
                 row = {"checkpoint_n": c, "replication": int(r), "value": float(v)}
                 if self.w1 is not None:
                     row["w1"] = float(self.w1[c][i])
@@ -638,23 +640,20 @@ def _to_jsonable(obj):
     return obj
 
 
-def emit(report, format: str = "csv", path=None) -> None:
+def emit(report, format: str, path) -> None:
     """Serialize a report deterministically; floats keep round-trip text."""
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}")
-    try:
-        if format == "json":
-            payload = json.dumps(_to_jsonable(report), indent=2, allow_nan=True)
-            with open(path, "w") as fh:
-                fh.write(payload)
-            return
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(report.csv_fields)
-            for row in report.rows():
-                writer.writerow([_csv_cell(row[k]) for k in report.csv_fields])
-    except OSError as err:
-        raise OSError(f"emit to {path} failed: {err}") from err
+    if format == "json":
+        payload = json.dumps(_to_jsonable(report), indent=2, allow_nan=True)
+        with open(path, "w") as fh:
+            fh.write(payload)
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(report.csv_fields)
+        for row in report.rows():
+            writer.writerow([_csv_cell(row[k]) for k in report.csv_fields])
 
 
 def _csv_cell(v):

@@ -33,14 +33,12 @@ order, so a gaussian block draw keeps a second float64 block for the
 transposing copy into C order.
 
 ``joint_outcomes`` is the one enumeration of the finite laws' supports,
-with the signs kappa when asked: it is built once per (law, with_kappa)
-and cached as a tuple of read-only arrays, so exact expectations over many
-batches of states share one enumeration.
+with the signs kappa when asked; each exact expectation enumerates it
+afresh.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -207,12 +205,10 @@ def sample_kappa(rng: np.random.Generator, noise_dim: int, size: int | None = No
     return rng.integers(0, 2, size=shape).astype(np.float64) - 0.5
 
 
-@functools.lru_cache(maxsize=16)
-def joint_outcomes(dist: InnovationDist, with_kappa: bool = False) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
-    """Joint (u, kappa, probability) outcomes for exact expectations, built
-    once per (dist, with_kappa): u runs over the innovation's support and,
-    for each u, kappa over the upper-triangular sign patterns (empty without
-    ``with_kappa``).  The arrays are read-only.
+def joint_outcomes(dist: InnovationDist, with_kappa: bool = False) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """Joint (u, kappa, probability) outcomes for exact expectations: u runs
+    over the innovation's support and, for each u, kappa over the
+    upper-triangular sign patterns (empty without ``with_kappa``).
 
     Raises on gaussian innovations or when the outcome count would exceed
     the enumeration cap.
@@ -230,7 +226,4 @@ def joint_outcomes(dist: InnovationDist, with_kappa: bool = False) -> tuple[tupl
         u = np.array([v for v, _ in combo])
         prob = math.prod(p for _, p in combo) * 0.5**k
         out.extend((u, kap, prob) for kap in signs)
-    for u, kap, _ in out:
-        u.setflags(write=False)
-        kap.setflags(write=False)
-    return tuple(out)
+    return out

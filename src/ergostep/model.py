@@ -49,7 +49,6 @@ observables are immutable; callbacks must be re-entrant.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -205,8 +204,6 @@ def generator_apply(model: DiffusionModel, f: Observable, x: np.ndarray):
     """Af(x) = <b, grad f> + 1/2 sum_ij (sigma sigma^T)_ij d2_ij f,
     contracted through the observable's dirderiv with canonical basis
     directions."""
-    if f.max_order < 2:
-        raise InsufficientOrderError("insufficient observable order: generator needs order 2")
     x = np.asarray(x, dtype=np.float64)
     out = f.d(x, 1, (model.b(x),))
     a = model.diffusion_matrix(x)
@@ -220,8 +217,6 @@ def generator_apply(model: DiffusionModel, f: Observable, x: np.ndarray):
 def vf_operator(model: DiffusionModel, f: Observable, x: np.ndarray):
     """|sigma(x)^T grad f(x)|^2 = sum_n (Df(x); sigma_n(x))^2 over the noise
     columns sigma_n, the asymptotic-variance density."""
-    if f.max_order < 1:
-        raise InsufficientOrderError("insufficient observable order: need order 1")
     x = np.asarray(x, dtype=np.float64)
     s = model.sigma(x)
     out = None
@@ -291,17 +286,16 @@ def _expect(fn, innovation: InnovationDist, with_kappa: bool):
     return total
 
 
-@functools.lru_cache(maxsize=None)
-def _expansion_terms(marks: tuple, p: int) -> tuple[tuple, tuple]:
+def _expansion_terms(marks: list, p: int) -> tuple[list, list]:
     """The terms of C_p over increments marked (j, draw): (fixed, drawn), two
-    tuples of (indices into the increments, prod_j m_j!) in ascending order k."""
+    lists of (indices into the increments, prod_j m_j!) in ascending order k."""
     fixed, drawn = [], []
     for k in range(1, 2 * p + 1):
         for term in itertools.combinations_with_replacement(range(len(marks)), k):
             if sum(marks[i][0] for i in term) == 2 * p:
                 weight = math.prod(math.factorial(term.count(i)) for i in set(term))
                 (drawn if any(marks[i][1] for i in term) else fixed).append((term, weight))
-    return tuple(fixed), tuple(drawn)
+    return fixed, drawn
 
 
 def _expansion_coefficient(scheme: str, p: int, model: DiffusionModel, f: Observable,
@@ -316,14 +310,12 @@ def _expansion_coefficient(scheme: str, p: int, model: DiffusionModel, f: Observ
     where m_j counts j in the multiset.  A term whose increments are all
     draw-independent is evaluated once, outside the expectation.
     """
-    if f.max_order < 2 * p:
-        raise InsufficientOrderError(f"insufficient observable order: need {2 * p}, have {f.max_order}")
     model.require_noise(innovation)
     x = np.asarray(x, dtype=np.float64)
     # ascending j, so each term's directions come lowest power first
     incs = sorted((inc for inc in increments(scheme, model, x) if inc[0] <= 2 * p),
                   key=lambda inc: inc[0])
-    fixed, drawn = _expansion_terms(tuple((j, draw) for j, draw, _ in incs), p)
+    fixed, drawn = _expansion_terms([(j, draw) for j, draw, _ in incs], p)
 
     def total(terms, deltas):
         out = None

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import partitioned_batch
-from ergostep.catalog import monomial1d, ou1d, quadratic_lyapunov
+from ergostep.catalog import coordinate_monomial, ou1d, quadratic_lyapunov
 from ergostep.diagnostics import recursive_control_probe, weak_order_probe
 from ergostep.empirical import WeightedEmpiricalMeasure, merge_statistics
 from ergostep.harness import ExperimentConfig, classify_regime, ks_normality, run_clt_experiment, run_ergodic_experiment, run_rate_experiment
@@ -145,7 +145,7 @@ def test_criterion_5_rate_exponents(euler_rate, talay_rate):
 
 
 def test_criterion_6_weak_order_probe():
-    f = monomial1d(4)
+    f = coordinate_monomial((4,))
     x = np.array([1.0])
     gammas = [2.0**-6, 2.0**-7]
     euler = weak_order_probe("euler", OU, f, x, gammas, TP)
@@ -187,7 +187,7 @@ def test_criterion_8b_weight_scale_invariance():
     vals = []
     for scale in (1.0, 7.3):
         m = WeightedEmpiricalMeasure()
-        m.register("f", monomial1d(2).fn)
+        m.register("f", coordinate_monomial((2,)).fn)
         for v, e in zip(xs, etas):
             m.record(np.array([v]), scale * e)
         vals.append(m.value("f"))
@@ -214,22 +214,22 @@ def test_criterion_8d_seed_determinism():
     serial = []
     for r in range(8):
         meas = WeightedEmpiricalMeasure(weights=w)
-        meas.register("f", monomial1d(2).fn)
+        meas.register("f", coordinate_monomial((2,)).fn)
         s = simulate("talay2", OU, steps, TP, 3000, 0.0, rng_seed=MASTER_SEED,
                      sinks=[meas], replication=r)
         serial.append((s.x[0], meas.value("f")))
     run = ("talay2", OU, steps, TP, 3000, 0.0, MASTER_SEED)
-    batch_x, batch_f = partitioned_batch(*run, [(0, 8)], w, monomial1d(2).fn)
+    batch_x, batch_f = partitioned_batch(*run, [(0, 8)], w, coordinate_monomial((2,)).fn)
     same_x = np.array_equal(batch_x[:, 0], np.array([v for v, _ in serial]))
     same_f = np.array_equal(batch_f, np.array([v for _, v in serial]))
-    parts_x, parts_f = partitioned_batch(*run, [(0, 3), (3, 8)], w, monomial1d(2).fn)
+    parts_x, parts_f = partitioned_batch(*run, [(0, 3), (3, 8)], w, coordinate_monomial((2,)).fn)
     same_parts = parts_x.tobytes() == batch_x.tobytes() and parts_f.tobytes() == batch_f.tobytes()
 
     # the CLT statistic is its normalizer times the partitioned nu_n(Af)
     rep = run_clt_experiment(ExperimentConfig(scheme="euler", n_steps=2000, replications=8,
                                               seed=MASTER_SEED, checkpoints=(2000,)))
     _, af_parts = partitioned_batch("euler", OU, steps, TP, 2000, 0.0, MASTER_SEED,
-                                    [(0, 3), (3, 8)], w, generator_observable(OU, monomial1d(2)).fn)
+                                    [(0, 3), (3, 8)], w, generator_observable(OU, coordinate_monomial((2,))).fn)
     same_stats = rep.statistics[2000].tobytes() == (rep.normalizers[2000] * af_parts).tobytes()
     check("8d", "serial, batched and partitioned runs agree bit-for-bit per replication",
           same_x and same_f and same_parts and same_stats)

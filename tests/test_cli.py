@@ -375,6 +375,9 @@ def test_rate_default_checkpoints_end_at_small_n_steps(capsys, tmp_path):
       for cmd in ("clt", "simulate", "wasserstein", "probe", "rate")),
     # the rate target -min(q xi, 1/2 - xi/2) reads xi, which constant steps ignore
     (["rate", "--config", "step.kind = constant", "--gamma1", "0.05", "--n-steps", "500"], "power-law"),
+    # probe builds neither schedule, so the config checks both kinds
+    *(([cmd, "--config", f"{key}.kind = foo"], f"unknown {key} kind 'foo'")
+      for cmd in ("clt", "simulate", "wasserstein", "probe", "rate") for key in ("step", "weight")),
 ])
 def test_out_of_range_value_exit_two_names_key(capsys, tmp_path, argv, key):
     if "--config" in argv:  # the text after --config is the file's content
@@ -416,7 +419,8 @@ SWEEP_SIZES = {
 }
 SWEEP_CONFIGS = [["--theta", "0"], ["--theta", "-1"], ["--theta", "0.5"], ["--sigma", "0"],
                  ["--sigma", "3"], ["--model", "double_well"], ["--model", "ou_nd", "--f", "x1^2"],
-                 ["--f", "x^0"]]
+                 ["--f", "x^0"], ["--sigma", "1e200"], ["--gamma1", "1e200"],
+                 ["--model", "double_well", "--sigma", "1e200"]]
 
 
 def test_no_internal_error_or_nonfinite_report_for_any_accepted_config(capsys, tmp_path):
@@ -430,6 +434,11 @@ def test_no_internal_error_or_nonfinite_report_for_any_accepted_config(capsys, t
             for report in out_dir.glob("*.json"):
                 text = report.read_text()
                 assert "NaN" not in text and "Infinity" not in text, case
+    # an output directory that is a regular file is a usage error
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    code, _, err = run_cli(capsys, "simulate", *SWEEP_SIZES["simulate"], "--output-dir", str(blocked))
+    assert code == 2 and str(blocked) in err, err
 
 
 def test_benchmark_tracer_patches_and_restores_the_clt_path(capsys, tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from ergostep.catalog import (
     coordinate_monomial,
     double_well,
     model_from_config,
-    monomial1d,
     ou1d,
     ou_nd,
     quadratic_lyapunov,
@@ -148,33 +147,33 @@ def test_matching_order_is_read_off_the_moment_table(kind, order, gap):
 
 
 def test_weak_order_euler_ratio():
-    res = weak_order_probe("euler", OU, monomial1d(4), np.array([1.0]),
+    res = weak_order_probe("euler", OU, coordinate_monomial((4,)), np.array([1.0]),
                            [2.0**-6, 2.0**-7], TP)
     assert 3.2 <= res.ratios[0] <= 4.8
 
 
 def test_weak_order_talay_ratio():
-    res = weak_order_probe("talay2", OU, monomial1d(4), np.array([1.0]),
+    res = weak_order_probe("talay2", OU, coordinate_monomial((4,)), np.array([1.0]),
                            [2.0**-6, 2.0**-7], TP)
     assert 6.0 <= res.ratios[0] <= 10.0
 
 
 def test_weak_order_linear_observable_exact_euler():
     # E[X_gamma] = x + gamma b matches the linear target up to rounding
-    f = monomial1d(1)
+    f = coordinate_monomial((1,))
     res = weak_order_probe("euler", OU, f, np.array([0.7]), [2.0**-4, 2.0**-5], TP)
     assert all(abs(e) <= 1e-15 for e in res.errors)
 
 
 def test_weak_order_zero_function():
-    zero = linear_combination([0.0], [monomial1d(4)])
+    zero = linear_combination([0.0], [coordinate_monomial((4,))])
     res = weak_order_probe("euler", OU, zero, np.array([1.0]), [2.0**-4], TP)
     assert res.errors == (0.0,)
 
 
 def test_weak_order_ratio_over_a_zero_error_is_none():
     # at x = 1 the double well's drift vanishes, so Euler is exact on x^2
-    res = weak_order_probe("euler", double_well(), monomial1d(2), np.array([1.0]),
+    res = weak_order_probe("euler", double_well(), coordinate_monomial((2,)), np.array([1.0]),
                            [2.0**-6, 2.0**-7], TP)
     assert res.errors == (0.0, 0.0)
     assert res.ratios == (None,)
@@ -182,7 +181,7 @@ def test_weak_order_ratio_over_a_zero_error_is_none():
 
 def test_weak_order_needs_finite_support():
     with pytest.raises(ValueError):
-        weak_order_probe("euler", OU, monomial1d(4), np.array([1.0]),
+        weak_order_probe("euler", OU, coordinate_monomial((4,)), np.array([1.0]),
                          [0.1], InnovationDist("gaussian", 1))
 
 
@@ -190,13 +189,13 @@ def test_weak_order_rejects_nonpositive_gamma():
     for scheme in ("euler", "talay2"):
         for gamma in (0.0, -0.1):
             with pytest.raises(ValueError):
-                weak_order_probe(scheme, OU, monomial1d(4), np.array([0.0]), [gamma], TP)
+                weak_order_probe(scheme, OU, coordinate_monomial((4,)), np.array([0.0]), [gamma], TP)
 
 
 def test_weak_order_divergence_raises():
     cubic = poly1d_model([0.0, 0.0, 0.0, 1.0], [0.0])
     with pytest.raises(DivergenceError):
-        weak_order_probe("euler", cubic, monomial1d(4), np.array([1e120]), [0.1], TP)
+        weak_order_probe("euler", cubic, coordinate_monomial((4,)), np.array([1e120]), [0.1], TP)
 
 
 @pytest.mark.parametrize("scheme", ["euler", "talay2"])
@@ -225,8 +224,8 @@ def test_probe_one_step_mean_is_driver_kernel_mean(model, x0, scheme):
 
 
 def test_weak_order_deterministic(tmp_path):
-    a = weak_order_probe("talay2", OU, monomial1d(4), np.array([1.0]), [2.0**-6, 2.0**-7], TP)
-    b = weak_order_probe("talay2", OU, monomial1d(4), np.array([1.0]), [2.0**-6, 2.0**-7], TP)
+    a = weak_order_probe("talay2", OU, coordinate_monomial((4,)), np.array([1.0]), [2.0**-6, 2.0**-7], TP)
+    b = weak_order_probe("talay2", OU, coordinate_monomial((4,)), np.array([1.0]), [2.0**-6, 2.0**-7], TP)
     emit(a, "json", tmp_path / "a.json")
     emit(b, "json", tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
@@ -235,7 +234,7 @@ def test_weak_order_deterministic(tmp_path):
 def test_weak_order_state_dependent_diffusion_talay():
     # sigma(x) = 1 + x^2/4: exercises the surrogate and coupling increments
     m = poly1d_model([0.2, -1.0], [1.0, 0.0, 0.25])
-    res = weak_order_probe("talay2", m, monomial1d(4), np.array([0.8]),
+    res = weak_order_probe("talay2", m, coordinate_monomial((4,)), np.array([0.8]),
                            [2.0**-8, 2.0**-9], TP)
     assert 6.0 <= res.ratios[0] <= 10.0
 

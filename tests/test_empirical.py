@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergostep.catalog import monomial1d, observable_from_name, ou1d, ou_nd
+from ergostep.catalog import coordinate_monomial, observable_from_name, ou1d, ou_nd
 from ergostep.empirical import (
     _TILE_STATES,
     WeightedEmpiricalMeasure,
@@ -27,14 +27,14 @@ from ergostep.schemes import simulate, trajectory_generators
 
 def test_single_atom_value():
     m = WeightedEmpiricalMeasure()
-    m.register("x^2", monomial1d(2).fn)
+    m.register("x^2", coordinate_monomial((2,)).fn)
     m.record(np.array([2.0]), 1.0)
     assert m.value("x^2") == 4.0
 
 
 def test_zero_weight_leaves_values_unchanged():
     m = WeightedEmpiricalMeasure()
-    m.register("x", monomial1d(1).fn)
+    m.register("x", coordinate_monomial((1,)).fn)
     m.record(np.array([1.0]), 2.0)
     before = m.value("x")
     m.record(np.array([55.0]), 0.0)
@@ -43,7 +43,7 @@ def test_zero_weight_leaves_values_unchanged():
 
 def test_weighted_average_by_hand():
     m = WeightedEmpiricalMeasure()
-    m.register("x", monomial1d(1).fn)
+    m.register("x", coordinate_monomial((1,)).fn)
     m.record(np.array([0.0]), 1.0)
     m.record(np.array([2.0]), 3.0)
     assert m.value("x") == pytest.approx(1.5, rel=1e-15)
@@ -51,14 +51,14 @@ def test_weighted_average_by_hand():
 
 def test_negative_weight_rejected():
     m = WeightedEmpiricalMeasure()
-    m.register("x", monomial1d(1).fn)
+    m.register("x", coordinate_monomial((1,)).fn)
     with pytest.raises(ValueError):
         m.record(np.array([0.0]), -1.0)
 
 
 def test_unknown_name_and_empty_measure():
     m = WeightedEmpiricalMeasure()
-    m.register("x", monomial1d(1).fn)
+    m.register("x", coordinate_monomial((1,)).fn)
     with pytest.raises(KeyError):
         m.value("y")
     with pytest.raises(ValueError):
@@ -67,9 +67,9 @@ def test_unknown_name_and_empty_measure():
 
 def test_duplicate_registration_rejected():
     m = WeightedEmpiricalMeasure()
-    m.register("x", monomial1d(1).fn)
+    m.register("x", coordinate_monomial((1,)).fn)
     with pytest.raises(ValueError):
-        m.register("x", monomial1d(1).fn)
+        m.register("x", coordinate_monomial((1,)).fn)
 
 
 def test_online_matches_offline_recomputation():
@@ -77,7 +77,7 @@ def test_online_matches_offline_recomputation():
     steps = StepSchedule("power_law", 1.0, 1.0 / 3.0)
     w = WeightSchedule("trapezoidal", steps, c=1.0)
     meas = WeightedEmpiricalMeasure(weights=w)
-    meas.register("x^2", monomial1d(2).fn)
+    meas.register("x^2", coordinate_monomial((2,)).fn)
     logged = []
 
     class Log:
@@ -99,7 +99,7 @@ def test_weight_scale_invariance():
     vals = {}
     for scale in (1.0, 3.7):
         m = WeightedEmpiricalMeasure()
-        m.register("x^2", monomial1d(2).fn)
+        m.register("x^2", coordinate_monomial((2,)).fn)
         for v, e in zip(xs, etas):
             m.record(np.array([v]), scale * e)
         vals[scale] = m.value("x^2")
@@ -108,7 +108,7 @@ def test_weight_scale_invariance():
 
 def test_buffer_decimation_capacity_and_determinism():
     m = WeightedEmpiricalMeasure(buffer_capacity=16)
-    m.register("x", monomial1d(1).fn)
+    m.register("x", coordinate_monomial((1,)).fn)
     for k in range(1, 101):
         m.record(np.array([float(k)]), 1.0)
     states, weights = m.buffer()
@@ -146,7 +146,7 @@ def test_buffer_matches_per_state_loop(cap, block_len):
         m = min(block_len, total - k0)
         blocks.append((rng.normal(size=(m, 2, 1)), rng.random(m) + 0.1))
     meas = WeightedEmpiricalMeasure(batch_shape=(2,), buffer_capacity=cap)
-    meas.register("x", monomial1d(1).fn)
+    meas.register("x", coordinate_monomial((1,)).fn)
     for (block, etas), (ref_states, ref_weights) in zip(blocks, _per_state_buffer(blocks, cap)):
         meas._fold(block, etas)
         got_states, got_weights = meas.buffer()
@@ -169,7 +169,7 @@ def _fold_observables(model, f):
 @pytest.mark.parametrize("case", ["ou_x2", "ou_nd_x1x2"])
 def test_tiled_fold_is_bit_identical_to_serial(batch, case):
     if case == "ou_x2":
-        model, f = ou1d(1.0, math.sqrt(2.0)), monomial1d(2)
+        model, f = ou1d(1.0, math.sqrt(2.0)), coordinate_monomial((2,))
     else:
         model = ou_nd(np.array([[1.0, 0.3], [0.0, 1.5]]), np.array([[1.0, 0.0], [0.4, 0.8]]))
         f = observable_from_name("x1*x2", dim=2)
@@ -217,7 +217,7 @@ def test_fold_calls_see_at_most_a_tile(m):
 
 
 def test_fold_is_bit_identical_in_either_memory_order():
-    model, f = ou1d(1.0, math.sqrt(2.0)), monomial1d(2)
+    model, f = ou1d(1.0, math.sqrt(2.0)), coordinate_monomial((2,))
     obs = _fold_observables(model, f)
     w = WeightSchedule("proportional", StepSchedule("power_law", 1.0, 1.0 / 3.0))
     rng, _ = trajectory_generators(23, 0)
@@ -251,7 +251,7 @@ def test_fold_tiles_of_a_replication_major_block_are_views():
 
 def test_buffer_disabled_raises():
     m = WeightedEmpiricalMeasure()
-    m.register("x", monomial1d(1).fn)
+    m.register("x", coordinate_monomial((1,)).fn)
     m.record(np.array([0.0]), 1.0)
     with pytest.raises(ValueError):
         m.buffer()
@@ -349,7 +349,7 @@ def test_w1_matches_the_per_cell_quantile_loop():
 
 def test_w1_of_a_measure_buffer():
     m = WeightedEmpiricalMeasure(buffer_capacity=8)
-    m.register("x", monomial1d(1).fn)
+    m.register("x", coordinate_monomial((1,)).fn)
     m.record(np.array([0.0]), 1.0)
     states, weights = m.buffer()
     got = wasserstein1_atoms(states[..., 0], weights, NormalDist())
@@ -390,9 +390,9 @@ def test_merge_statistics_needs_two():
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=30), st.floats(0.1, 10.0))
 def test_weight_scale_invariance_property(values, scale):
     a = WeightedEmpiricalMeasure()
-    a.register("x", monomial1d(1).fn)
+    a.register("x", coordinate_monomial((1,)).fn)
     b = WeightedEmpiricalMeasure()
-    b.register("x", monomial1d(1).fn)
+    b.register("x", coordinate_monomial((1,)).fn)
     for v in values:
         a.record(np.array([v]), 1.0)
         b.record(np.array([v]), scale)

@@ -149,17 +149,6 @@ def test_block_draw_holds_one_float64_block(kind):
     assert peak < 2.1, peak
 
 
-def test_cached_joint_outcomes_are_read_only():
-    dist = InnovationDist("three_point", 2)
-    outcomes = joint_outcomes(dist, with_kappa=True)
-    assert joint_outcomes(dist, with_kappa=True) is outcomes
-    u, kap, _ = outcomes[0]
-    with pytest.raises(ValueError):
-        u[0] = 1.0
-    with pytest.raises(ValueError):
-        kap[0] = 1.0
-
-
 def test_sample_innovation_shape():
     dist = InnovationDist("gaussian", 3)
     rng, _ = trajectory_generators(0, 0)

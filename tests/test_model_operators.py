@@ -14,7 +14,6 @@ from ergostep.catalog import (
     coordinate_monomial,
     double_well,
     model_from_config,
-    monomial1d,
     normal_law,
     observable_from_name,
     ou1d,
@@ -42,7 +41,7 @@ from ergostep.schemes import make_stepper, simulate_batch
 
 OU = ou1d(1.0, math.sqrt(2.0))
 TP = InnovationDist("three_point", 1)
-X2 = monomial1d(2)
+X2 = coordinate_monomial((2,))
 
 
 def x(v: float) -> np.ndarray:
@@ -59,12 +58,12 @@ def test_generator_ou_quadratic():
 
 
 def test_generator_constant_observable():
-    const = monomial1d(0)
+    const = coordinate_monomial((0,))
     assert generator_apply(OU, const, x(1.7)) == 0.0
 
 
 def test_generator_requires_order_two():
-    low = linear_combination([1.0], [monomial1d(1)])
+    low = linear_combination([1.0], [coordinate_monomial((1,))])
     lowered = type(low)(fn=low.fn, dirderiv=low.dirderiv, max_order=1)
     with pytest.raises(InsufficientOrderError):
         generator_apply(OU, lowered, x(0.0))
@@ -73,7 +72,7 @@ def test_generator_requires_order_two():
 def test_vf_operator_values():
     assert vf_operator(OU, X2, x(1.0)) == pytest.approx(8.0, rel=1e-14)
     assert vf_operator(OU, X2, x(0.0)) == 0.0
-    assert vf_operator(OU, monomial1d(0), x(2.0)) == 0.0
+    assert vf_operator(OU, coordinate_monomial((0,)), x(2.0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,7 @@ def test_m1_euler_ou_quadratic():
 
 
 def test_m1_euler_linear_observable():
-    assert m1_euler(OU, monomial1d(1), x(1.5), TP) == 0.0
+    assert m1_euler(OU, coordinate_monomial((1,)), x(1.5), TP) == 0.0
 
 
 def test_m1_talay_ou_quadratic():
@@ -164,7 +163,7 @@ def test_m1_talay_ou_quadratic():
 
 def test_m1_talay_constant_coefficients_closed_form():
     m = poly1d_model([0.8], [1.1])  # constant b and sigma: Ab = 0, Theta = 0
-    f = linear_combination([2.0, -0.7], [monomial1d(2), monomial1d(1)])  # quadratic
+    f = linear_combination([2.0, -0.7], [coordinate_monomial((2,)), coordinate_monomial((1,))])  # quadratic
     for v in (0.0, 1.0, -2.0):
         closed = -0.5 * float(f.d(x(v), 2, (m.b(x(v)), m.b(x(v)))))
         got = m1_talay(m, f, x(v), TP)
@@ -182,21 +181,21 @@ def test_m2_talay_ou_quadratic_symbolic_cross_check():
 
 
 def test_m2_talay_constant_observable():
-    assert m2_talay(OU, monomial1d(0), x(1.0), TP) == 0.0
+    assert m2_talay(OU, coordinate_monomial((0,)), x(1.0), TP) == 0.0
 
 
 def test_m2_talay_linear_observable():
     # f = x: only (Df; delta_6) could contribute, and the kernel is a
     # polynomial of degree 4 in sqrt(gamma)
     for v in (0.5, -2.0):
-        assert m2_talay(OU, monomial1d(1), x(v), TP) == pytest.approx(0.0, abs=1e-13)
+        assert m2_talay(OU, coordinate_monomial((1,)), x(v), TP) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_operator_linearity():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=2)
-    f = linear_combination(rng.normal(size=3), [monomial1d(k) for k in (2, 3, 4)])
-    g = linear_combination(rng.normal(size=3), [monomial1d(k) for k in (1, 2, 6)])
+    f = linear_combination(rng.normal(size=3), [coordinate_monomial((k,)) for k in (2, 3, 4)])
+    g = linear_combination(rng.normal(size=3), [coordinate_monomial((k,)) for k in (1, 2, 6)])
     comb = linear_combination([a, b], [f, g])
     pt = x(0.8)
     for op in (
@@ -209,10 +208,22 @@ def test_operator_linearity():
 
 
 def test_m1_requires_order_four():
-    low = monomial1d(2)
+    low = coordinate_monomial((2,))
     lowered = type(low)(fn=low.fn, dirderiv=low.dirderiv, max_order=3)
     with pytest.raises(InsufficientOrderError):
         m1_euler(OU, lowered, x(1.0), TP)
+
+
+@pytest.mark.parametrize("apply,order", [
+    (lambda f: vf_operator(OU, f, x(1.0)), 0),
+    (lambda f: m2_talay(OU, f, x(1.0), TP), 5),
+    (lambda f: weak_order_probe("talay2", OU, f, x(1.0), [2.0**-6, 2.0**-7], TP), 3),
+    (lambda f: weak_order_probe("euler", OU, f, x(1.0), [2.0**-6, 2.0**-7], TP), 1),
+], ids=["vf_operator", "m2_talay", "talay2_probe", "euler_probe"])
+def test_observable_below_the_needed_order_is_refused(apply, order):
+    # Observable.d is the one order check every operator reaches
+    with pytest.raises(InsufficientOrderError):
+        apply(dataclasses.replace(coordinate_monomial((6,)), max_order=order))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +238,7 @@ def test_expansion_coefficients_have_the_weak_order_property(model):
     rng = np.random.default_rng(8)
     xs = rng.uniform(-2.0, 2.0, size=(16, 1))
     for degree in range(7):
-        f = linear_combination(rng.normal(size=degree + 1), [monomial1d(k) for k in range(degree + 1)])
+        f = linear_combination(rng.normal(size=degree + 1), [coordinate_monomial((k,)) for k in range(degree + 1)])
         af = generator_apply(model, f, xs)
         for scheme in ("euler", "talay2"):
             c1 = _expansion_coefficient(scheme, 1, model, f, xs, TP)
@@ -281,7 +292,7 @@ def test_euler_bias_operator_evaluates_fields_once():
 @pytest.mark.parametrize("k", range(7))
 def test_invariant_average_of_generator_vanishes(k):
     # Gauss-Hermite integral of A f under N(0, 1) for polynomial f
-    f = monomial1d(k)
+    f = coordinate_monomial((k,))
     val = OU.law.expect(lambda xs: generator_apply(OU, f, xs))
     assert abs(val) <= 1e-8
 
@@ -289,7 +300,7 @@ def test_invariant_average_of_generator_vanishes(k):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_dirderiv_matches_finite_differences(k):
     rng = np.random.default_rng(99)
-    f = monomial1d(k)
+    f = coordinate_monomial((k,))
     for _ in range(5):
         pt = rng.uniform(-3, 3, size=1)
         v = rng.normal(size=1)
@@ -298,21 +309,35 @@ def test_dirderiv_matches_finite_differences(k):
         assert fd == pytest.approx(analytic, rel=1e-4, abs=1e-8)
 
 
-@pytest.mark.parametrize("k", range(7))
-def test_monomial_dirderiv_at_degree_is_an_unbatched_constant(k):
-    # against k!/(k-m)! x^(k-m) v_1 ... v_m multiplied left to right; the
-    # value has no batch axes exactly when m = k and no direction has them
-    rng = np.random.default_rng(k)
-    f = monomial1d(k)
-    xs = rng.normal(size=(3, 7, 1))
-    for m in range(k + 1):
+@pytest.mark.parametrize("exps", [(k,) for k in range(7)] + [(2, 1), (0, 3), (1, 1)],
+                         ids=lambda exps: "-".join(map(str, exps)))
+def test_monomial_dirderiv_at_degree_is_an_unbatched_constant(exps):
+    # against the sum, over the assignments of the directions to coordinates,
+    # of prod_i a_i!/(a_i-c_i)! x_i^(a_i-c_i) times v_1 ... v_m multiplied
+    # left to right; the value has no batch axes exactly when m is the degree
+    # and no direction has them, and past the degree it is the float 0.0
+    d, deg = len(exps), sum(exps)
+    rng = np.random.default_rng(deg)
+    f = coordinate_monomial(exps)
+    xs = rng.normal(size=(3, 7, d))
+    for m in range(min(deg + 1, f.max_order) + 1):
         for batched in itertools.product((False, True), repeat=m):
-            dirs = [rng.normal(size=(3, 7, 1) if b else (1,)) for b in batched]
-            want = math.perm(k, m) * xs[..., 0] ** (k - m)
-            for v in dirs:
-                want = want * v[..., 0]
+            dirs = [rng.normal(size=(3, 7, d) if b else (d,)) for b in batched]
+            want = None
+            for assign in itertools.product(range(d), repeat=m):
+                counts = [assign.count(i) for i in range(d)]
+                if any(c > a for a, c in zip(exps, counts)):
+                    continue
+                term = math.prod(math.perm(a, c) * xs[..., i] ** (a - c)
+                                 for i, (a, c) in enumerate(zip(exps, counts)))
+                for t, c in enumerate(assign):
+                    term = term * dirs[t][..., c]
+                want = term if want is None else want + term
             got = f.d(xs, m, dirs)
-            unbatched = m == k and not any(batched)
+            if want is None:
+                assert type(got) is float and got == 0.0, (m, batched)
+                continue
+            unbatched = m == deg and not any(batched)
             assert np.shape(got) == (() if unbatched else (3, 7)), (m, batched)
             assert np.array_equal(np.broadcast_to(got, want.shape), want), (m, batched)
 
@@ -321,7 +346,7 @@ def test_monomial_dirderiv_at_degree_is_an_unbatched_constant(k):
 @given(order=st.integers(2, 4), seed=st.integers(0, 10**6))
 def test_dirderiv_symmetric_in_directions(order, seed):
     rng = np.random.default_rng(seed)
-    f = monomial1d(6)
+    f = coordinate_monomial((6,))
     pt = rng.uniform(-2, 2, size=1)
     dirs = [rng.normal(size=1) for _ in range(order)]
     base = f.d(pt, order, tuple(dirs))
@@ -334,7 +359,7 @@ def test_dirderiv_symmetric_in_directions(order, seed):
 
 
 def test_generator_observable_values_and_derivatives():
-    f = monomial1d(4)
+    f = coordinate_monomial((4,))
     af = generator_observable(OU, f)
     pt = x(1.0)
     # A x^4 = -4x^4 + 12 x^2
@@ -348,7 +373,7 @@ def test_generator_observable_values_and_derivatives():
 
 def test_generator_observable_max_order():
     # A^2 f needs Af through order two, and nothing reads further
-    af = generator_observable(OU, monomial1d(6))
+    af = generator_observable(OU, coordinate_monomial((6,)))
     assert af.max_order == 2
     with pytest.raises(InsufficientOrderError):
         af.d(x(0.0), 3, tuple(np.ones((3, 1))))
@@ -358,7 +383,7 @@ def test_talay2_probe_needs_model_derivatives_through_order_two_only():
     # a model with analytic data through order two and nothing above
     m = dataclasses.replace(poly1d_model([0.2, -1.0], [1.0, 0.0, 0.25]),
                             db_higher=None, dsigma_higher=None)
-    res = weak_order_probe("talay2", m, monomial1d(4), [0.7], [2.0**-6, 2.0**-7], TP)
+    res = weak_order_probe("talay2", m, coordinate_monomial((4,)), [0.7], [2.0**-6, 2.0**-7], TP)
     lo, hi = TALAY_RATIO_WINDOW
     assert lo <= res.ratios[0] <= hi
 
@@ -366,7 +391,7 @@ def test_talay2_probe_needs_model_derivatives_through_order_two_only():
 def test_generator_observable_refuses_fd_models():
     fd_model = poly1d_model([0.0, -1.0], [1.0], fd_only=True)
     with pytest.raises(InsufficientDerivativesError):
-        generator_observable(fd_model, monomial1d(4))
+        generator_observable(fd_model, coordinate_monomial((4,)))
 
 
 @pytest.mark.parametrize("model, missing", [
@@ -389,10 +414,10 @@ def test_talay2_refuses_models_without_analytic_derivatives(model, missing):
 def test_m2_talay_double_well_quadrature_consistency():
     # linearity holds on a drift with a nonzero second derivative too
     m = double_well(math.sqrt(2.0))
-    en = m2_talay(m, monomial1d(2), x(0.6), TP)
-    g = linear_combination([0.5, 1.5], [monomial1d(2), monomial1d(1)])
+    en = m2_talay(m, coordinate_monomial((2,)), x(0.6), TP)
+    g = linear_combination([0.5, 1.5], [coordinate_monomial((2,)), coordinate_monomial((1,))])
     lhs = m2_talay(m, g, x(0.6), TP)
-    rhs = 0.5 * en + 1.5 * m2_talay(m, monomial1d(1), x(0.6), TP)
+    rhs = 0.5 * en + 1.5 * m2_talay(m, coordinate_monomial((1,)), x(0.6), TP)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -418,7 +443,7 @@ def test_operators_return_batch_shape(dim, degree):
     # OU fields are unbatched constants; the operators still return one
     # value per state
     if dim == 1:
-        model, f, inn = OU, monomial1d(degree), TP
+        model, f, inn = OU, coordinate_monomial((degree,)), TP
     else:
         model, f, inn = OU_2D, coordinate_monomial((degree - degree // 2, degree // 2)), TP_2D
     rng = np.random.default_rng(degree)
@@ -441,7 +466,7 @@ def test_unbatched_fields_are_bit_identical_to_broadcast_fields():
         want = make_stepper(scheme, ref)(xs, 0.05, us, None)
         assert got.shape == want.shape and np.array_equal(got, want)
     for k in range(5):
-        f = monomial1d(k)
+        f = coordinate_monomial((k,))
         for name, op in BOUNDARY_OPS.items():
             got, want = op(hoisted, f, xs, TP), op(ref, f, xs, TP)
             assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (name, k)
@@ -502,11 +527,11 @@ def test_isotropic_ou_nd_law_gives_the_variance_of_each_observable():
 def test_ou_nd_in_one_dimension_is_ou1d():
     one = model_from_config({"model.id": "ou_nd", "model.dim": 1})
     for k in range(1, 7):
-        f = monomial1d(k)
+        f = coordinate_monomial((k,))
         assert (one.law.expect(lambda xs: vf_operator(one, f, xs))
                 == pytest.approx(OU.law.expect(lambda xs: vf_operator(OU, f, xs)), rel=1e-15))
     for k in (2, 4):
-        f = monomial1d(k)
+        f = coordinate_monomial((k,))
         assert (one.law.expect(lambda xs: m2_talay(one, f, xs, TP))
                 == pytest.approx(OU.law.expect(lambda xs: m2_talay(OU, f, xs, TP)), rel=1e-15))
     assert one.law.normal == OU.law.normal

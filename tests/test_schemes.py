@@ -15,7 +15,7 @@ import pytest
 
 from conftest import broadcast_ou, poly1d_model
 from ergostep import schemes
-from ergostep.catalog import _const_field, monomial1d, ou1d, ou_nd
+from ergostep.catalog import _const_field, coordinate_monomial, ou1d, ou_nd
 from ergostep.empirical import WeightedEmpiricalMeasure
 from ergostep.innovations import InnovationDist, joint_outcomes, sample_kappa
 from ergostep.model import generator_apply, generator_observable
@@ -86,7 +86,7 @@ def test_talay_step_linear_diffusion():
 
 
 def _one_step_error(scheme: str, gamma: float) -> float:
-    f = monomial1d(4)
+    f = coordinate_monomial((4,))
     pt = x(1.0)
     af = generator_apply(OU, f, pt)
     target = f.fn(pt) + gamma * af
@@ -161,12 +161,12 @@ def test_batch_matches_serial_bitwise(scheme, kind):
     serial_vals = []
     for r in range(reps):
         meas = WeightedEmpiricalMeasure(weights=w)
-        meas.register("x^2", monomial1d(2).fn)
+        meas.register("x^2", coordinate_monomial((2,)).fn)
         s = simulate(scheme, OU, st, inn, n, 0.3, rng_seed=123, sinks=[meas], replication=r)
         serial_states.append(s.x)
         serial_vals.append(meas.value("x^2"))
     bmeas = WeightedEmpiricalMeasure(weights=w, batch_shape=(reps,))
-    bmeas.register("x^2", monomial1d(2).fn)
+    bmeas.register("x^2", coordinate_monomial((2,)).fn)
     res = simulate_batch(scheme, OU, st, inn, n, 0.3, master_seed=123,
                          replications=reps, sinks=[bmeas])
     assert np.array_equal(res.final_states, np.stack(serial_states))
@@ -265,9 +265,9 @@ def test_double_well_drift_generator_and_weak_order():
         [ab_half] = [delta for j, _, delta in increments("talay2", m, x(v)) if j == 4]
         expected = (1 - 3 * v * v) * (v - v**3) + 1.0 * (-6.0 * v)
         assert 2.0 * ab_half[0] == pytest.approx(expected, rel=1e-12)
-    res = weak_order_probe("talay2", m, monomial1d(4), x(0.5), [2.0**-7, 2.0**-8], TP)
+    res = weak_order_probe("talay2", m, coordinate_monomial((4,)), x(0.5), [2.0**-7, 2.0**-8], TP)
     assert 6.0 <= res.ratios[0] <= 10.0
-    res_e = weak_order_probe("euler", m, monomial1d(4), x(0.5), [2.0**-7, 2.0**-8], TP)
+    res_e = weak_order_probe("euler", m, coordinate_monomial((4,)), x(0.5), [2.0**-7, 2.0**-8], TP)
     assert 3.2 <= res_e.ratios[0] <= 4.8
 
 
