@@ -1,17 +1,18 @@
 """Online weighted empirical measures and their W1 distance to a normal law.
 
-A ``WeightedEmpiricalMeasure`` accumulates, for each registered observable f,
-the running weighted sum over pre-step states
+A ``WeightedEmpiricalMeasure`` accumulates, for its one observable f, the
+running weighted sum over pre-step states
 
-    value(f) = sum_k eta_k f(x_{k-1}) / H_n,      H_n = sum_k eta_k,
+    value() = sum_k eta_k f(x_{k-1}) / H_n,      H_n = sum_k eta_k,
 
-with compensated summation so runs of 1e8 tiny weights keep the online value
-within round-off of an offline recomputation.  Accumulation starts at k = 1;
-burn-in, when wanted, is the caller's slicing concern.
+with Neumaier-compensated summation (``VectorKahan``) so runs of 1e8 tiny
+weights keep the online value within round-off of an offline
+recomputation.  Accumulation starts at k = 1; burn-in, when wanted, is the
+caller's slicing concern.
 
 Every state goes through one fold.  It walks a block of m pre-step states
 in tiles of max(1, 16384 // m) replications: each tile is taken as a
-C-contiguous replication-major array (T, m, d), every observable is
+C-contiguous replication-major array (T, m, d), the observable is
 evaluated on it, and each replication's row of eta-weighted values is
 reduced by one contiguous pairwise sum; the assembled per-replication
 partials are added to a compensated accumulator once per block.  The tile
@@ -42,7 +43,6 @@ from typing import Callable
 
 import numpy as np
 
-from .accum import VectorKahan
 from .schedules import WeightSchedule
 
 # states per observable call: a float64 temporary of a tile is 128 KiB, small
@@ -50,42 +50,55 @@ from .schedules import WeightSchedule
 _TILE_STATES = 16384
 
 
-class WeightedEmpiricalMeasure:
-    """Running nu_n(f) = (1/H_n) sum_k eta_k f(x_{k-1}) for registered f.
+class VectorKahan:
+    """Elementwise Neumaier accumulator over a fixed-shape float array.
 
-    ``batch_shape`` adds leading replication axes to every accumulator; a
-    scalar measure is ``batch_shape=()``.  ``buffer_capacity > 0`` keeps a
-    deterministically decimated store of (state, weight) atoms for distance
-    diagnostics: the keep stride doubles whenever the buffer fills, so the
-    retained atoms are every 2^m-th pre-step state.
+    Each element runs the scalar two-sum, so a batch of width one and the
+    shape-``()`` accumulator (a scalar total such as H_n) round identically.
+    """
+
+    __slots__ = ("total", "carry")
+
+    def __init__(self, shape: tuple[int, ...] | int):
+        self.total = np.zeros(shape, dtype=np.float64)
+        self.carry = np.zeros(shape, dtype=np.float64)
+
+    def add(self, value: np.ndarray) -> None:
+        t = self.total + value
+        big = np.abs(self.total) >= np.abs(value)
+        self.carry += np.where(big, (self.total - t) + value, (value - t) + self.total)
+        self.total = t
+
+    @property
+    def value(self) -> np.ndarray:
+        return self.total + self.carry
+
+
+class WeightedEmpiricalMeasure:
+    """Running nu_n(f) = (1/H_n) sum_k eta_k f(x_{k-1}) for one observable f.
+
+    ``fn`` maps states (..., d) to values (...); a measure without one keeps
+    n, H_n and the buffer, and only ``value`` refuses.  ``batch_shape`` adds
+    leading replication axes to the accumulator; a scalar measure is
+    ``batch_shape=()``.  ``buffer_capacity > 0`` keeps a deterministically
+    decimated store of (state, weight) atoms for distance diagnostics: the
+    keep stride doubles whenever the buffer fills, so the retained atoms are
+    every 2^m-th pre-step state.
     """
 
     def __init__(self, weights: WeightSchedule | None = None,
                  batch_shape: tuple[int, ...] = (),
-                 buffer_capacity: int = 0):
+                 buffer_capacity: int = 0, fn: Callable | None = None):
         self.weights = weights
         self.batch_shape = tuple(batch_shape)
-        self._obs: dict[str, Callable] = {}
-        self._sums: dict[str, VectorKahan] = {}
+        self._fn = fn
+        self._sum = VectorKahan(self.batch_shape)
         self._h = VectorKahan(())
         self._n = 0
         self._cap = int(buffer_capacity)
         self._buf_states: list[np.ndarray] = []
         self._buf_weights: list[float] = []
         self._stride = 1
-
-    # -- registration ---------------------------------------------------------
-
-    def register(self, name: str, fn: Callable) -> None:
-        """Register observable ``fn`` mapping states (..., d) to values (...)."""
-        if name in self._obs:
-            raise ValueError(f"observable {name!r} already registered")
-        self._obs[name] = fn
-        self._sums[name] = VectorKahan(self.batch_shape)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._obs)
 
     # -- accumulation -----------------------------------------------------------
 
@@ -101,21 +114,20 @@ class WeightedEmpiricalMeasure:
         self._fold(states, self.weights.eta_block(k0, k0 + states.shape[0]))
 
     def _fold(self, states: np.ndarray, etas: np.ndarray) -> None:
-        """Fold states (m, *batch_shape, d) with weights (m,) into the sums, H_n and the buffer."""
-        if np.any(etas < 0):
-            raise ValueError("weights must be non-negative")
+        """Fold states (m, *batch_shape, d) with weights (m,) into the sum, H_n and the buffer."""
+        if not np.all(np.isfinite(etas) & (etas >= 0)):
+            raise ValueError("weights must be finite and non-negative")
         m = states.shape[0]
-        flat = states.reshape(m, -1, states.shape[-1])
-        partials = {name: np.empty(flat.shape[1]) for name in self._obs}
-        tile = max(1, _TILE_STATES // max(m, 1))
-        for r0 in range(0, flat.shape[1], tile):
-            rows = np.ascontiguousarray(flat[:, r0:r0 + tile].swapaxes(0, 1))
-            for name, fn in self._obs.items():
-                vals = np.asarray(fn(rows), dtype=np.float64)
+        if self._fn is not None:
+            flat = states.reshape(m, -1, states.shape[-1])
+            part = np.empty(flat.shape[1])
+            tile = max(1, _TILE_STATES // max(m, 1))
+            for r0 in range(0, flat.shape[1], tile):
+                rows = np.ascontiguousarray(flat[:, r0:r0 + tile].swapaxes(0, 1))
+                vals = np.asarray(self._fn(rows), dtype=np.float64)
                 # C order keeps each replication's row one contiguous pairwise sum
-                partials[name][r0:r0 + tile] = np.multiply(vals, etas, order="C").sum(axis=-1)
-        for name, part in partials.items():
-            self._sums[name].add(part.reshape(self.batch_shape))
+                part[r0:r0 + tile] = np.multiply(vals, etas, order="C").sum(axis=-1)
+            self._sum.add(part.reshape(self.batch_shape))
         self._h.add(math.fsum(etas))
         k0 = self._n
         self._n += m
@@ -137,15 +149,15 @@ class WeightedEmpiricalMeasure:
 
     # -- readout ---------------------------------------------------------------
 
-    def value(self, name: str):
-        if name not in self._obs:
-            raise KeyError(f"unknown observable {name!r}")
+    def value(self):
+        if self._fn is None:
+            raise ValueError("the measure has no observable")
         if self._n == 0:
             raise ValueError("empty measure: no states recorded")
         h = float(self._h.value)
         if not h > 0:
             raise ValueError("total weight is zero")
-        out = self._sums[name].value / h
+        out = self._sum.value / h
         return float(out) if out.shape == () else out
 
     # -- buffer ------------------------------------------------------------------
@@ -182,6 +194,8 @@ def wasserstein1_atoms(xs: np.ndarray, weights: np.ndarray, law: NormalDist) -> 
     weights = np.asarray(weights, dtype=np.float64).ravel()
     if xs.size == 0:
         raise ValueError("need at least one atom")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(weights))):
+        raise ValueError("atoms and their weights must be finite")
     if np.any(weights < 0) or weights.sum() <= 0:
         raise ValueError("atom weights must be non-negative with positive total")
     if law.stdev == 0.0:

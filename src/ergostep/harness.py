@@ -268,7 +268,7 @@ def _validated_checkpoints(config: ExperimentConfig) -> list[int]:
 
 class CheckpointRecorder:
     """Feeds pre-step state blocks into a measure of one observable,
-    snapshotting its per-replication values at checkpoint step counts
+    snapshotting its per-replication ``value()`` at checkpoint step counts
     (splitting blocks exactly at checkpoints).  Steps k <= burn_in are
     dropped before they reach the measure; the surviving steps keep their
     original weights eta_k.
@@ -307,8 +307,7 @@ class CheckpointRecorder:
         self.measure.observe_block(k0, seg)
 
     def _snap(self, c: int) -> None:
-        (name,) = self.measure.names
-        self.snapshots[c] = np.array(self.measure.value(name), ndmin=1)
+        self.snapshots[c] = np.array(self.measure.value(), ndmin=1)
         if self.law is not None:
             states, wts = self.measure.buffer()
             self.w1[c] = np.array([wasserstein1_atoms(states[:, r, 0], wts, self.law)
@@ -327,8 +326,8 @@ def _run_blocks(config: ExperimentConfig, model: DiffusionModel, fn, checkpoints
     """
     r_total = config.replications
     measure = WeightedEmpiricalMeasure(weights=config.weights(), batch_shape=(r_total,),
-                                       buffer_capacity=config.buffer_capacity if law is not None else 0)
-    measure.register("f", fn)
+                                       buffer_capacity=config.buffer_capacity if law is not None else 0,
+                                       fn=fn)
     recorder = CheckpointRecorder(measure, checkpoints, law=law, burn_in=config.burn_in)
     res = simulate_batch(config.scheme, model, config.steps(), config.innovation(model),
                          config.n_steps, np.full(model.dim, config.x0),
@@ -363,7 +362,7 @@ class CltReport:
     excluded: list
     config: dict
     replication_ids: list
-    regime_decision: RegimeDecision | None = None
+    regime_decision: RegimeDecision
 
     def rows(self):
         for c in self.checkpoints:

@@ -116,6 +116,9 @@ class WeightSchedule:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind != "power" and not self.c > 0:
             raise ValueError("weight constant c must be positive")
+        # every power H_n scales by gamma1^r; Python's float ** raises
+        # OverflowError here, before anything runs, when it does not fit
+        object.__setattr__(self, "_gamma1_r", self.reference.gamma1 ** self.r if self.kind == "power" else None)
 
     def eta_block(self, start: int, stop: int) -> np.ndarray:
         g = self.reference
@@ -142,8 +145,8 @@ class WeightSchedule:
                 return 0.0
             return self.c * (g.big_gamma(n) + g.big_gamma(n - 1)) / 2.0
         if g.kind == "constant":
-            return n * g.gamma1 ** self.r
-        return g.gamma1 ** self.r * _power_sum(g.xi * self.r, n)
+            return n * self._gamma1_r
+        return self._gamma1_r * _power_sum(g.xi * self.r, n)
 
 
 def order_weights(step: StepSchedule, q: int) -> WeightSchedule:

@@ -78,12 +78,11 @@ def partitioned_batch(scheme, model, steps, innovation, n, x0, seed, parts, weig
     states and nu_n(fn), concatenated in replication order."""
     finals, values = [], []
     for lo, hi in parts:
-        meas = WeightedEmpiricalMeasure(weights=weights, batch_shape=(hi - lo,))
-        meas.register("f", fn)
+        meas = WeightedEmpiricalMeasure(weights=weights, batch_shape=(hi - lo,), fn=fn)
         res = simulate_batch(scheme, model, steps, innovation, n, x0, master_seed=seed,
                              replications=hi - lo, sinks=[meas], replication_offset=lo)
         finals.append(res.final_states)
-        values.append(meas.value("f"))
+        values.append(meas.value())
     return np.concatenate(finals), np.concatenate(values)
 
 

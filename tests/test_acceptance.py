@@ -186,11 +186,10 @@ def test_criterion_8b_weight_scale_invariance():
     etas = rng.random(300) + 0.05
     vals = []
     for scale in (1.0, 7.3):
-        m = WeightedEmpiricalMeasure()
-        m.register("f", coordinate_monomial((2,)).fn)
+        m = WeightedEmpiricalMeasure(fn=coordinate_monomial((2,)).fn)
         for v, e in zip(xs, etas):
             m.record(np.array([v]), scale * e)
-        vals.append(m.value("f"))
+        vals.append(m.value())
     check("8b", "scaling all weights leaves nu_n(f) unchanged to round-off",
           vals[1] == pytest.approx(vals[0], rel=1e-13))
 
@@ -213,11 +212,10 @@ def test_criterion_8d_seed_determinism():
     w = WeightSchedule("proportional", steps, c=1.0)
     serial = []
     for r in range(8):
-        meas = WeightedEmpiricalMeasure(weights=w)
-        meas.register("f", coordinate_monomial((2,)).fn)
+        meas = WeightedEmpiricalMeasure(weights=w, fn=coordinate_monomial((2,)).fn)
         s = simulate("talay2", OU, steps, TP, 3000, 0.0, rng_seed=MASTER_SEED,
                      sinks=[meas], replication=r)
-        serial.append((s.x[0], meas.value("f")))
+        serial.append((s.x[0], meas.value()))
     run = ("talay2", OU, steps, TP, 3000, 0.0, MASTER_SEED)
     batch_x, batch_f = partitioned_batch(*run, [(0, 8)], w, coordinate_monomial((2,)).fn)
     same_x = np.array_equal(batch_x[:, 0], np.array([v for v, _ in serial]))

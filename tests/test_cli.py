@@ -441,6 +441,19 @@ def test_no_internal_error_or_nonfinite_report_for_any_accepted_config(capsys, t
     assert code == 2 and str(blocked) in err, err
 
 
+def test_overflowing_power_weight_is_refused_before_simulating(capsys, tmp_path):
+    # gamma1^r overflows a float: the weight schedule refuses it when built,
+    # not the fold after n steps as a total weight of zero
+    cfg = tmp_path / "power.cfg"
+    cfg.write_text("weight.kind = power\nweight.r = 2\nstep.gamma1 = 1e200\n")
+    for cmd in ("simulate", "wasserstein"):
+        out_dir = tmp_path / cmd
+        code, _, err = run_cli(capsys, cmd, "--config", str(cfg), "--n-steps", "200",
+                               "--format", "json", "--output-dir", str(out_dir))
+        assert code == 2 and "out of floating-point range" in err, (cmd, err)
+        assert not list(out_dir.glob("*.json")), cmd
+
+
 def test_benchmark_tracer_patches_and_restores_the_clt_path(capsys, tmp_path, monkeypatch):
     # perfbench/tracing.py patches ergostep names at run time; renaming or
     # removing one of them breaks the benchmark, and this test

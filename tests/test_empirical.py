@@ -26,58 +26,50 @@ from ergostep.schemes import simulate, trajectory_generators
 
 
 def test_single_atom_value():
-    m = WeightedEmpiricalMeasure()
-    m.register("x^2", coordinate_monomial((2,)).fn)
+    m = WeightedEmpiricalMeasure(fn=coordinate_monomial((2,)).fn)
     m.record(np.array([2.0]), 1.0)
-    assert m.value("x^2") == 4.0
+    assert m.value() == 4.0
 
 
 def test_zero_weight_leaves_values_unchanged():
-    m = WeightedEmpiricalMeasure()
-    m.register("x", coordinate_monomial((1,)).fn)
+    m = WeightedEmpiricalMeasure(fn=coordinate_monomial((1,)).fn)
     m.record(np.array([1.0]), 2.0)
-    before = m.value("x")
+    before = m.value()
     m.record(np.array([55.0]), 0.0)
-    assert m.value("x") == before
+    assert m.value() == before
 
 
 def test_weighted_average_by_hand():
-    m = WeightedEmpiricalMeasure()
-    m.register("x", coordinate_monomial((1,)).fn)
+    m = WeightedEmpiricalMeasure(fn=coordinate_monomial((1,)).fn)
     m.record(np.array([0.0]), 1.0)
     m.record(np.array([2.0]), 3.0)
-    assert m.value("x") == pytest.approx(1.5, rel=1e-15)
+    assert m.value() == pytest.approx(1.5, rel=1e-15)
 
 
-def test_negative_weight_rejected():
-    m = WeightedEmpiricalMeasure()
-    m.register("x", coordinate_monomial((1,)).fn)
-    with pytest.raises(ValueError):
-        m.record(np.array([0.0]), -1.0)
+@pytest.mark.parametrize("eta", [-1.0, math.nan, math.inf])
+def test_negative_weight_rejected(eta):
+    m = WeightedEmpiricalMeasure(fn=coordinate_monomial((1,)).fn)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        m.record(np.array([0.0]), eta)
 
 
-def test_unknown_name_and_empty_measure():
-    m = WeightedEmpiricalMeasure()
-    m.register("x", coordinate_monomial((1,)).fn)
-    with pytest.raises(KeyError):
-        m.value("y")
-    with pytest.raises(ValueError):
-        m.value("x")
-
-
-def test_duplicate_registration_rejected():
-    m = WeightedEmpiricalMeasure()
-    m.register("x", coordinate_monomial((1,)).fn)
-    with pytest.raises(ValueError):
-        m.register("x", coordinate_monomial((1,)).fn)
+def test_empty_measure_and_measure_without_observable():
+    m = WeightedEmpiricalMeasure(fn=coordinate_monomial((1,)).fn)
+    with pytest.raises(ValueError, match="empty measure"):
+        m.value()
+    bare = WeightedEmpiricalMeasure(buffer_capacity=4)
+    bare.record(np.array([2.5]), 0.5)
+    states, weights = bare.buffer()
+    assert np.array_equal(states, [[2.5]]) and np.array_equal(weights, [0.5])
+    with pytest.raises(ValueError, match="no observable"):
+        bare.value()
 
 
 def test_online_matches_offline_recomputation():
     ou = ou1d(1.0, math.sqrt(2.0))
     steps = StepSchedule("power_law", 1.0, 1.0 / 3.0)
     w = WeightSchedule("trapezoidal", steps, c=1.0)
-    meas = WeightedEmpiricalMeasure(weights=w)
-    meas.register("x^2", coordinate_monomial((2,)).fn)
+    meas = WeightedEmpiricalMeasure(weights=w, fn=coordinate_monomial((2,)).fn)
     logged = []
 
     class Log:
@@ -89,7 +81,7 @@ def test_online_matches_offline_recomputation():
     xs = np.concatenate(logged)
     etas = w.eta_block(1, len(xs) + 1)
     offline = math.fsum(e * v * v for e, v in zip(etas, xs)) / math.fsum(etas)
-    assert meas.value("x^2") == pytest.approx(offline, rel=1e-10)
+    assert meas.value() == pytest.approx(offline, rel=1e-10)
 
 
 def test_weight_scale_invariance():
@@ -98,17 +90,15 @@ def test_weight_scale_invariance():
     etas = rng.random(200) + 0.1
     vals = {}
     for scale in (1.0, 3.7):
-        m = WeightedEmpiricalMeasure()
-        m.register("x^2", coordinate_monomial((2,)).fn)
+        m = WeightedEmpiricalMeasure(fn=coordinate_monomial((2,)).fn)
         for v, e in zip(xs, etas):
             m.record(np.array([v]), scale * e)
-        vals[scale] = m.value("x^2")
+        vals[scale] = m.value()
     assert vals[3.7] == pytest.approx(vals[1.0], rel=1e-13)
 
 
 def test_buffer_decimation_capacity_and_determinism():
-    m = WeightedEmpiricalMeasure(buffer_capacity=16)
-    m.register("x", coordinate_monomial((1,)).fn)
+    m = WeightedEmpiricalMeasure(buffer_capacity=16, fn=coordinate_monomial((1,)).fn)
     for k in range(1, 101):
         m.record(np.array([float(k)]), 1.0)
     states, weights = m.buffer()
@@ -145,8 +135,7 @@ def test_buffer_matches_per_state_loop(cap, block_len):
     for k0 in range(0, total, block_len):
         m = min(block_len, total - k0)
         blocks.append((rng.normal(size=(m, 2, 1)), rng.random(m) + 0.1))
-    meas = WeightedEmpiricalMeasure(batch_shape=(2,), buffer_capacity=cap)
-    meas.register("x", coordinate_monomial((1,)).fn)
+    meas = WeightedEmpiricalMeasure(batch_shape=(2,), buffer_capacity=cap, fn=coordinate_monomial((1,)).fn)
     for (block, etas), (ref_states, ref_weights) in zip(blocks, _per_state_buffer(blocks, cap)):
         meas._fold(block, etas)
         got_states, got_weights = meas.buffer()
@@ -180,24 +169,18 @@ def test_tiled_fold_is_bit_identical_to_serial(batch, case):
     # more than three tiles of 1024-step rows, the last ragged
     assert 1024 * math.prod(batch) > 3 * _TILE_STATES and math.prod(batch) % (_TILE_STATES // 1024)
 
-    batched = WeightedEmpiricalMeasure(weights=w, batch_shape=batch)
     for name, fn in obs.items():
-        batched.register(name, fn)
-    serial = {}
-    for idx in np.ndindex(*batch):
-        serial[idx] = WeightedEmpiricalMeasure(weights=w)
-        for name, fn in obs.items():
-            serial[idx].register(name, fn)
-    k0 = 1
-    for block in blocks:
-        batched.observe_block(k0, block)
-        for idx, meas in serial.items():
-            meas.observe_block(k0, block[(slice(None),) + idx])
-        k0 += block.shape[0]
-    for name in obs:
-        got = batched.value(name)
+        batched = WeightedEmpiricalMeasure(weights=w, batch_shape=batch, fn=fn)
+        serial = {idx: WeightedEmpiricalMeasure(weights=w, fn=fn) for idx in np.ndindex(*batch)}
+        k0 = 1
+        for block in blocks:
+            batched.observe_block(k0, block)
+            for idx, meas in serial.items():
+                meas.observe_block(k0, block[(slice(None),) + idx])
+            k0 += block.shape[0]
+        got = batched.value()
         assert got.shape == batch
-        want = np.array([serial[idx].value(name) for idx in np.ndindex(*batch)]).reshape(batch)
+        want = np.array([serial[idx].value() for idx in np.ndindex(*batch)]).reshape(batch)
         assert np.array_equal(got, want), name
 
 
@@ -209,8 +192,7 @@ def test_fold_calls_see_at_most_a_tile(m):
         seen.append(xs.shape[:-1])
         return xs[..., 0]
 
-    meas = WeightedEmpiricalMeasure(batch_shape=(70,))
-    meas.register("x", counting)
+    meas = WeightedEmpiricalMeasure(batch_shape=(70,), fn=counting)
     meas._fold(np.zeros((m, 70, 1)), np.ones(m))
     assert sum(math.prod(s) for s in seen) == 70 * m
     assert max(math.prod(s) for s in seen) <= max(m, _TILE_STATES)
@@ -225,12 +207,13 @@ def test_fold_is_bit_identical_in_either_memory_order():
     rep_major = np.ascontiguousarray(time_major.swapaxes(0, 1)).swapaxes(0, 1)
     values = []
     for block in (time_major, rep_major):
-        meas = WeightedEmpiricalMeasure(weights=w, batch_shape=(70,))
+        folded = {}
         for name, fn in obs.items():
-            meas.register(name, fn)
-        meas.observe_block(1, block)
-        meas.observe_block(1025, block[:300])  # a block split at a checkpoint
-        values.append({name: meas.value(name).tobytes() for name in obs})
+            meas = WeightedEmpiricalMeasure(weights=w, batch_shape=(70,), fn=fn)
+            meas.observe_block(1, block)
+            meas.observe_block(1025, block[:300])  # a block split at a checkpoint
+            folded[name] = meas.value().tobytes()
+        values.append(folded)
     assert values[0] == values[1]
 
 
@@ -242,16 +225,14 @@ def test_fold_tiles_of_a_replication_major_block_are_views():
         views.append(np.shares_memory(xs, block))
         return xs[..., 0]
 
-    meas = WeightedEmpiricalMeasure(batch_shape=(70,))
-    meas.register("x", probe)
+    meas = WeightedEmpiricalMeasure(batch_shape=(70,), fn=probe)
     meas._fold(block, np.ones(1024))
     tiles = -(-70 // max(1, _TILE_STATES // 1024))
     assert tiles > 1 and len(views) == tiles and all(views)
 
 
 def test_buffer_disabled_raises():
-    m = WeightedEmpiricalMeasure()
-    m.register("x", coordinate_monomial((1,)).fn)
+    m = WeightedEmpiricalMeasure(fn=coordinate_monomial((1,)).fn)
     m.record(np.array([0.0]), 1.0)
     with pytest.raises(ValueError):
         m.buffer()
@@ -318,6 +299,15 @@ def test_w1_ignores_atoms_of_zero_weight():
     assert got == pytest.approx(wasserstein1_atoms(xs[1:4], ws[1:4], law), rel=1e-12)
 
 
+@pytest.mark.parametrize("where, bad", [("atom", math.nan), ("atom", math.inf),
+                                        ("weight", math.nan), ("weight", math.inf)])
+def test_w1_rejects_non_finite_atoms_and_weights(where, bad):
+    xs, ws = np.array([-0.5, 0.2, 1.1]), np.array([1.0, 2.0, 0.5])
+    (xs if where == "atom" else ws)[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        wasserstein1_atoms(xs, ws, NormalDist())
+
+
 def _w1_quantile_loop(xs, ws, law):
     """W1 as the integral of |empirical quantile - law quantile| over
     probabilities, one atom's cell at a time (test reference)."""
@@ -348,8 +338,7 @@ def test_w1_matches_the_per_cell_quantile_loop():
 
 
 def test_w1_of_a_measure_buffer():
-    m = WeightedEmpiricalMeasure(buffer_capacity=8)
-    m.register("x", coordinate_monomial((1,)).fn)
+    m = WeightedEmpiricalMeasure(buffer_capacity=8, fn=coordinate_monomial((1,)).fn)
     m.record(np.array([0.0]), 1.0)
     states, weights = m.buffer()
     got = wasserstein1_atoms(states[..., 0], weights, NormalDist())
@@ -389,14 +378,12 @@ def test_merge_statistics_needs_two():
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=30), st.floats(0.1, 10.0))
 def test_weight_scale_invariance_property(values, scale):
-    a = WeightedEmpiricalMeasure()
-    a.register("x", coordinate_monomial((1,)).fn)
-    b = WeightedEmpiricalMeasure()
-    b.register("x", coordinate_monomial((1,)).fn)
+    a = WeightedEmpiricalMeasure(fn=coordinate_monomial((1,)).fn)
+    b = WeightedEmpiricalMeasure(fn=coordinate_monomial((1,)).fn)
     for v in values:
         a.record(np.array([v]), 1.0)
         b.record(np.array([v]), scale)
-    assert b.value("x") == pytest.approx(a.value("x"), rel=1e-12, abs=1e-12)
+    assert b.value() == pytest.approx(a.value(), rel=1e-12, abs=1e-12)
 
 
 def test_w1_matches_scipy_on_quantile_discretization():

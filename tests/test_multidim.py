@@ -139,13 +139,11 @@ def test_simulate_2d_measures_match_serial():
     w = WeightSchedule("proportional", st, c=1.0)
     serial = []
     for r in range(3):
-        meas = WeightedEmpiricalMeasure(weights=w)
-        meas.register("f", F.fn)
+        meas = WeightedEmpiricalMeasure(weights=w, fn=F.fn)
         simulate("talay2", MODEL, st, TP2, 1500, [0.2, 0.2], rng_seed=31,
                  sinks=[meas], replication=r)
-        serial.append(meas.value("f"))
-    bm = WeightedEmpiricalMeasure(weights=w, batch_shape=(3,))
-    bm.register("f", F.fn)
+        serial.append(meas.value())
+    bm = WeightedEmpiricalMeasure(weights=w, batch_shape=(3,), fn=F.fn)
     simulate_batch("talay2", MODEL, st, TP2, 1500, [0.2, 0.2], master_seed=31,
                    replications=3, sinks=[bm])
-    assert np.array_equal(bm.value("f"), np.array(serial))
+    assert np.array_equal(bm.value(), np.array(serial))

@@ -160,17 +160,15 @@ def test_batch_matches_serial_bitwise(scheme, kind):
     serial_states = []
     serial_vals = []
     for r in range(reps):
-        meas = WeightedEmpiricalMeasure(weights=w)
-        meas.register("x^2", coordinate_monomial((2,)).fn)
+        meas = WeightedEmpiricalMeasure(weights=w, fn=coordinate_monomial((2,)).fn)
         s = simulate(scheme, OU, st, inn, n, 0.3, rng_seed=123, sinks=[meas], replication=r)
         serial_states.append(s.x)
-        serial_vals.append(meas.value("x^2"))
-    bmeas = WeightedEmpiricalMeasure(weights=w, batch_shape=(reps,))
-    bmeas.register("x^2", coordinate_monomial((2,)).fn)
+        serial_vals.append(meas.value())
+    bmeas = WeightedEmpiricalMeasure(weights=w, batch_shape=(reps,), fn=coordinate_monomial((2,)).fn)
     res = simulate_batch(scheme, OU, st, inn, n, 0.3, master_seed=123,
                          replications=reps, sinks=[bmeas])
     assert np.array_equal(res.final_states, np.stack(serial_states))
-    assert np.array_equal(bmeas.value("x^2"), np.array(serial_vals))
+    assert np.array_equal(bmeas.value(), np.array(serial_vals))
     assert res.excluded == []
 
 
