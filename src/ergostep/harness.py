@@ -29,7 +29,7 @@ from . import catalog
 from .empirical import SummaryStats, WeightedEmpiricalMeasure, merge_statistics, wasserstein1_atoms
 from .innovations import InnovationDist
 from .model import DiffusionModel, Observable, generator_observable, m1_euler, m1_talay, m2_talay, vf_operator
-from .schedules import STEP_KINDS, WEIGHT_KINDS, StepSchedule, WeightSchedule, order_weights
+from .schedules import STEP_KINDS, WEIGHT_KINDS, StepSchedule, WeightSchedule, power_h
 from .schemes import SCHEME_KINDS, simulate_batch
 
 
@@ -51,7 +51,7 @@ CONFIG_KEYS = {
     "model.theta": "model_params", "model.sigma": "model_params", "model.dim": "model_params",
     "scheme": "scheme", "innovation": "innovation_kind", "f": "observable_name",
     "step.kind": "step_kind", "step.gamma1": "gamma1", "step.xi": "xi",
-    "weight.kind": "weight_kind", "weight.c": "weight_c", "weight.r": "weight_r",
+    "weight.kind": "weight_kind", "weight.c": "weight_c",
     "n_steps": "n_steps", "replications": "replications", "seed": "seed",
     "checkpoints": "checkpoints", "x0": "x0", "buffer_capacity": "buffer_capacity",
     "threads": "threads", "burn_in": "burn_in",
@@ -126,7 +126,6 @@ class ExperimentConfig:
     xi: float = 1.0 / 3.0
     weight_kind: str = "proportional"
     weight_c: float = 1.0
-    weight_r: float = 1.0
     n_steps: int = 100_000
     replications: int = 2
     seed: int = 0
@@ -182,8 +181,7 @@ class ExperimentConfig:
         return StepSchedule(kind=self.step_kind, gamma1=self.gamma1, xi=self.xi)
 
     def weights(self, steps: StepSchedule | None = None) -> WeightSchedule:
-        return WeightSchedule(kind=self.weight_kind, reference=steps or self.steps(),
-                              c=self.weight_c, r=self.weight_r)
+        return WeightSchedule(kind=self.weight_kind, reference=steps or self.steps(), c=self.weight_c)
 
     def innovation(self, model: DiffusionModel) -> InnovationDist:
         return InnovationDist(kind=self.innovation_kind, dimension=model.noise_dim)
@@ -199,8 +197,6 @@ class ExperimentConfig:
         2 for trapezoidal weights, which only talay2 reaches."""
         if self.weight_kind == "proportional":
             return 1
-        if self.weight_kind != "trapezoidal":
-            raise ConfigError("CLT experiments need proportional or trapezoidal weights")
         if self.scheme == "euler":
             raise ConfigError("weight family must match scheme order (euler is order one)")
         return 2
@@ -244,9 +240,8 @@ def classify_regime(step: StepSchedule, weight_kind: str, q: int,
     else:
         regime = "C_bias"
 
-    aux = order_weights(step, q)
     grid = np.unique(np.logspace(3, math.log10(n_max), 9).astype(int))
-    ratios = np.array([math.sqrt(step.big_gamma(int(n))) / aux.big_h(int(n)) for n in grid])
+    ratios = np.array([math.sqrt(step.big_gamma(int(n))) / power_h(step, q + 1, int(n)) for n in grid])
     return RegimeDecision(regime=regime, ratio_span=float(ratios[-1] / ratios[0]),
                           xi=step.xi, q=q, threshold=threshold)
 
@@ -422,7 +417,6 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
 
     recorder, excluded, keep = _run_blocks(config, model, af.fn, checkpoints)
 
-    aux = order_weights(steps, q)
     weights = config.weights(steps)
 
     statistics: dict[int, np.ndarray] = {}
@@ -436,7 +430,7 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     for c in checkpoints:
         h_n = weights.big_h(c) - weights.big_h(b)
         g_n = steps.big_gamma(c) - steps.big_gamma(b)
-        aux_n = aux.big_h(c) - aux.big_h(b)
+        aux_n = power_h(steps, q + 1, c) - power_h(steps, q + 1, b)
         if decision.regime == "C_bias":
             norm = h_n / (config.weight_c * aux_n)
         else:

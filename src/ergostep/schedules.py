@@ -1,23 +1,25 @@
 """Step and weight sequences with closed-form partial sums.
 
-Power-law steps have Gamma_n = gamma1 * S(xi, n) and ``power`` weights have
-H_n = gamma1^r * S(xi*r, n), where S(s, n) = sum_{k<=n} k^(-s); constant
-steps give n * gamma1 and n * gamma1^r.  Proportional and trapezoidal H_n
-are exact identities in Gamma_n.  ``_power_sum`` adds the first ``_HEAD``
-terms with ``math.fsum`` and the rest by an Euler-Maclaurin tail, so every
-partial sum costs the same small, fixed work and memory at any n, and the
-schedules hold no state beyond their parameters.
+Power-law steps have Gamma_n = gamma1 * S(xi, n) and the auxiliary clock
+H_{gamma^r,n} = sum_{k<=n} gamma_k^r is gamma1^r * S(xi*r, n) (``power_h``),
+where S(s, n) = sum_{k<=n} k^(-s); constant steps give n * gamma1 and
+n * gamma1^r.  Proportional and trapezoidal H_n are exact identities in
+Gamma_n.  ``_power_sum`` adds the first ``_HEAD`` terms with ``math.fsum``
+and the rest by an Euler-Maclaurin tail, so every partial sum costs the
+same small, fixed work and memory at any n, and the schedules hold no state
+beyond their parameters.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 STEP_KINDS = ("power_law", "constant")
-WEIGHT_KINDS = ("proportional", "trapezoidal", "power")
+WEIGHT_KINDS = ("proportional", "trapezoidal")
 
 # terms summed exactly; past it the Euler-Maclaurin remainder is below 1e-27
 _HEAD = 1024
@@ -69,15 +71,6 @@ class StepSchedule:
         if self.kind == "power_law" and not 0.0 < self.xi < 1.0:
             raise ValueError("power_law exponent xi must lie in (0, 1)")
 
-    def gamma(self, n: int) -> float:
-        """gamma_n for n >= 1 (gamma_0 exists only as the trapezoidal
-        convention), with the bits of ``gamma_block``, the steps the
-        simulation driver takes: numpy's power and Python's ** can round
-        differently in the last bit."""
-        if n < 1:
-            raise ValueError("step index n must be >= 1")
-        return float(self.gamma_block(n, n + 1)[0])
-
     def gamma_block(self, start: int, stop: int) -> np.ndarray:
         """Vector of gamma_n for n in [start, stop)."""
         ns = np.arange(start, stop, dtype=np.float64)
@@ -102,36 +95,28 @@ class WeightSchedule:
     ``trapezoidal``:  eta_n = c * (gamma_{n-1} + gamma_n) / 2 with gamma_0 = 0;
                       telescoping gives H_n = c * (Gamma_n + Gamma_{n-1}) / 2,
                       which is how H_n is evaluated (the identity is exact).
-    ``power``:        eta_n = gamma_n ** r (no constant; houses the auxiliary
-                      weights gamma^{q+1}).
     """
 
     kind: str
     reference: StepSchedule
     c: float = 1.0
-    r: float = 1.0
 
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind != "power" and not self.c > 0:
+        if not self.c > 0:
             raise ValueError("weight constant c must be positive")
-        # every power H_n scales by gamma1^r; Python's float ** raises
-        # OverflowError here, before anything runs, when it does not fit
-        object.__setattr__(self, "_gamma1_r", self.reference.gamma1 ** self.r if self.kind == "power" else None)
 
     def eta_block(self, start: int, stop: int) -> np.ndarray:
         g = self.reference
         if self.kind == "proportional":
             return self.c * g.gamma_block(start, stop)
-        if self.kind == "trapezoidal":
-            cur = g.gamma_block(start, stop)
-            if start == 1:
-                prev = np.concatenate([[0.0], g.gamma_block(1, stop - 1)])
-            else:
-                prev = g.gamma_block(start - 1, stop - 1)
-            return self.c * (prev + cur) / 2.0
-        return g.gamma_block(start, stop) ** self.r
+        cur = g.gamma_block(start, stop)
+        if start == 1:
+            prev = np.concatenate([[0.0], g.gamma_block(1, stop - 1)])
+        else:
+            prev = g.gamma_block(start - 1, stop - 1)
+        return self.c * (prev + cur) / 2.0
 
     def big_h(self, n: int) -> float:
         """H_n = sum_{k<=n} eta_k (n >= 1; H_0 = 0 for convenience)."""
@@ -140,15 +125,23 @@ class WeightSchedule:
         g = self.reference
         if self.kind == "proportional":
             return self.c * g.big_gamma(n)
-        if self.kind == "trapezoidal":
-            if n == 0:
-                return 0.0
-            return self.c * (g.big_gamma(n) + g.big_gamma(n - 1)) / 2.0
-        if g.kind == "constant":
-            return n * self._gamma1_r
-        return self._gamma1_r * _power_sum(g.xi * self.r, n)
+        if n == 0:
+            return 0.0
+        return self.c * (g.big_gamma(n) + g.big_gamma(n - 1)) / 2.0
 
 
-def order_weights(step: StepSchedule, q: int) -> WeightSchedule:
-    """Auxiliary weights gamma_n^{q+1} that clock the order-q bias term."""
-    return WeightSchedule(kind="power", reference=step, r=float(q + 1))
+def power_h(step: StepSchedule, r: float, n: int) -> float:
+    """H_{gamma^r,n} = sum_{k<=n} gamma_k^r (n >= 0), the auxiliary clock
+    that sets the order-q bias scale at r = q + 1.  gamma1^r must be a
+    normal float: Python's ** raises OverflowError past the top of the
+    range, and an underflow raises ValueError, where the clock would
+    otherwise read zero."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    gamma1_r = step.gamma1 ** r
+    if not gamma1_r >= sys.float_info.min:
+        raise ValueError(f"step.gamma1 = {step.gamma1!r} is too small: gamma1^{r!r} underflows "
+                         f"the auxiliary clock sum gamma_k^{r!r}")
+    if step.kind == "constant":
+        return n * gamma1_r
+    return gamma1_r * _power_sum(step.xi * r, n)

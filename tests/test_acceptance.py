@@ -23,7 +23,7 @@ from ergostep.empirical import WeightedEmpiricalMeasure, merge_statistics
 from ergostep.harness import ExperimentConfig, classify_regime, ks_normality, run_clt_experiment, run_ergodic_experiment, run_rate_experiment
 from ergostep.innovations import InnovationDist, assemble_w, gaussian_moment, joint_outcomes
 from ergostep.model import generator_observable
-from ergostep.schedules import StepSchedule, WeightSchedule, order_weights
+from ergostep.schedules import StepSchedule, WeightSchedule, power_h
 from ergostep.schemes import simulate
 
 MASTER_SEED = 20260809
@@ -113,8 +113,7 @@ def test_criterion_3_first_order_clt(euler_clt):
 
     # regime-B mean hypothesis: nu(M1 f) = -1 with the finite-n ratio
     steps = StepSchedule("power_law", 1.0, 1.0 / 3.0)
-    aux = order_weights(steps, 1)
-    shift = -1.0 * aux.big_h(n) / math.sqrt(steps.big_gamma(n))
+    shift = -1.0 * power_h(steps, 2, n) / math.sqrt(steps.big_gamma(n))
     assert euler_clt.predicted_shift[n] == pytest.approx(shift, rel=1e-9)
     assert euler_clt.predicted_variance == pytest.approx(8.0, rel=1e-9)
     d, ks_ok = ks_normality(stats, variance=8.0, mean=shift)

@@ -441,17 +441,35 @@ def test_no_internal_error_or_nonfinite_report_for_any_accepted_config(capsys, t
     assert code == 2 and str(blocked) in err, err
 
 
-def test_overflowing_power_weight_is_refused_before_simulating(capsys, tmp_path):
-    # gamma1^r overflows a float: the weight schedule refuses it when built,
-    # not the fold after n steps as a total weight of zero
+def test_power_weight_kind_is_refused_as_unknown(capsys, tmp_path):
+    # the auxiliary clock sum of gamma_k^{q+1} is schedules.power_h, not a weight kind
     cfg = tmp_path / "power.cfg"
-    cfg.write_text("weight.kind = power\nweight.r = 2\nstep.gamma1 = 1e200\n")
-    for cmd in ("simulate", "wasserstein"):
+    cfg.write_text("weight.kind = power\n")
+    for cmd in ("simulate", "wasserstein", "clt"):
         out_dir = tmp_path / cmd
         code, _, err = run_cli(capsys, cmd, "--config", str(cfg), "--n-steps", "200",
                                "--format", "json", "--output-dir", str(out_dir))
-        assert code == 2 and "out of floating-point range" in err, (cmd, err)
+        assert code == 2 and "unknown weight kind 'power'" in err, (cmd, err)
         assert not list(out_dir.glob("*.json")), cmd
+
+
+@pytest.mark.parametrize("argv,message", [
+    # gamma1^(q+1) underflows to 0.0, and the bias scale would divide by it
+    (["--n-steps", "2000", "--replications", "60", "--gamma1", "1e-200"], "step.gamma1 = 1e-200"),
+    (["--scheme", "talay2", "--weight", "trapezoidal", "--xi", "0.2", "--gamma1", "1e-110"],
+     "step.gamma1 = 1e-110"),
+    (["--n-steps", "2000", "--replications", "60", "--gamma1", "1e200"], "out of floating-point range"),
+], ids=["underflow-euler", "underflow-talay2", "overflow"])
+def test_clt_refuses_a_gamma1_whose_order_clock_leaves_the_floats_before_simulating(
+        capsys, tmp_path, monkeypatch, argv, message):
+    from ergostep import harness
+
+    runs = []
+    monkeypatch.setattr(harness, "simulate_batch", lambda *args, **kwargs: runs.append(args[0]))
+    code, _, err = run_cli(capsys, "clt", *argv, "--format", "json", "--output-dir", str(tmp_path))
+    assert code == 2 and message in err, err
+    assert runs == []
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_benchmark_tracer_patches_and_restores_the_clt_path(capsys, tmp_path, monkeypatch):

@@ -28,7 +28,7 @@ from ergostep.harness import (
 from ergostep.catalog import ou1d
 from ergostep.empirical import WeightedEmpiricalMeasure, wasserstein1_atoms
 from ergostep.model import generator_observable, m1_euler, vf_operator
-from ergostep.schedules import StepSchedule, order_weights
+from ergostep.schedules import StepSchedule, power_h
 from ergostep.schemes import make_stepper, simulate, trajectory_generators
 
 
@@ -217,10 +217,7 @@ def test_clt_small_run_regimes_and_fields():
     assert rep.predicted_variance == pytest.approx(8.0, rel=1e-10)
     # finite-n shift: nu(M1 f) * H_aux / sqrt(Gamma)
     st = cfg.steps()
-    from ergostep.schedules import order_weights
-
-    aux = order_weights(st, 1)
-    expected = -1.0 * aux.big_h(3000) / math.sqrt(st.big_gamma(3000))
+    expected = -1.0 * power_h(st, 2, 3000) / math.sqrt(st.big_gamma(3000))
     assert rep.predicted_shift[3000] == pytest.approx(expected, rel=1e-6)
 
 
@@ -395,7 +392,6 @@ def test_burn_in_matches_offline_slice():
 
 def test_clt_burn_in_statistic_sums_past_burn_in():
     from ergostep.model import generator_observable
-    from ergostep.schedules import order_weights
     from ergostep.schemes import simulate
 
     b, n = 500, 2000
@@ -409,9 +405,8 @@ def test_clt_burn_in_statistic_sums_past_burn_in():
     af = generator_observable(model, cfg.observable(model))
     steps = cfg.steps()
     etas = cfg.weights().eta_block(1, n + 1)
-    clock = math.fsum(steps.gamma(k) for k in range(b + 1, n + 1))
-    aux = order_weights(steps, 1)
-    aux_sum = math.fsum(aux.eta_block(b + 1, n + 1))
+    clock = math.fsum(steps.gamma_block(b + 1, n + 1))
+    aux_sum = math.fsum(steps.gamma_block(b + 1, n + 1) ** 2.0)
     class Log:
         def __init__(self):
             self.blocks = []
@@ -450,12 +445,9 @@ def test_ou_nd_from_config():
 def test_finite_n_shift_approaches_asymptote():
     # l_hat_n = sqrt(Gamma_n)/H_{gamma^2,n} -> sqrt(3/2)/3 = 1/sqrt(6) at
     # xi = 1/3, so the regime-B shift -1/l_hat approaches -sqrt(6)
-    from ergostep.schedules import order_weights
-
     st = StepSchedule("power_law", 1.0, 1.0 / 3.0)
-    aux = order_weights(st, 1)
     for n, tol in ((10**5, 0.02), (10**7, 0.005)):
-        l_hat = math.sqrt(st.big_gamma(n)) / aux.big_h(n)
+        l_hat = math.sqrt(st.big_gamma(n)) / power_h(st, 2, n)
         assert -1.0 / l_hat == pytest.approx(-math.sqrt(6.0), rel=tol)
 
 
@@ -475,15 +467,14 @@ def test_statistic_normalizer_identities():
     st = StepSchedule("power_law", 1.0, 1.0 / 3.0)
     from ergostep.schedules import WeightSchedule
 
-    clock = WeightSchedule("power", st, r=1.0)
     prop = WeightSchedule("proportional", st, c=2.2)
     trap = WeightSchedule("trapezoidal", st, c=2.2)
     ratio_prev = 0.0
     for n in (10, 1000, 100_000):
         root_gamma = math.sqrt(st.big_gamma(n))
-        norm_prop = prop.big_h(n) / (2.2 * math.sqrt(clock.big_h(n)))
+        norm_prop = prop.big_h(n) / (2.2 * math.sqrt(power_h(st, 1.0, n)))
         assert norm_prop == pytest.approx(root_gamma, rel=1e-12)
-        norm_trap = trap.big_h(n) / (2.2 * math.sqrt(clock.big_h(n)))
+        norm_trap = trap.big_h(n) / (2.2 * math.sqrt(power_h(st, 1.0, n)))
         expected = (st.big_gamma(n) + st.big_gamma(n - 1)) / (2.0 * root_gamma)
         assert norm_trap == pytest.approx(expected, rel=1e-12)
         ratio = norm_trap / root_gamma
@@ -499,10 +490,7 @@ def test_clt_regime_c_normalization():
         rep = run_clt_experiment(cfg)
     assert rep.regime == "C_bias"
     st = cfg.steps()
-    from ergostep.schedules import order_weights
-
-    aux = order_weights(st, 1)
-    expected = st.big_gamma(1500) / aux.big_h(1500)  # H_n/(C H_aux) with C=1, eta=gamma
+    expected = st.big_gamma(1500) / power_h(st, 2, 1500)  # H_n/(C H_aux) with C=1, eta=gamma
     assert rep.normalizers[1500] == pytest.approx(expected, rel=1e-12)
     # the limit of the regime-C statistic is nu(M1 f) = -1 for the reference model
     assert rep.predicted_shift[1500] == pytest.approx(-1.0, rel=1e-9)
@@ -568,7 +556,7 @@ def _exact_mean_statistic(cfg, ns):
 def _regime_b_shift(cfg, nu_m, n):
     """predicted_shift in regime B, nu(Mf) / l_hat_n."""
     steps = cfg.steps()
-    return nu_m * order_weights(steps, cfg.scheme_order()).big_h(n) / math.sqrt(steps.big_gamma(n))
+    return nu_m * power_h(steps, cfg.scheme_order() + 1, n) / math.sqrt(steps.big_gamma(n))
 
 
 @pytest.mark.parametrize("scheme", ["euler", "talay2"])

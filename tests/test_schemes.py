@@ -460,7 +460,7 @@ def test_divergence_on_the_worker_path_reports_the_first_bad_step():
     x, first = np.ones(1), 0
     while abs(x[0]) <= 1e12:
         first += 1
-        x = step(x, st.gamma(first), np.zeros(1), None)
+        x = step(x, st.gamma1, np.zeros(1), None)
     assert 2 * CHUNK < first <= 3 * CHUNK
     with pytest.raises(DivergenceError) as err:
         simulate("euler", growth, st, TP, 4000, 1.0, rng_seed=4)
