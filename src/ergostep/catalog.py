@@ -1,4 +1,4 @@
-"""Built-in models, observables and Lyapunov data.
+"""Built-in models, observables and Lyapunov constants.
 
 Every model here carries exact drift and diffusion derivatives through
 order two, the whole derivative contract of ``model``, so the increment
@@ -84,7 +84,7 @@ def ou1d(theta: float = 1.0, sigma: float = math.sqrt(2.0)) -> DiffusionModel:
         d2sigma=_const_field(np.zeros((1, 1, 1, 1))),
         name=f"ou1d(theta={th}, sigma={sg})",
         law=normal_law([[sg**2 / (2.0 * th)]], 64),
-        lyapunov=quadratic_lyapunov(alpha=th, beta=th + sg**2),
+        lyapunov=LyapunovSpec(alpha=th, beta=th + sg**2),
     )
 
 
@@ -127,7 +127,7 @@ def double_well(sigma: float = math.sqrt(2.0)) -> DiffusionModel:
         d2sigma=_const_field(np.zeros((1, 1, 1, 1))),
         name=f"double_well(sigma={sg})",
         law=InvariantLaw(rule) if sg != 0 else None,
-        lyapunov=quadratic_lyapunov(alpha=1.0, beta=sg**2 + 17.0 / 8.0),
+        lyapunov=LyapunovSpec(alpha=1.0, beta=sg**2 + 17.0 / 8.0),
     )
 
 
@@ -159,7 +159,7 @@ def ou_nd(theta_matrix, sigma_matrix) -> DiffusionModel:
         d2sigma=_const_field(np.zeros((d, n, d, d))),
         name="ou_nd",
         law=law,
-        lyapunov=quadratic_lyapunov(alpha=lam, beta=lam + float(np.sum(sg**2))) if lam > 0 else None,
+        lyapunov=LyapunovSpec(alpha=lam, beta=lam + float(np.sum(sg**2))) if lam > 0 else None,
     )
 
 
@@ -265,22 +265,3 @@ def observable_from_name(name: str, dim: int = 1) -> Observable:
             raise ValueError(f"coordinate out of range in observable {name!r}")
         exps[idx] += int(m.group(2)) if m.group(2) else 1
     return coordinate_monomial(exps)
-
-
-# ---------------------------------------------------------------------------
-# Lyapunov data
-
-
-def quadratic_lyapunov(alpha: float, beta: float) -> LyapunovSpec:
-    """V(x) = 1 + |x|^2, the essentially quadratic catalog choice."""
-
-    def v(x):
-        x = np.asarray(x, dtype=np.float64)
-        return 1.0 + np.einsum("...i,...i->...", x, x)
-
-    def hess(x):
-        x = np.asarray(x, dtype=np.float64)
-        d = x.shape[-1]
-        return np.broadcast_to(2.0 * np.eye(d), x.shape[:-1] + (d, d))
-
-    return LyapunovSpec(v=v, hess_v=hess, alpha=alpha, beta=beta)

@@ -61,7 +61,7 @@ SLOPE_TOLERANCE = 0.12
 FLAGS = {
     "--model": "model.id", "--theta": "model.theta", "--sigma": "model.sigma",
     "--scheme": "scheme", "--innovation": "innovation", "--f": "f",
-    "--gamma1": "step.gamma1", "--xi": "step.xi", "--weight": "weight.kind", "--weight-c": "weight.c",
+    "--gamma1": "step.gamma1", "--xi": "step.xi", "--weight": "weight.kind",
     "--n-steps": "n_steps", "--replications": "replications", "--seed": "seed",
     "--checkpoints": "checkpoints", "--x0": "x0", "--buffer-capacity": "buffer_capacity",
     "--burn-in": "burn_in", "--threads": "threads",

@@ -48,21 +48,45 @@ def default_grid(dim: int) -> np.ndarray:
     return rng.uniform(-5.0, 5.0, size=(200, dim))
 
 
+def _one_step_means(scheme: str, model: DiffusionModel, fn, x: np.ndarray, gammas,
+                    innovation: InnovationDist) -> list[np.ndarray]:
+    """E[fn(X_gamma) | X_0 = x] for each gamma under the driver's kernel, as
+    the exact sum over the finite support of ``innovation``; a mean that is
+    not finite raises ``DivergenceError``."""
+    if innovation.kind == "gaussian":
+        raise ValueError("the probes need a finite-support innovation")
+    model.require_noise(innovation)
+    if any(gamma <= 0 for gamma in gammas):
+        raise ValueError("step size must be positive")
+    step = make_stepper(scheme, model)
+    means = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gamma in gammas:
+            mean = _expect(lambda u, kap: fn(step(x, gamma, u, kap)), innovation,
+                           with_kappa=scheme == "talay2")
+            if not np.all(np.isfinite(mean)):
+                raise DivergenceError(None)
+            means.append(mean)
+    return means
+
+
 # ---------------------------------------------------------------------------
 # recursive control
 
 
-def lambda_p_grid_max(lyapunov: LyapunovSpec, grid: np.ndarray) -> float:
-    """Grid maximum of the clamped top eigenvalue of D^2 V, the lambda_p of
-    the mean-reversion hypothesis at p = 1 (a grid max, not a supremum)."""
-    eig = np.linalg.eigvalsh(np.asarray(lyapunov.hess_v(grid), dtype=np.float64))
-    return float(max(eig.max(), 0.0))
+def _v(x: np.ndarray) -> np.ndarray:
+    """V(x) = 1 + |x|^2, the essentially quadratic Lyapunov function whose
+    constants the catalog models carry.  D^2 V = 2I everywhere, so the top
+    Hessian eigenvalue of the mean-reversion hypothesis at p = 1 is exactly
+    2 and needs no probe."""
+    return 1.0 + np.einsum("...i,...i->...", x, x)
 
 
 def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: LyapunovSpec,
                             gamma: float, innovation: InnovationDist,
                             grid: np.ndarray | None = None) -> ProbeReport:
-    """Margin of the discrete-time mean-reversion inequality on a grid.
+    """Margin of the discrete-time mean-reversion inequality for
+    V(x) = 1 + |x|^2 on a grid.
 
     margin(x) = beta - alpha V(x) - (E[V(X_gamma) | x] - V(x)) / gamma
 
@@ -74,26 +98,15 @@ def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: Lyapun
     expectation is the exact sum over the finite support of ``innovation``,
     the law the driver draws from.
     """
-    if innovation.kind == "gaussian":
-        raise ValueError("mean-reversion probe needs a finite-support innovation")
-    model.require_noise(innovation)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     if grid is None:
         grid = default_grid(model.dim)
     grid = np.asarray(grid, dtype=np.float64).reshape(-1, model.dim)
     if grid.shape[0] == 0:
         raise ValueError("probe grid must be non-empty")
-
-    v = np.asarray(lyapunov.v(grid), dtype=np.float64)
+    ev, = _one_step_means(scheme, model, _v, grid, [gamma], innovation)
+    v = _v(grid)
     rhs = lyapunov.beta - lyapunov.alpha * v
     scale = abs(lyapunov.beta) + lyapunov.alpha * v
-    step = make_stepper(scheme, model)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ev = _expect(lambda u, kap: lyapunov.v(step(grid, gamma, u, kap)), innovation,
-                     with_kappa=scheme == "talay2")
-    if not np.all(np.isfinite(ev)):
-        raise DivergenceError(None)
     pseudo = (ev - v) / gamma
     margins = rhs - pseudo
     tol = np.maximum(PASS_TOL_ABS, PASS_TOL_REL * scale)
@@ -103,14 +116,7 @@ def recursive_control_probe(scheme: str, model: DiffusionModel, lyapunov: Lyapun
         margins=margins,
         verdict="pass" if bool(np.all(margins >= -tol)) else "fail",
         worst_point=grid[worst],
-        metadata={
-            "gamma": gamma,
-            "scheme": scheme,
-            "alpha": lyapunov.alpha,
-            "beta": lyapunov.beta,
-            "lambda_p_grid_max": lambda_p_grid_max(lyapunov, grid),
-            "lambda_p_is_grid_max_not_supremum": True,
-        },
+        metadata={"gamma": gamma, "scheme": scheme, "alpha": lyapunov.alpha, "beta": lyapunov.beta},
     )
 
 
@@ -133,24 +139,16 @@ def weak_order_probe(scheme: str, model: DiffusionModel, f: Observable, x,
     weak-order-two kernel.  Consecutive error ratios near 2^(q+1) confirm
     the O(gamma^(q+1)) remainder; a ratio over an exactly zero error is
     None."""
-    if innovation.kind == "gaussian":
-        raise ValueError("weak order probe needs a finite-support innovation")
-    model.require_noise(innovation)
-    if any(gamma <= 0 for gamma in gammas):
-        raise ValueError("step size must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    step = make_stepper(scheme, model)
+    means = _one_step_means(scheme, model, lambda y: np.asarray(f.fn(y), dtype=np.float64), x,
+                            gammas, innovation)
     with np.errstate(over="ignore", invalid="ignore"):
         af = generator_apply(model, f, x)
         target0 = np.asarray(f.fn(x), dtype=np.float64) + 0.0
         if scheme == "talay2":
             a2f = generator_apply(model, generator_observable(model, f), x)
         errs = []
-        for gamma in gammas:
-            mean = _expect(lambda u, kap: np.asarray(f.fn(step(x, gamma, u, kap)), dtype=np.float64),
-                           innovation, with_kappa=scheme == "talay2")
-            if not np.isfinite(mean):
-                raise DivergenceError(None)
+        for gamma, mean in zip(gammas, means):
             target = target0 + gamma * af
             if scheme == "talay2":
                 target = target + 0.5 * gamma * gamma * a2f

@@ -58,7 +58,14 @@ CONFIG_KEYS = {
 }
 
 # lower bounds of the integer keys that have one
-_AT_LEAST = {"n_steps": 1, "replications": 1, "burn_in": 0, "buffer_capacity": 0, "model.dim": 1}
+_AT_LEAST = {"n_steps": 1, "replications": 1, "seed": 0, "burn_in": 0, "buffer_capacity": 0,
+             "model.dim": 1}
+
+# keys that accept one value: every replication owns its stream, so no
+# partition of them changes a result, and a constant factor in every eta_k
+# cancels from nu_n and the CLT normaliser.  They stay for existing configs
+# and the benchmark's mappings.
+_ONLY_VALUE = {"threads": 1, "weight.c": 1.0}
 
 
 def _parse_int(text: str) -> int:
@@ -136,10 +143,10 @@ class ExperimentConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        # every replication owns its stream, so partitions could never change
-        # a result; the key stays for existing configs and accepts only 1
-        if self.threads != 1:
-            raise ConfigError(f"bad value for threads: must be 1, got {self.threads!r}")
+        for key, only in _ONLY_VALUE.items():
+            value = getattr(self, CONFIG_KEYS[key])
+            if value != only:
+                raise ConfigError(f"bad value for {key}: must be {only:g}, got {value!r}")
         if self.scheme not in SCHEME_KINDS:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.step_kind not in STEP_KINDS:
@@ -181,7 +188,7 @@ class ExperimentConfig:
         return StepSchedule(kind=self.step_kind, gamma1=self.gamma1, xi=self.xi)
 
     def weights(self, steps: StepSchedule | None = None) -> WeightSchedule:
-        return WeightSchedule(kind=self.weight_kind, reference=steps or self.steps(), c=self.weight_c)
+        return WeightSchedule(kind=self.weight_kind, reference=steps or self.steps())
 
     def innovation(self, model: DiffusionModel) -> InnovationDist:
         return InnovationDist(kind=self.innovation_kind, dimension=model.noise_dim)
@@ -227,6 +234,8 @@ def classify_regime(step: StepSchedule, weight_kind: str, q: int,
     1/(2q+1) (Lamberton & Pages, Bernoulli 2002): A above it, B on it, C
     below it.  ``ratio_span`` is reported beside the regime, from a 9-point
     log grid of n up to ``n_max``; it is not checked against the rule.
+    Nothing reads ``weight_kind``; it stays because the benchmark's
+    ``regime_grid`` passes it positionally.
     """
     if step.kind != "power_law":
         raise ConfigError("regime classification needs power-law steps")
@@ -431,10 +440,7 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         h_n = weights.big_h(c) - weights.big_h(b)
         g_n = steps.big_gamma(c) - steps.big_gamma(b)
         aux_n = power_h(steps, q + 1, c) - power_h(steps, q + 1, b)
-        if decision.regime == "C_bias":
-            norm = h_n / (config.weight_c * aux_n)
-        else:
-            norm = h_n / (config.weight_c * math.sqrt(g_n))
+        norm = h_n / (aux_n if decision.regime == "C_bias" else math.sqrt(g_n))
         normalizers[c] = norm
         l_hats[c] = math.sqrt(g_n) / aux_n
         statistics[c] = norm * recorder.snapshots[c][keep]

@@ -122,8 +122,9 @@ class DiffusionModel:
     are optional: the Euler kernel and its bias operator read only b and
     sigma, and whatever reads them calls ``require_derivatives`` first.
     The two fields after ``d2sigma`` are unread.  ``law`` is the invariant
-    law as a quadrature rule, and ``lyapunov`` a V with constants for which
-    the discrete mean-reversion probe holds; None when the model has none.
+    law as a quadrature rule, and ``lyapunov`` the constants for which the
+    discrete mean-reversion probe of V = 1 + |x|^2 holds; None when the
+    model has none.
     """
 
     dim: int
@@ -182,12 +183,9 @@ class InvariantLaw:
 
 @dataclass(frozen=True)
 class LyapunovSpec:
-    """An essentially quadratic Lyapunov function V, its Hessian, and the
-    constants of the mean reversion AV <= beta - alpha V that the discrete
-    probe checks."""
+    """The constants of the mean reversion AV <= beta - alpha V that the
+    discrete probe checks, for V(x) = 1 + |x|^2."""
 
-    v: Callable
-    hess_v: Callable
     alpha: float
     beta: float
 

@@ -91,32 +91,29 @@ class StepSchedule:
 class WeightSchedule:
     """Weight sequence eta_n over a reference step schedule, with sums H_n.
 
-    ``proportional``: eta_n = c * gamma_n, so H_n = c * Gamma_n exactly.
-    ``trapezoidal``:  eta_n = c * (gamma_{n-1} + gamma_n) / 2 with gamma_0 = 0;
-                      telescoping gives H_n = c * (Gamma_n + Gamma_{n-1}) / 2,
+    ``proportional``: eta_n = gamma_n, so H_n = Gamma_n exactly.
+    ``trapezoidal``:  eta_n = (gamma_{n-1} + gamma_n) / 2 with gamma_0 = 0;
+                      telescoping gives H_n = (Gamma_n + Gamma_{n-1}) / 2,
                       which is how H_n is evaluated (the identity is exact).
     """
 
     kind: str
     reference: StepSchedule
-    c: float = 1.0
 
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if not self.c > 0:
-            raise ValueError("weight constant c must be positive")
 
     def eta_block(self, start: int, stop: int) -> np.ndarray:
         g = self.reference
-        if self.kind == "proportional":
-            return self.c * g.gamma_block(start, stop)
         cur = g.gamma_block(start, stop)
+        if self.kind == "proportional":
+            return cur
         if start == 1:
             prev = np.concatenate([[0.0], g.gamma_block(1, stop - 1)])
         else:
             prev = g.gamma_block(start - 1, stop - 1)
-        return self.c * (prev + cur) / 2.0
+        return (prev + cur) / 2.0
 
     def big_h(self, n: int) -> float:
         """H_n = sum_{k<=n} eta_k (n >= 1; H_0 = 0 for convenience)."""
@@ -124,10 +121,10 @@ class WeightSchedule:
             raise ValueError("n must be >= 0")
         g = self.reference
         if self.kind == "proportional":
-            return self.c * g.big_gamma(n)
+            return g.big_gamma(n)
         if n == 0:
             return 0.0
-        return self.c * (g.big_gamma(n) + g.big_gamma(n - 1)) / 2.0
+        return (g.big_gamma(n) + g.big_gamma(n - 1)) / 2.0
 
 
 def power_h(step: StepSchedule, r: float, n: int) -> float:

@@ -380,8 +380,8 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
     n_kappa = kappa_count(n) if scheme == "talay2" else 0
     # only a scheme that draws signs builds their streams
     gens_k = [_stream(master_seed, r, 1) for r in replications] if n_kappa else []
-    blocks = [(k, min(CHUNK, n_steps - k + 1)) for k in range(1, n_steps + 1, CHUNK)]
-    forked = len(blocks) > 1 and hasattr(os, "fork") and threading.active_count() == 1
+    count = -(-n_steps // CHUNK)
+    forked = count > 1 and hasattr(os, "fork") and threading.active_count() == 1
     slots = 2 if forked else 1
     # a slot is one block's slab: its states fill it from the front and its
     # innovations from the back, so the state after step t overwrites only
@@ -391,15 +391,23 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
     ring, kap_ring = flat[:slots], flat[slots:]
     kernel = _Kernel(make_stepper(scheme, model), steps, replications, x0)
 
+    # block j's first step and step count, from j alone, so that set-up
+    # holds nothing in proportion to n_steps
+    def start(j: int) -> int:
+        return 1 + j * CHUNK
+
+    def length(j: int) -> int:
+        return min(CHUNK, n_steps + 1 - start(j))
+
     def inputs(j: int):
         """Block j's innovations and signs, as views of its slot."""
-        m, s = blocks[j][1], j % slots
+        m, s = length(j), j % slots
         return (_tail(ring[s], (m, r_count, n)),
                 _head(kap_ring[s], (m, r_count, n_kappa)) if n_kappa else None)
 
     def slab(j: int) -> np.ndarray:
         """Block j's states (m + 1, R, d), as a view of its slot."""
-        return _head(ring[j % slots], (blocks[j][1] + 1, r_count, d))
+        return _head(ring[j % slots], (length(j) + 1, r_count, d))
 
     seconds = dict.fromkeys(_DRIVE_SIDES, 0.0)
 
@@ -416,26 +424,26 @@ def _drive(scheme: str, model: DiffusionModel, steps: StepSchedule,
         # the pre-step states, time-major rows of the slot
         states = slab(j)[:-1]
         for sink in sinks:
-            sink.observe_block(blocks[j][0], states)
+            sink.observe_block(start(j), states)
         seconds["feed"] += time.perf_counter() - t0
 
     def advance(j: int) -> tuple[list[tuple[int, int]], float]:
         """Block j's diverged pairs and the kernel's seconds on it."""
         t0 = time.perf_counter()
-        diverged = kernel.block(blocks[j][0], slab(j), *inputs(j))
+        diverged = kernel.block(start(j), slab(j), *inputs(j))
         return diverged, time.perf_counter() - t0
 
     excluded: dict[int, int] = {}
     if forked:
-        _run_forked(len(blocks), advance, draw, feed, excluded, seconds)
+        _run_forked(count, advance, draw, feed, excluded, seconds)
     else:
-        for j in range(len(blocks)):
+        for j in range(count):
             draw(j)
             diverged, kernel_s = advance(j)
             excluded.update(diverged)
             seconds["kernel"] += kernel_s
             feed(j)
-    return BatchResult(final_states=slab(len(blocks) - 1)[-1].copy(), excluded=sorted(excluded.items()),
+    return BatchResult(final_states=slab(count - 1)[-1].copy(), excluded=sorted(excluded.items()),
                        seconds=seconds)
 
 

@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from conftest import partitioned_batch
-from ergostep.catalog import coordinate_monomial, ou1d, quadratic_lyapunov
+from ergostep.catalog import coordinate_monomial, ou1d
 from ergostep.diagnostics import recursive_control_probe, weak_order_probe
 from ergostep.empirical import WeightedEmpiricalMeasure, merge_statistics
 from ergostep.harness import ExperimentConfig, classify_regime, ks_normality, run_clt_experiment, run_ergodic_experiment, run_rate_experiment
 from ergostep.innovations import InnovationDist, assemble_w, gaussian_moment, joint_outcomes
-from ergostep.model import generator_observable
+from ergostep.model import LyapunovSpec, generator_observable
 from ergostep.schedules import StepSchedule, WeightSchedule, power_h
 from ergostep.schemes import simulate
 
@@ -171,12 +171,12 @@ def test_criterion_7_moment_matching():
 
 def test_criterion_8a_trapezoidal_identity():
     steps = StepSchedule("power_law", 1.0, 1.0 / 3.0)
-    w = WeightSchedule("trapezoidal", steps, c=2.0)
+    w = WeightSchedule("trapezoidal", steps)
     ok = all(
-        w.big_h(n) == 2.0 * (steps.big_gamma(n) + steps.big_gamma(n - 1)) / 2.0
+        w.big_h(n) == (steps.big_gamma(n) + steps.big_gamma(n - 1)) / 2.0
         for n in (1, 7, 1000, 250_000)
     )
-    check("8a", "trapezoidal identity H_n = C (Gamma_n + Gamma_{n-1}) / 2", ok)
+    check("8a", "trapezoidal identity H_n = (Gamma_n + Gamma_{n-1}) / 2", ok)
 
 
 def test_criterion_8b_weight_scale_invariance():
@@ -208,7 +208,7 @@ def test_criterion_8c_surrogate_symmetry_and_centering():
 
 def test_criterion_8d_seed_determinism():
     steps = StepSchedule("power_law", 1.0, 1.0 / 3.0)
-    w = WeightSchedule("proportional", steps, c=1.0)
+    w = WeightSchedule("proportional", steps)
     serial = []
     for r in range(8):
         meas = WeightedEmpiricalMeasure(weights=w, fn=coordinate_monomial((2,)).fn)
@@ -250,9 +250,9 @@ def test_criterion_8e_regime_classifier_grid():
 
 def test_criterion_8f_recursive_control_pass_and_fail():
     grid = np.linspace(-5.0, 5.0, 21)[:, None]
-    good = recursive_control_probe("euler", OU, quadratic_lyapunov(alpha=2.0, beta=4.0),
+    good = recursive_control_probe("euler", OU, LyapunovSpec(alpha=2.0, beta=4.0),
                                    2.0**-8, TP, grid=grid)
-    bad = recursive_control_probe("euler", OU, quadratic_lyapunov(alpha=10.0, beta=4.0),
+    bad = recursive_control_probe("euler", OU, LyapunovSpec(alpha=10.0, beta=4.0),
                                   2.0**-8, TP, grid=grid)
     check("8f", "mean-reversion probe passes at (alpha=2, beta=4) and fails at alpha=10",
           good.verdict == "pass" and bad.verdict == "fail",

@@ -14,7 +14,7 @@ import pytest
 from ergostep import cli
 from ergostep.cli import main
 from ergostep.diagnostics import WeakOrderResult
-from ergostep.harness import CONFIG_KEYS, ExperimentConfig
+from ergostep.harness import CONFIG_KEYS, ConfigError, ExperimentConfig
 from ergostep.innovations import InnovationDist
 
 
@@ -179,8 +179,7 @@ def test_probe_report_keys(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "probe", "--output-dir", str(tmp_path))
     assert code == 0
     payload = json.loads((tmp_path / "probe.json").read_text())
-    assert set(payload["recursive_control"]["metadata"]) == {
-        "gamma", "scheme", "alpha", "beta", "lambda_p_grid_max", "lambda_p_is_grid_max_not_supremum"}
+    assert set(payload["recursive_control"]["metadata"]) == {"gamma", "scheme", "alpha", "beta"}
     assert set(payload["moment_match"]) == {"kind", "matched_through", "required", "pass"}
 
 
@@ -291,7 +290,7 @@ def test_internal_error_exit_three(capsys, tmp_path, monkeypatch):
 FLAG_VALUES = {
     "model.id": "double_well", "model.theta": "2.5", "model.sigma": "0.5",
     "scheme": "talay2", "innovation": "rademacher", "f": "x^4",
-    "step.gamma1": "0.5", "step.xi": "0.2", "weight.kind": "trapezoidal", "weight.c": "2.0",
+    "step.gamma1": "0.5", "step.xi": "0.2", "weight.kind": "trapezoidal",
     "n_steps": "1e4", "replications": "7", "seed": "11", "checkpoints": "10,100",
     "x0": "-0.5", "buffer_capacity": "64", "burn_in": "3", "threads": "1",
 }
@@ -316,6 +315,34 @@ def test_flag_resolves_like_config_key(tmp_path, flag, key):
     assert from_flag == from_file
     # the benchmark passes --threads 1 and a mapping with threads = 1
     assert (from_flag == ExperimentConfig()) == (key == "threads")
+
+
+@pytest.mark.parametrize("key,only,others", [("threads", "1", ("2", "0", "-3")),
+                                             ("weight.c", "1.0", ("2", "0.5", "-1"))])
+def test_one_value_keys_take_their_value_and_name_any_other(capsys, tmp_path, monkeypatch,
+                                                            key, only, others):
+    # threads and weight.c change no result and accept one value each; the
+    # benchmark's mappings still set both
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import workloads
+
+    for workload in (workloads.RateTalay2(), workloads.W1Trace()):
+        config = workload.inputs(0)
+        assert (config.threads, config.weight_c) == (1, 1.0)
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {only}\n")
+    parser = cli.build_parser()
+    assert cli._load_config(parser.parse_args(["clt", "--config", str(cfg)])) == ExperimentConfig()
+    assert ExperimentConfig.from_mapping({key: only}) == ExperimentConfig()
+    for text in others:
+        cfg.write_text(f"{key} = {text}\n")
+        code, _, err = run_cli(capsys, "clt", "--config", str(cfg), "--output-dir", str(tmp_path))
+        assert code == 2 and f"bad value for {key}" in err, err
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            ExperimentConfig.from_mapping({key: text})
+    code, _, err = run_cli(capsys, "clt", "--weight-c", "1.0", "--output-dir", str(tmp_path))
+    assert code == 2 and "unrecognized arguments: --weight-c" in err, err
 
 
 def test_rate_defaults_follow_config_file_n_steps(capsys, tmp_path):
@@ -354,7 +381,7 @@ def test_rate_default_checkpoints_end_at_small_n_steps(capsys, tmp_path):
     (["simulate", "--n-steps", "0"], "n_steps"),
     (["clt", "--n-steps", "2.5"], "n_steps"),
     (["clt", "--buffer-capacity", "-1"], "buffer_capacity"),
-    (["clt", "--weight-c", "inf"], "weight.c"),
+    (["clt", "--config", "weight.c = inf"], "weight.c"),
     (["clt", "--xi", "nan"], "step.xi"),
     (["wasserstein", "--buffer-capacity", "0"], "buffer_capacity"),
     (["clt", "--model", "ou_nd", "--config", "model.dim = 2.5"], "model.dim"),
@@ -378,6 +405,8 @@ def test_rate_default_checkpoints_end_at_small_n_steps(capsys, tmp_path):
     # probe builds neither schedule, so the config checks both kinds
     *(([cmd, "--config", f"{key}.kind = foo"], f"unknown {key} kind 'foo'")
       for cmd in ("clt", "simulate", "wasserstein", "probe", "rate") for key in ("step", "weight")),
+    # refused by name before the law quadrature and the regime classification run
+    *(([cmd, "--seed", "-1"], "seed") for cmd in ("clt", "simulate", "rate", "wasserstein")),
 ])
 def test_out_of_range_value_exit_two_names_key(capsys, tmp_path, argv, key):
     if "--config" in argv:  # the text after --config is the file's content

@@ -14,12 +14,11 @@ from ergostep.catalog import (
     model_from_config,
     ou1d,
     ou_nd,
-    quadratic_lyapunov,
 )
 from ergostep.diagnostics import default_grid, recursive_control_probe, weak_order_probe
 from ergostep.harness import emit
 from ergostep.innovations import InnovationDist, gaussian_moment, joint_outcomes
-from ergostep.model import generator_apply, generator_observable
+from ergostep.model import LyapunovSpec, generator_apply, generator_observable
 from ergostep.schemes import DivergenceError, make_stepper
 
 OU = ou1d(1.0, math.sqrt(2.0))
@@ -33,29 +32,28 @@ GRID = np.linspace(-5.0, 5.0, 21)[:, None]
 
 
 def test_recursive_control_ou_passes():
-    lyap = quadratic_lyapunov(alpha=2.0, beta=4.0)
+    lyap = LyapunovSpec(alpha=2.0, beta=4.0)
     report = recursive_control_probe("euler", OU, lyap, 2.0**-8, TP, grid=GRID)
     assert report.verdict == "pass"
     assert np.all(report.margins >= -0.1)
-    assert report.metadata["lambda_p_is_grid_max_not_supremum"] is True
-    assert report.metadata["lambda_p_grid_max"] == pytest.approx(2.0, rel=1e-12)
+    assert set(report.metadata) == {"gamma", "scheme", "alpha", "beta"}
 
 
 def test_recursive_control_talay_passes():
-    lyap = quadratic_lyapunov(alpha=2.0, beta=4.0)
+    lyap = LyapunovSpec(alpha=2.0, beta=4.0)
     report = recursive_control_probe("talay2", OU, lyap, 2.0**-8, TP, grid=GRID)
     assert report.verdict == "pass"
 
 
 def test_recursive_control_overtight_alpha_fails():
-    lyap = quadratic_lyapunov(alpha=10.0, beta=4.0)
+    lyap = LyapunovSpec(alpha=10.0, beta=4.0)
     report = recursive_control_probe("euler", OU, lyap, 2.0**-8, TP, grid=GRID)
     assert report.verdict == "fail"
     assert abs(report.worst_point[0]) >= 2.0
 
 
 def test_recursive_control_frozen_dynamics(zero_model):
-    lyap = quadratic_lyapunov(alpha=1.0, beta=10.0)
+    lyap = LyapunovSpec(alpha=1.0, beta=10.0)
     report = recursive_control_probe("euler", zero_model, lyap, 0.1, TP, grid=GRID)
     v = 1.0 + GRID[:, 0] ** 2
     rhs = 10.0 - 1.0 * v
@@ -65,12 +63,12 @@ def test_recursive_control_frozen_dynamics(zero_model):
 def test_recursive_control_divergence_raises():
     cubic = poly1d_model([0.0, 0.0, 0.0, 1.0], [0.0])  # b = x^3 overflows at 1e120
     with pytest.raises(DivergenceError):
-        recursive_control_probe("euler", cubic, quadratic_lyapunov(alpha=2.0, beta=4.0),
+        recursive_control_probe("euler", cubic, LyapunovSpec(alpha=2.0, beta=4.0),
                                 0.1, TP, grid=np.array([[1e120]]))
 
 
 def test_recursive_control_report_json(tmp_path):
-    lyap = quadratic_lyapunov(alpha=2.0, beta=4.0)
+    lyap = LyapunovSpec(alpha=2.0, beta=4.0)
     report = recursive_control_probe("euler", OU, lyap, 2.0**-6, TP, grid=GRID)
     path = tmp_path / "probe.json"
     emit(report, "json", path)
@@ -96,12 +94,16 @@ STATE_SIGMA = poly1d_model([0.0, -1.0], [1.0, 0.0, 0.25])
 def test_recursive_control_enumerates_the_given_innovation(model):
     # the driver's talay2 kernel under rademacher innovations, enumerated by
     # hand over u = -1 and u = +1 at probability 1/2 each
-    lyap = quadratic_lyapunov(alpha=1.0, beta=3.0)
+    lyap = LyapunovSpec(alpha=1.0, beta=3.0)
     gamma = 2.0**-6
     rad = InnovationDist("rademacher", 1)
     step = make_stepper("talay2", model)
-    v = lyap.v(GRID)
-    ev = sum(0.5 * lyap.v(step(GRID, gamma, np.array([u]), np.zeros(0))) for u in (-1.0, 1.0))
+
+    def v_of(x):
+        return 1.0 + x[:, 0] ** 2
+
+    v = v_of(GRID)
+    ev = sum(0.5 * v_of(step(GRID, gamma, np.array([u]), np.zeros(0))) for u in (-1.0, 1.0))
     expected = (3.0 - v) - (ev - v) / gamma
     report = recursive_control_probe("talay2", model, lyap, gamma, rad, grid=GRID)
     assert np.array_equal(report.margins, expected)
@@ -241,7 +243,7 @@ def test_weak_order_state_dependent_diffusion_talay():
 
 def test_recursive_control_double_well():
     m = double_well(math.sqrt(2.0))
-    good = recursive_control_probe("euler", m, quadratic_lyapunov(alpha=0.5, beta=4.0),
+    good = recursive_control_probe("euler", m, LyapunovSpec(alpha=0.5, beta=4.0),
                                    2.0**-8, TP, grid=GRID)
     assert good.verdict == "pass"
 

@@ -68,7 +68,7 @@ def test_empty_measure_and_measure_without_observable():
 def test_online_matches_offline_recomputation():
     ou = ou1d(1.0, math.sqrt(2.0))
     steps = StepSchedule("power_law", 1.0, 1.0 / 3.0)
-    w = WeightSchedule("trapezoidal", steps, c=1.0)
+    w = WeightSchedule("trapezoidal", steps)
     meas = WeightedEmpiricalMeasure(weights=w, fn=coordinate_monomial((2,)).fn)
     logged = []
 

@@ -395,7 +395,7 @@ def test_clt_burn_in_statistic_sums_past_burn_in():
     from ergostep.schemes import simulate
 
     b, n = 500, 2000
-    cfg = ExperimentConfig(scheme="euler", weight_c=2.5, n_steps=n, replications=3,
+    cfg = ExperimentConfig(scheme="euler", n_steps=n, replications=3,
                            seed=17, checkpoints=(1000, n), burn_in=b)
     rep = run_clt_experiment(cfg)
     assert rep.regime == "B_mixed"
@@ -420,7 +420,7 @@ def test_clt_burn_in_statistic_sums_past_burn_in():
                  rng_seed=17, sinks=[log], replication=r)
         xs = np.concatenate(log.blocks)
         total = math.fsum(etas[b:] * af.fn(xs[b:]))
-        want = total / (2.5 * math.sqrt(clock))
+        want = total / math.sqrt(clock)
         assert rep.statistics[n][r] == pytest.approx(want, rel=1e-12)
     assert rep.l_hat[n] == pytest.approx(math.sqrt(clock) / aux_sum, rel=1e-12)
 
@@ -463,18 +463,18 @@ def test_report_rows_carry_original_replication_ids(tmp_path):
 
 
 def test_statistic_normalizer_identities():
-    # proportional weights: H_n / (C sqrt(H_gamma,n)) == sqrt(Gamma_n)
+    # proportional weights: H_n / sqrt(H_gamma,n) == sqrt(Gamma_n)
     st = StepSchedule("power_law", 1.0, 1.0 / 3.0)
     from ergostep.schedules import WeightSchedule
 
-    prop = WeightSchedule("proportional", st, c=2.2)
-    trap = WeightSchedule("trapezoidal", st, c=2.2)
+    prop = WeightSchedule("proportional", st)
+    trap = WeightSchedule("trapezoidal", st)
     ratio_prev = 0.0
     for n in (10, 1000, 100_000):
         root_gamma = math.sqrt(st.big_gamma(n))
-        norm_prop = prop.big_h(n) / (2.2 * math.sqrt(power_h(st, 1.0, n)))
+        norm_prop = prop.big_h(n) / math.sqrt(power_h(st, 1.0, n))
         assert norm_prop == pytest.approx(root_gamma, rel=1e-12)
-        norm_trap = trap.big_h(n) / (2.2 * math.sqrt(power_h(st, 1.0, n)))
+        norm_trap = trap.big_h(n) / math.sqrt(power_h(st, 1.0, n))
         expected = (st.big_gamma(n) + st.big_gamma(n - 1)) / (2.0 * root_gamma)
         assert norm_trap == pytest.approx(expected, rel=1e-12)
         ratio = norm_trap / root_gamma
@@ -541,7 +541,7 @@ def _ou_affine_kernel(scheme, gamma):
 def _exact_mean_statistic(cfg, ns):
     """E[statistic] at each n of ``ns`` from x0 = 0: E X_k^2 = a_k^2 E X_{k-1}^2
     + c_k^2, and Af = 2 - 2x^2, so E[statistic] = sum_{k<=n} eta_k (2 - 2 E
-    X_{k-1}^2) / (C sqrt(Gamma_n))."""
+    X_{k-1}^2) / sqrt(Gamma_n)."""
     steps = cfg.steps()
     n = max(ns)
     a, c = _ou_affine_kernel(cfg.scheme, steps.gamma_block(1, n + 1))
@@ -550,7 +550,7 @@ def _exact_mean_statistic(cfg, ns):
         moments.append(m)
         m = a2 * m + c2
     sums = np.cumsum(cfg.weights(steps).eta_block(1, n + 1) * (2.0 - 2.0 * np.array(moments)))
-    return [sums[k - 1] / (cfg.weight_c * math.sqrt(steps.big_gamma(k))) for k in ns]
+    return [sums[k - 1] / math.sqrt(steps.big_gamma(k)) for k in ns]
 
 
 def _regime_b_shift(cfg, nu_m, n):

@@ -136,7 +136,7 @@ def test_simulate_2d_measures_match_serial():
     from ergostep.schemes import simulate_batch
 
     st = StepSchedule("power_law", 0.4, 0.4)
-    w = WeightSchedule("proportional", st, c=1.0)
+    w = WeightSchedule("proportional", st)
     serial = []
     for r in range(3):
         meas = WeightedEmpiricalMeasure(weights=w, fn=F.fn)

@@ -74,26 +74,23 @@ def test_big_gamma_cache_random_access_matches_forward():
 
 def test_eta_trapezoidal_convention():
     steps = StepSchedule("constant", 0.1)
-    w = WeightSchedule("trapezoidal", steps, c=1.0)
+    w = WeightSchedule("trapezoidal", steps)
     assert w.eta_block(1, 2)[0] == 0.05  # gamma_0 = 0 convention
     assert w.eta_block(5, 6)[0] == pytest.approx(0.1, abs=1e-16)
 
 
 def test_big_h_trapezoidal_constant_steps():
     steps = StepSchedule("constant", 0.25)
-    w = WeightSchedule("trapezoidal", steps, c=1.0)
+    w = WeightSchedule("trapezoidal", steps)
     for n in (1, 2, 7, 100):
         assert w.big_h(n) == pytest.approx(0.25 * (n - 0.5), rel=1e-15)
 
 
 def test_big_h_proportional_equals_big_gamma_exactly():
     steps = StepSchedule("power_law", 1.0, 0.3)
-    w = WeightSchedule("proportional", steps, c=1.0)
+    w = WeightSchedule("proportional", steps)
     for n in (1, 10, 1234):
         assert w.big_h(n) == steps.big_gamma(n)
-    w2 = WeightSchedule("proportional", steps, c=2.5)
-    for n in (1, 10, 1234):
-        assert w2.big_h(n) == 2.5 * steps.big_gamma(n)
 
 
 def test_big_h_power_asymptotic():
@@ -107,10 +104,10 @@ def test_big_h_power_asymptotic():
 
 def test_trapezoidal_identity_exact():
     steps = StepSchedule("power_law", 1.0, 1.0 / 3.0)
-    w = WeightSchedule("trapezoidal", steps, c=1.7)
+    w = WeightSchedule("trapezoidal", steps)
     for n in (1, 2, 17, 4096, 100_000):
         lhs = w.big_h(n)
-        rhs = 1.7 * (steps.big_gamma(n) + steps.big_gamma(n - 1)) / 2.0
+        rhs = (steps.big_gamma(n) + steps.big_gamma(n - 1)) / 2.0
         assert lhs == rhs
         # and the termwise sum agrees within the stated accumulation bound
         etas = w.eta_block(1, n + 1)
@@ -120,7 +117,7 @@ def test_trapezoidal_identity_exact():
 
 def test_monotone_partial_sums():
     steps = StepSchedule("power_law", 0.5, 0.9)
-    w = WeightSchedule("trapezoidal", steps, c=1.0)
+    w = WeightSchedule("trapezoidal", steps)
     gs = [steps.big_gamma(n) for n in range(0, 2000)]
     hs = [w.big_h(n) for n in range(1, 2000)]
     assert all(b > a for a, b in zip(gs, gs[1:]))
@@ -181,10 +178,10 @@ def test_power_h_refuses_a_gamma1_whose_power_leaves_the_normal_floats(kind):
 
 def test_config_round_trip():
     steps = StepSchedule("power_law", 0.3, 0.25)
-    w = WeightSchedule("trapezoidal", steps, c=1.5)
+    w = WeightSchedule("trapezoidal", steps)
     cfg = ExperimentConfig.from_mapping({"step.kind": "power_law", "step.gamma1": repr(0.3),
                                          "step.xi": repr(0.25), "weight.kind": "trapezoidal",
-                                         "weight.c": repr(1.5)})
+                                         "weight.c": "1.0"})
     assert ExperimentConfig(**cfg.to_dict()) == cfg
     s2 = cfg.steps()
     w2 = cfg.weights(s2)

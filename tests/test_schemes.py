@@ -155,7 +155,7 @@ def test_simulate_long_run_mean_reverts():
 def test_batch_matches_serial_bitwise(scheme, kind):
     inn = InnovationDist(kind, 1)
     st = StepSchedule("power_law", 0.5, 0.4)
-    w = WeightSchedule("proportional", st, c=1.0)
+    w = WeightSchedule("proportional", st)
     n, reps = 2500, 5  # crosses a block boundary
     serial_states = []
     serial_vals = []
@@ -543,6 +543,31 @@ def test_kernel_runs_in_the_worker_for_two_blocks_on_one_thread():
     assert set(forked.seconds) == set(inline.seconds) == {"kernel", "draw", "feed", "wait"}
     assert forked.seconds["kernel"] > 0.0 and inline.seconds["kernel"] > 0.0
     assert inline.seconds["wait"] == 0.0
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_driver_set_up_holds_nothing_in_proportion_to_n_steps():
+    # a sink that stops the run at its first block: the driver's peak is its
+    # set-up and one block, whatever n_steps says
+    import tracemalloc
+
+    class StopSink:
+        def observe_block(self, k0, states):
+            raise _Stop
+
+    st = StepSchedule("power_law", 0.5, 1.0 / 3.0)
+    simulate_batch("euler", OU, st, TP, 2 * CHUNK, 0.4, 2, 1)  # imports and caches
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            simulate_batch("euler", OU, st, TP, 10**8, 0.4, 2, 1, sinks=[StopSink()])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_importing_the_package_loads_neither_multiprocessing_nor_mmap():
